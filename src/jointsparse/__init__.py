@@ -26,7 +26,6 @@ from .errors import (
     JointSparseError,
     MaxIterationsExceeded,
     RankDeficient,
-    Singular,
     TrivialNullspace,
 )
 from .generators import GenSpec, PortableRng, gen_problem, gen_vandermonde
@@ -36,7 +35,6 @@ from .linalg import (
     eig_summary,
     min_norm_solution,
     nullspace_basis,
-    solve_linear,
 )
 from .norms import (
     RowSupport,
@@ -66,7 +64,7 @@ __all__ = [
     "__version__",
     # linalg
     "EigSummary", "NullspaceBasis", "eig_summary", "min_norm_solution",
-    "nullspace_basis", "solve_linear",
+    "nullspace_basis",
     # norms
     "RowSupport", "mixed_norm_2p", "norm_20", "row_support", "theta",
     "theta_max_over_S",
@@ -84,6 +82,6 @@ __all__ = [
     "GenSpec", "PortableRng", "gen_problem", "gen_vandermonde",
     # errors
     "JointSparseError", "DomainError", "AllZeroMatrix", "RankDeficient",
-    "Singular", "Infeasible", "EnumerationTooLarge", "DimGuardExceeded",
+    "Infeasible", "EnumerationTooLarge", "DimGuardExceeded",
     "TrivialNullspace", "DuplicateNodes", "MaxIterationsExceeded",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .generators import PortableRng
-from .linalg import EigSummary, as_matrix, eig_summary, min_norm_solution
+from .linalg import as_matrix, eig_summary, gram_spectrum
 from .norms import DEFAULT_ZERO_TOL, mixed_norm_2p, norm_20, row_support
 
 SQRT2_PLUS_1 = math.sqrt(2.0) + 1.0
@@ -113,9 +113,9 @@ def pstar(a: np.ndarray, b: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> P
     m, n = a.shape
     if m < 2 or n < 3:
         raise DomainError(f"need m >= 2 and n >= 3, got shape {a.shape}")
-    summary: EigSummary = eig_summary(a)
-    lam = summary.ratio
-    x0 = min_norm_solution(a, b)
+    spec = gram_spectrum(a)
+    lam = spec.summary().ratio
+    x0 = spec.min_norm(b)
     s_star = len(row_support(x0, zero_tol))
     k_m, k_n = corollary1_bounds(m, n)
     f_s = f_threshold(s_star, lam, n) if s_star >= 1 else math.inf

@@ -9,7 +9,9 @@ and is deterministic byte-for-byte apart from runtime_ms.  ``--csv`` switches
 tabular commands (solve, sweep, nsc) to a plain CSV rendering on stdout;
 ``--out PATH`` additionally writes the primary payload to a file.  Exit
 codes: 0 success, 1 computational failure (error JSON on stderr), 2 bad
-input or usage.
+input or usage, including an option outside its domain (error JSON on
+stderr).  Reports are strict JSON: a non-finite number that reaches one
+fails the run with exit code 1 instead of printing ``NaN`` or ``Infinity``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 from importlib import resources
 
 import numpy as np
@@ -37,7 +40,6 @@ from .solvers import (
     IrlsOptions,
     MmvProblem,
     check_equivalence,
-    equivalence_report_to_json,
     irls_solve,
     l20_solve,
     nullspace_solve,
@@ -49,6 +51,9 @@ from .solvers import (
 EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
+
+#: Most points a start:stop:step grid may expand to.
+MAX_GRID_POINTS = 10_000
 
 
 class UsageError(Exception):
@@ -137,26 +142,51 @@ def _load_matrix_source(path: str) -> tuple[np.ndarray, bytes]:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    """Either comma-separated values or start:stop:step (inclusive)."""
+    """Either comma-separated values or start:stop:step (inclusive).
+
+    A range is stepped in decimal arithmetic, so each point is the float
+    nearest its decimal value: ``0.1:0.3:0.1`` gives 0.1, 0.2, 0.3.
+    """
     spec = spec.strip()
     try:
         if ":" in spec:
-            lo_s, hi_s, step_s = spec.split(":")
-            lo, hi, step = float(lo_s), float(hi_s), float(step_s)
+            lo, hi, step = (Decimal(tok) for tok in spec.split(":"))
+            if not (lo.is_finite() and hi.is_finite() and step.is_finite()):
+                raise ValueError("start, stop and step must be finite")
             if step <= 0 or hi < lo:
                 raise ValueError("need stop >= start and step > 0")
-            count = int(round((hi - lo) / step)) + 1
-            grid = [lo + i * step for i in range(count)]
-            grid = [q for q in grid if q <= hi + 1e-12]
+            steps = (hi - lo) / step
+            if steps >= MAX_GRID_POINTS:
+                raise ValueError(f"more than {MAX_GRID_POINTS} points")
+            points = (lo + i * step for i in range(int(steps) + 1))
+            grid = [float(q) for q in points if q <= hi]
         else:
             grid = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"bad grid {spec!r}: {exc}") from None
+    except ArithmeticError:                 # decimal's syntax and overflow signals
+        raise UsageError(f"bad grid {spec!r}: not a decimal start:stop:step") from None
     if not grid:
         raise UsageError(f"bad grid {spec!r}: empty")
+    if not all(math.isfinite(q) for q in grid):
+        raise UsageError(f"bad grid {spec!r}: values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise UsageError(f"bad grid {spec!r}: values must be strictly ascending")
     return grid
+
+
+#: Domains [lo, hi) of the integer options; a seed keys a 64-bit Philox stream.
+_INT_OPTIONS = {"seed": (0, 2 ** 64), "k_max": (1, math.inf), "restarts": (0, math.inf)}
+
+
+def _check_options(args: argparse.Namespace) -> None:
+    """Reject option values outside their domain, once, right after parsing."""
+    for name, (lo, hi) in _INT_OPTIONS.items():
+        value = getattr(args, name, None)       # only some commands take k_max, restarts
+        if value is not None and not lo <= value < hi:
+            raise UsageError(f"--{name.replace('_', '-')} must lie in [{lo}, {hi}), got {value}")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
 
 
 def _zero_tol(flags: Flags) -> float:
@@ -172,7 +202,7 @@ def _emit(rep: RunReport, flags: Flags, csv_text: str | None = None) -> None:
             with open(flags.out, "w") as fh:
                 fh.write(csv_text)
         return
-    print(json.dumps(report_to_json(rep), indent=2))
+    print(json.dumps(report_to_json(rep), indent=2, allow_nan=False))
     if flags.out:
         with open(flags.out, "w") as fh:
             json.dump(rep.outputs, fh, indent=2)
@@ -497,11 +527,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(code: int, kind: str, message: str, **extra) -> int:
+    print(json.dumps({"error": {"type": kind, "message": message, **extra}}),
+          file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     flags = Flags(seed=args.seed, tol=args.tol, out=args.out, fmt=args.fmt)
     try:
+        _check_options(args)
         if args.command == "pstar":
             rep, csv_text = cmd_pstar(args.problem, flags)
         elif args.command == "solve":
@@ -518,25 +555,19 @@ def main(argv=None) -> int:
         else:
             rep, csv_text = cmd_gen(args.spec, flags)
     except UsageError as exc:
-        print(json.dumps({"error": {"type": "UsageError", "message": str(exc)}}),
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, "UsageError", str(exc))
     except JointSparseError as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-              file=sys.stderr)
-        return EXIT_COMPUTE
+        return _fail(EXIT_COMPUTE, type(exc).__name__, str(exc))
     try:
         _emit(rep, flags, csv_text)
     except UsageError as exc:
-        print(json.dumps({"error": {"type": "UsageError", "message": str(exc)}}),
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, "UsageError", str(exc))
+    except ValueError as exc:                # json refuses NaN and Infinity
+        return _fail(EXIT_COMPUTE, "NonFiniteOutput", f"report is not strict JSON: {exc}")
     if args.command == "reproduce" and not rep.outputs["all_pass"]:
         failures = [c for c in rep.outputs["checks"] if not c["pass"]]
-        print(json.dumps({"error": {"type": "ReproduceMismatch",
-                                    "message": f"{len(failures)} check(s) failed",
-                                    "failures": failures}}), file=sys.stderr)
-        return EXIT_COMPUTE
+        return _fail(EXIT_COMPUTE, "ReproduceMismatch",
+                     f"{len(failures)} check(s) failed", failures=failures)
     return EXIT_OK
 
 

@@ -19,10 +19,6 @@ class RankDeficient(JointSparseError):
     """A full-row-rank precondition failed (A A^T not invertible within tolerance)."""
 
 
-class Singular(JointSparseError):
-    """Gaussian elimination hit a pivot below the singularity threshold."""
-
-
 class Infeasible(JointSparseError):
     """No feasible support exists within the requested cardinality budget."""
 

@@ -21,7 +21,6 @@ of Philox 4x64-10 reproduces every draw bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -230,15 +229,10 @@ def gen_problem(spec: GenSpec):
     )
 
 
-def genspec_dumps(spec: GenSpec) -> str:
-    return json.dumps(spec.to_json(), sort_keys=True)
-
-
 __all__ = [
     "PortableRng",
     "GenSpec",
     "genspec_from_json",
-    "genspec_dumps",
     "gen_vandermonde",
     "default_nodes",
     "gen_problem",

@@ -1,21 +1,22 @@
 """Dense matrix utilities: validation, serialization, spectra, nullspaces.
 
 Matrices are plain float64 numpy arrays, validated and frozen (read-only) on
-the way in.  Symmetric eigenproblems go through LAPACK via ``numpy.linalg``;
-``solve_linear`` is a self-contained partially pivoted elimination whose
-singularity test is part of its contract.
+the way in.  Everything spectral about a matrix A comes from one LAPACK
+eigendecomposition of A^T A, made by :func:`gram_spectrum`, which also owns
+the rank rule: an eigenvalue at or below ``REL_EIG_TOL * lambda_max`` is
+zero.  The public spectral functions each read from one such decomposition,
+and the solvers take one per call and read everything from it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroMatrix, DomainError, RankDeficient, Singular
+from .errors import AllZeroMatrix, DomainError, RankDeficient
 
-#: Default relative threshold separating "zero" eigenvalues from positive ones.
+#: Relative threshold separating "zero" eigenvalues of A^T A from positive ones.
 REL_EIG_TOL = 1e-10
 
 
@@ -80,10 +81,6 @@ def matrix_from_csv(text: str, name: str = "matrix") -> np.ndarray:
     return as_matrix(rows, name=name)
 
 
-def matrix_dumps(mat: np.ndarray) -> str:
-    return json.dumps(matrix_to_json(mat))
-
-
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -103,69 +100,97 @@ class EigSummary:
     zero_threshold: float
 
 
-def symmetric_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a symmetric matrix, ascending. Input is symmetrized first."""
-    m = as_matrix(mat, name="symmetric matrix")
-    if m.shape[0] != m.shape[1]:
-        raise DomainError(f"symmetric_eig: matrix must be square, got {m.shape}")
-    sym = 0.5 * (m + m.T)
-    evals, evecs = np.linalg.eigh(sym)
-    return evals, evecs
+def _fix_column_signs(basis: np.ndarray) -> np.ndarray:
+    out = basis.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        i = int(np.argmax(np.abs(col)))
+        if col[i] < 0:
+            out[:, j] = -col
+    return out
 
 
-def gram_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of A^T A (ascending), computed on the smaller Gram matrix.
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    out = np.array(arr, order="C")
+    out.flags.writeable = False
+    return out
 
-    For m < n the m nonzero candidates come from A A^T and the remaining
-    n - m eigenvalues are exact zeros.
+
+@dataclass(frozen=True)
+class GramSpectrum:
+    """One eigendecomposition of A^T A and everything read from it.
+
+    ``evals`` are ascending and clipped at 0 (LAPACK leaves tiny negative
+    noise on PSD input).  An eigenvalue at or below ``cut = REL_EIG_TOL *
+    lambda_max`` counts as zero; ``rank`` counts the others.  ``kernel`` is
+    the orthonormal basis of Ker(A) made of the zero eigenvalues'
+    eigenvectors, shape (n, nullity), each column's sign fixed so its
+    largest-magnitude entry (first such entry on ties) is positive.
     """
+
+    a: np.ndarray
+    evals: np.ndarray
+    cut: float
+    rank: int
+    kernel: np.ndarray
+
+    def summary(self) -> EigSummary:
+        """The extreme eigenvalues; AllZeroMatrix if none clears the cut."""
+        positive = self.evals[self.evals > self.cut]
+        if positive.size == 0:
+            raise AllZeroMatrix("no eigenvalue of A^T A exceeds the zero threshold")
+        lam_max, lam_min_plus = float(self.evals[-1]), float(positive[0])
+        return EigSummary(
+            lambda_max=lam_max,
+            lambda_min_plus=lam_min_plus,
+            ratio=lam_max / lam_min_plus,
+            rank=self.rank,
+            zero_threshold=self.cut,
+        )
+
+    def min_norm(self, b: np.ndarray) -> np.ndarray:
+        """Minimum-Frobenius-norm solution X0 = A^T (A A^T)^{-1} B of A X = B.
+
+        Raises RankDeficient unless A has full row rank (rank m).
+        """
+        a = self.a
+        b = as_matrix(b, name="B")
+        if a.shape[0] != b.shape[0]:
+            raise DomainError(f"row mismatch: A is {a.shape}, B is {b.shape}")
+        if self.rank < a.shape[0]:
+            raise RankDeficient("A A^T is singular within tolerance: A lacks full row rank")
+        return _frozen(a.T @ np.linalg.solve(a @ a.T, b))
+
+
+def gram_spectrum(a: np.ndarray) -> GramSpectrum:
+    """Decompose A^T A once (``numpy.linalg.eigh``) and apply the rank rule."""
     a = as_matrix(a, name="A")
-    m, n = a.shape
-    if m < n:
-        small = np.linalg.eigvalsh(a @ a.T)
-        evals = np.concatenate([np.zeros(n - m), small])
-        evals.sort()
-    else:
-        evals = np.linalg.eigvalsh(a.T @ a)
-    return np.maximum(evals, 0.0)  # clip LAPACK's tiny negative noise on PSD input
-
-
-def eig_summary(a: np.ndarray, zero_threshold: float | None = None) -> EigSummary:
-    """Summarize the spectrum of A^T A.
-
-    Parameters
-    ----------
-    a : (m, n) array
-    zero_threshold : float, optional
-        Absolute cutoff below which eigenvalues count as zero.  Defaults to
-        ``1e-10 * lambda_max`` (relative).
-
-    Raises
-    ------
-    AllZeroMatrix
-        If no eigenvalue clears the threshold.
-    """
-    evals = gram_eigenvalues(a)
-    lam_max = float(evals[-1])
-    if zero_threshold is None:
-        zero_threshold = REL_EIG_TOL * lam_max
-    elif zero_threshold <= 0:
-        raise DomainError("zero_threshold must be positive")
-    positive = evals[evals > zero_threshold]
-    if positive.size == 0:
-        raise AllZeroMatrix("no eigenvalue of A^T A exceeds the zero threshold")
-    lam_min_plus = float(positive[0])
-    return EigSummary(
-        lambda_max=lam_max,
-        lambda_min_plus=lam_min_plus,
-        ratio=lam_max / lam_min_plus,
-        rank=int(positive.size),
-        zero_threshold=float(zero_threshold),
+    evals, evecs = np.linalg.eigh(a.T @ a)
+    evals = np.maximum(evals, 0.0)
+    cut = REL_EIG_TOL * float(evals[-1])
+    zero = evals <= cut
+    evals.flags.writeable = False
+    return GramSpectrum(
+        a=a,
+        evals=evals,
+        cut=cut,
+        rank=int(evals.size - zero.sum()),
+        kernel=_frozen(_fix_column_signs(evecs[:, zero])),
     )
 
 
-# ---------------------------------------------------------------------------
-# nullspace
+def gram_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of A^T A, ascending, clipped at 0 (read-only)."""
+    return gram_spectrum(a).evals
+
+
+def eig_summary(a: np.ndarray) -> EigSummary:
+    """Summarize the spectrum of A^T A; eigenvalues at or below
+    ``REL_EIG_TOL * lambda_max`` count as zero.
+
+    Raises AllZeroMatrix if no eigenvalue clears that threshold.
+    """
+    return gram_spectrum(a).summary()
 
 
 @dataclass(frozen=True)
@@ -179,94 +204,19 @@ class NullspaceBasis:
 
     basis: np.ndarray
     nullity: int
-    orthonormal: bool = True
 
 
-def _fix_column_signs(basis: np.ndarray) -> np.ndarray:
-    out = basis.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            out[:, j] = -col
-    return out
+def nullspace_basis(a: np.ndarray) -> NullspaceBasis:
+    """Orthonormal kernel basis from the eigenvectors of A^T A whose
+    eigenvalues lie at or below ``REL_EIG_TOL * lambda_max``."""
+    kernel = gram_spectrum(a).kernel
+    return NullspaceBasis(basis=kernel, nullity=kernel.shape[1])
 
 
-def nullspace_basis(a: np.ndarray, tol_null: float | None = None) -> NullspaceBasis:
-    """Orthonormal kernel basis from the eigenvectors of A^T A.
-
-    Eigenvalues at or below ``tol_null`` (default ``1e-10 * lambda_max``)
-    are treated as zero.
-    """
-    a = as_matrix(a, name="A")
-    evals, evecs = symmetric_eig(a.T @ a)
-    lam_max = max(float(evals[-1]), 0.0)
-    if tol_null is None:
-        tol_null = REL_EIG_TOL * lam_max
-    elif tol_null <= 0:
-        raise DomainError("tol_null must be positive")
-    null_mask = evals <= tol_null
-    basis = _fix_column_signs(evecs[:, null_mask])
-    basis = np.array(basis, order="C")
-    basis.flags.writeable = False
-    return NullspaceBasis(basis=basis, nullity=int(null_mask.sum()))
-
-
-# ---------------------------------------------------------------------------
-# solves
-
-
-def min_norm_solution(a: np.ndarray, b: np.ndarray, tol_null: float | None = None) -> np.ndarray:
+def min_norm_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-Frobenius-norm solution X0 = A^T (A A^T)^{-1} B of A X = B.
 
-    Requires A to have full row rank: raises RankDeficient when the smallest
-    eigenvalue of A A^T is within ``tol_null`` (default relative 1e-10) of zero.
+    Requires A to have full row rank: raises RankDeficient when A^T A has
+    fewer than m eigenvalues above ``REL_EIG_TOL * lambda_max``.
     """
-    a = as_matrix(a, name="A")
-    b = as_matrix(b, name="B")
-    if a.shape[0] != b.shape[0]:
-        raise DomainError(f"row mismatch: A is {a.shape}, B is {b.shape}")
-    gram = a @ a.T
-    evals = np.linalg.eigvalsh(gram)
-    lam_max = max(float(evals[-1]), 0.0)
-    cut = tol_null if tol_null is not None else REL_EIG_TOL * lam_max
-    if lam_max == 0.0 or float(evals[0]) <= cut:
-        raise RankDeficient("A A^T is singular within tolerance: A lacks full row rank")
-    x0 = a.T @ np.linalg.solve(gram, b)
-    x0 = np.array(x0, order="C")
-    x0.flags.writeable = False
-    return x0
-
-
-def solve_linear(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M Z = RHS by Gaussian elimination with partial pivoting.
-
-    Raises Singular when the pivot chosen at any step falls below
-    ``1e-12 * max|M|`` (the largest magnitude in the initial matrix), or when
-    M is entirely zero.
-    """
-    m = np.array(as_matrix(mat, name="M"))
-    r = np.array(as_matrix(rhs, name="RHS"))
-    n = m.shape[0]
-    if m.shape[1] != n:
-        raise DomainError(f"M must be square, got {m.shape}")
-    if r.shape[0] != n:
-        raise DomainError(f"RHS rows {r.shape[0]} != M size {n}")
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if scale == 0.0:
-        raise Singular("M is the zero matrix")
-    cutoff = 1e-12 * scale
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(m[col:, col])))
-        if abs(m[piv, col]) < cutoff:
-            raise Singular(f"pivot {m[piv, col]:.3e} below cutoff {cutoff:.3e} at column {col}")
-        if piv != col:
-            m[[col, piv]] = m[[piv, col]]
-            r[[col, piv]] = r[[piv, col]]
-        factors = m[col + 1:, col] / m[col, col]
-        m[col + 1:, col:] -= np.outer(factors, m[col, col:])
-        r[col + 1:] -= np.outer(factors, r[col])
-    z = np.empty_like(r)
-    for row in range(n - 1, -1, -1):
-        z[row] = (r[row] - m[row, row + 1:] @ z[row + 1:]) / m[row, row]
-    return z
+    return gram_spectrum(a).min_norm(b)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, EnumerationTooLarge, TrivialNullspace
 from .generators import PortableRng
-from .linalg import REL_EIG_TOL, as_matrix, matrix_to_json, nullspace_basis
+from .linalg import as_matrix, gram_spectrum, matrix_to_json
 from .norms import DEFAULT_ZERO_TOL, RowSupport, theta, theta_max_over_S
 
 ENUMERATION_GUARD = 20
@@ -115,24 +115,34 @@ def nsc_estimate(
     sphere.  Ascent stops early if the value reaches +inf.
     """
     a = as_matrix(a, name="A")
+    if not (0.0 <= p <= 1.0):
+        raise DomainError(f"p must lie in [0, 1], got {p}")
+    return _estimate(_kernel(a, r, k), int(r), k, p, opts, warm_starts)
+
+
+def _kernel(a: np.ndarray, r, k) -> np.ndarray:
+    """Ker(A)'s basis, after the checks nsc_estimate and nsc_curve share."""
     n = a.shape[1]
     if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 1:
         raise DomainError(f"r must be a positive integer, got {r!r}")
     if not (1 <= k < n):
         raise DomainError(f"k must satisfy 1 <= k < n={n}, got {k}")
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"p must lie in [0, 1], got {p}")
-    ns = nullspace_basis(a)
-    d = ns.nullity
-    if d == 0:
+    basis = gram_spectrum(a).kernel
+    if basis.shape[1] == 0:
         raise TrivialNullspace("Ker(A) = {0}: the null-space constant is vacuous")
-    basis = ns.basis
+    return basis
+
+
+def _estimate(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
+              warm_starts: tuple[np.ndarray, ...]) -> NscEstimate:
+    """:func:`nsc_estimate` on validated arguments and a nontrivial kernel basis."""
+    n, d = basis.shape
     if d == 1:
         value, support = theta_max_over_S(p, basis, k, zero_tol=opts.zero_tol)
         cert = np.zeros((n, r))
         cert[:, 0] = basis[:, 0]
         return NscEstimate(
-            p=p, k=k, r=int(r), value=value,
+            p=p, k=k, r=r, value=value,
             certificate_x=as_matrix(_normalize(cert)),
             certificate_support=support,
             restarts=0, exact=True,
@@ -188,7 +198,7 @@ def nsc_estimate(
             best_val, best_sup, best_c = val, sup, c.copy()
     cert = _normalize(basis @ best_c)
     return NscEstimate(
-        p=p, k=k, r=int(r), value=best_val,
+        p=p, k=k, r=r, value=best_val,
         certificate_x=as_matrix(cert),
         certificate_support=best_sup,
         restarts=opts.restarts, exact=False,
@@ -208,6 +218,7 @@ def nsc_curve(
     in addition to a fresh estimate, so the reported curve is nondecreasing
     whenever those certificates have no rows in the open interval
     (0, zero_tol] (re-evaluation at a larger p can only grow theta there).
+    One kernel basis of A serves the whole grid.
     """
     grid = [float(q) for q in p_grid]
     if not grid:
@@ -216,15 +227,14 @@ def nsc_curve(
         raise DomainError("p_grid must be strictly ascending")
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise DomainError("p_grid values must lie in [0, 1]")
-    amat = as_matrix(a, name="A")
+    basis = _kernel(as_matrix(a, name="A"), r, k)
     out: list[NscEstimate] = []
     carried: list[np.ndarray] = []          # certificates, as coefficient matrices
-    ns = nullspace_basis(amat)
     for p in grid:
-        est = nsc_estimate(amat, r, k, p, opts, warm_starts=tuple(carried))
+        est = _estimate(basis, int(r), k, p, opts, tuple(carried))
         best = est
         for cert_c in carried if not est.exact else ():
-            x_prev = ns.basis @ cert_c
+            x_prev = basis @ cert_c
             val, sup = theta_max_over_S(p, x_prev, k, zero_tol=opts.zero_tol)
             if _better(val, sup, best.value, best.certificate_support):
                 best = NscEstimate(
@@ -234,8 +244,8 @@ def nsc_curve(
                     restarts=est.restarts, exact=est.exact,
                 )
         out.append(best)
-        if ns.nullity > 0 and not math.isinf(best.value):
-            carried.append(ns.basis.T @ best.certificate_x)
+        if not math.isinf(best.value):
+            carried.append(basis.T @ best.certificate_x)
     return out
 
 
@@ -247,17 +257,15 @@ def spark(a: np.ndarray, guard: int = ENUMERATION_GUARD) -> int:
     """Size of the smallest linearly dependent column subset (n + 1 if none).
 
     A subset counts as dependent when the smallest eigenvalue of its Gram
-    matrix falls below 1e-10 times lambda_max(A^T A).  Enumeration is capped
-    at ``guard`` columns.
+    matrix is zero by A's rank rule (at or below 1e-10 times
+    lambda_max(A^T A)); in the zero matrix every column is dependent.
+    Enumeration is capped at ``guard`` columns.
     """
     a = as_matrix(a, name="A")
     m, n = a.shape
     if n > guard:
         raise EnumerationTooLarge(f"n={n} exceeds enumeration guard {guard}")
-    lam_ref = float(np.linalg.eigvalsh(a.T @ a)[-1])
-    if lam_ref == 0.0:
-        return 1                            # zero matrix: every single column is dependent
-    cut = REL_EIG_TOL * lam_ref
+    cut = gram_spectrum(a).cut
     top = min(n, m + 1)
     for card in range(1, top + 1):
         combos = itertools.combinations(range(n), card)
@@ -268,7 +276,7 @@ def spark(a: np.ndarray, guard: int = ENUMERATION_GUARD) -> int:
             idx = np.array(chunk, dtype=int)
             sub = np.moveaxis(a[:, idx], 1, 0)
             evs = np.linalg.eigvalsh(sub.transpose(0, 2, 1) @ sub)
-            if np.any(evs[:, 0] < cut):
+            if np.any(evs[:, 0] <= cut):
                 return card
     return n + 1
 

@@ -32,14 +32,7 @@ from .errors import (
     RankDeficient,
 )
 from .generators import PortableRng
-from .linalg import (
-    REL_EIG_TOL,
-    as_matrix,
-    matrix_from_json,
-    matrix_to_json,
-    min_norm_solution,
-    nullspace_basis,
-)
+from .linalg import as_matrix, gram_spectrum, matrix_from_json, matrix_to_json
 from .norms import DEFAULT_ZERO_TOL, RowSupport, mixed_norm_2p, norm_20, row_support
 
 DEFAULT_FEASIBILITY_TOL = 1e-8
@@ -213,8 +206,7 @@ def l20_solve(
     if bnorm <= feasibility_tol * ref:
         zero = np.zeros((n, r))
         return _finish(zero, 0.0, "exact_l20", prob, zero_tol, unique=True)
-    lam_ref = float(np.linalg.eigvalsh(a.T @ a)[-1])
-    rank_cut = REL_EIG_TOL * lam_ref
+    rank_cut = gram_spectrum(a).cut
     chunk_size = 2048
     for card in range(1, k_max + 1):
         feasible: list[tuple[float, tuple[int, ...], np.ndarray, bool]] = []
@@ -293,7 +285,7 @@ def irls_solve(prob: MmvProblem, p: float, opts: IrlsOptions = IrlsOptions()) ->
     if not (0.0 < p <= 1.0):
         raise DomainError(f"p must lie in (0, 1], got {p}")
     a = prob.a
-    x = np.array(min_norm_solution(prob.a, prob.b))
+    x = np.array(gram_spectrum(a).min_norm(prob.b))
     eps = opts.eps0
     for iteration in range(1, opts.max_iter + 1):
         rowsq = np.sum(x * x, axis=1)
@@ -546,14 +538,14 @@ def nullspace_solve(prob: MmvProblem, p: float, opts: DescentOptions) -> SparseS
     """
     if not (0.0 < p <= 1.0):
         raise DomainError(f"p must lie in (0, 1], got {p}")
-    x0 = min_norm_solution(prob.a, prob.b)
-    ns = nullspace_basis(prob.a)
-    d, r = ns.nullity, prob.r
+    spec = gram_spectrum(prob.a)
+    x0 = spec.min_norm(prob.b)
+    basis = spec.kernel
+    d, r = basis.shape[1], prob.r
     if d == 0:
         return _finish(x0, p, "nullspace_descent", prob, opts.zero_tol, unique=True)
     if d * r > opts.dim_guard:
         raise DimGuardExceeded(f"nullity*r = {d * r} exceeds dim_guard {opts.dim_guard}")
-    basis = ns.basis
 
     starts: list[np.ndarray] = [np.zeros((d, r))]
     if prob.planted is not None:
