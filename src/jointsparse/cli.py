@@ -243,6 +243,10 @@ def cmd_solve(
             raise UsageError(f"method {method} needs --p")
         if not (0.0 < p <= 1.0):
             raise UsageError(f"p must lie in (0, 1], got {p}")
+        if k_max is not None:
+            raise UsageError(f"--k-max applies to --method l20 only, not {method}")
+    elif k_max is not None and k_max > prob.n:
+        raise UsageError(f"--k-max must lie in 1..{prob.n} for this problem, got {k_max}")
     zero_tol = _zero_tol(flags)
     t0 = time.perf_counter()
     if method == "l20":

@@ -7,7 +7,6 @@ theta(p, X, S) comparing mass inside an index set S against mass outside it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -104,15 +103,25 @@ def mixed_norm_2p(x: np.ndarray, p: float) -> float:
     return float(np.add.reduce(norms ** p))
 
 
-def _check_theta_args(p: float, x: np.ndarray, s: RowSupport) -> np.ndarray:
+def _check_theta_args(p: float, x: np.ndarray) -> np.ndarray:
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"p must lie in [0, 1], got {p}")
     norms = row_norms(x)
     if not np.any(norms > 0.0):
         raise DomainError("theta is undefined for the zero matrix")
-    if s.n != norms.size:
-        raise DomainError(f"support is over n={s.n} rows but X has {norms.size}")
     return norms
+
+
+def _contributions(norms: np.ndarray, p: float, zero_tol: float) -> np.ndarray:
+    """Each row's term in theta, for a batch of row-norm profiles (P, n)."""
+    if p == 0.0:
+        return (norms > zero_tol).astype(float)
+    # Normalize by a power of two before exponentiating: scaling X by 2**j
+    # then shifts every row norm exactly, so the ratio is bit-identical
+    # under such scalings instead of drifting by per-row rounding in pow.
+    # The scale is 2**floor(log2(max norm)), read exactly off the exponent.
+    scale = np.ldexp(1.0, np.frexp(norms.max(axis=1, keepdims=True))[1] - 1)
+    return (norms / scale) ** p
 
 
 def theta(p: float, x: np.ndarray, s: RowSupport, zero_tol: float = DEFAULT_ZERO_TOL) -> float:
@@ -123,16 +132,11 @@ def theta(p: float, x: np.ndarray, s: RowSupport, zero_tol: float = DEFAULT_ZERO
     ratio becomes a count ratio.  Returns +inf when the denominator vanishes
     with a positive numerator, and 0.0 whenever the numerator vanishes.
     """
-    norms = _check_theta_args(p, x, s)
+    norms = _check_theta_args(p, x)
+    if s.n != norms.size:
+        raise DomainError(f"support is over n={s.n} rows but X has {norms.size}")
     mask = s.mask()
-    if p == 0.0:
-        contrib = (norms > zero_tol).astype(float)
-    else:
-        # Normalize by a power of two before exponentiating: scaling X by 2**j
-        # then shifts every row norm exactly, so the ratio is bit-identical
-        # under such scalings instead of drifting by per-row rounding in pow.
-        scale = 2.0 ** math.floor(math.log2(float(norms.max())))
-        contrib = (norms / scale) ** p
+    contrib = _contributions(norms[None, :], p, zero_tol)[0]
     num = float(np.add.reduce(contrib[mask]))
     den = float(np.add.reduce(contrib[~mask]))
     if num == 0.0:
@@ -140,6 +144,31 @@ def theta(p: float, x: np.ndarray, s: RowSupport, zero_tol: float = DEFAULT_ZERO
     if den == 0.0:
         return float("inf")
     return num / den
+
+
+def theta_top_k(
+    norms: np.ndarray, k: int, p: float, zero_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """theta on the best support of each row-norm profile in a batch.
+
+    ``norms`` is (P, n), one profile of row 2-norms per row; returns the
+    values (P,) and the 0-based rows of each best support (P, k), ascending.
+    The best support holds the k largest norms, lower index first on ties.
+    Each value is bit-identical to ``theta`` of a matrix with those row
+    norms on that support: both sums run over their rows in ascending order,
+    as ``theta``'s masked sums do.  Nothing is validated: callers pass
+    1 <= k < n, p in [0, 1] and profiles that are not all zero.
+    """
+    order = (-norms).argsort(axis=1, kind="stable")
+    top, rest = order[:, :k], order[:, k:]
+    top.sort(axis=1)
+    rest.sort(axis=1)
+    contrib = _contributions(norms, p, zero_tol)
+    rows = np.arange(norms.shape[0])[:, None]
+    num = np.add.reduce(contrib[rows, top], axis=1)
+    den = np.add.reduce(contrib[rows, rest], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(num == 0.0, 0.0, num / den), top
 
 
 def theta_max_over_S(
@@ -150,12 +179,9 @@ def theta_max_over_S(
     The maximum is attained by the k rows of largest 2-norm (lower index
     first on ties); returns the value together with that witnessing support.
     """
-    xm = as_matrix(x, name="X")
-    n = xm.shape[0]
-    norms = _check_theta_args(p, xm, RowSupport(indices=(), n=n))
+    norms = _check_theta_args(p, as_matrix(x, name="X"))
+    n = norms.size
     if not (1 <= k < n):
         raise DomainError(f"k must satisfy 1 <= k < n={n}, got {k}")
-    order = np.argsort(-norms, kind="stable")  # stable: ties broken by lower index
-    top = np.sort(order[:k])
-    s = RowSupport(indices=tuple(int(i) + 1 for i in top), n=n)
-    return theta(p, x, s, zero_tol=zero_tol), s
+    values, top = theta_top_k(norms[None, :], k, p, zero_tol)
+    return float(values[0]), RowSupport(indices=tuple(int(i) + 1 for i in top[0]), n=n)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, EnumerationTooLarge, TrivialNullspace
 from .generators import PortableRng
 from .linalg import as_matrix, gram_spectrum, matrix_to_json
-from .norms import DEFAULT_ZERO_TOL, RowSupport, theta, theta_max_over_S
+from .norms import DEFAULT_ZERO_TOL, RowSupport, theta, theta_top_k
 
 ENUMERATION_GUARD = 20
 
@@ -56,8 +56,12 @@ class NscOptions:
 class NscEstimate:
     """A certified lower bound on (or exact value of) the null-space constant.
 
-    ``theta(p, certificate_x, certificate_support)`` reproduces ``value``;
-    ``exact`` is True only on the closed-form nullity-1 path.
+    ``value`` is exactly ``theta(p, certificate_x, certificate_support)``;
+    ``exact`` is True only on the closed-form nullity-1 path.  ``probes``
+    counts the coefficient matrices C the estimate scored (each start once,
+    then every nonzero ascent probe; 1 on the exact path), and ``start`` is
+    the index of the winning start in the order unit, warm, seeded (-1 on
+    the exact path and for a certificate carried over by ``nsc_curve``).
     """
 
     p: float
@@ -68,6 +72,8 @@ class NscEstimate:
     certificate_support: RowSupport
     restarts: int
     exact: bool
+    probes: int
+    start: int
 
 
 def estimate_to_json(est: NscEstimate) -> dict:
@@ -80,6 +86,8 @@ def estimate_to_json(est: NscEstimate) -> dict:
         "certificate_support": list(est.certificate_support.indices),
         "restarts": est.restarts,
         "exact": est.exact,
+        "probes": est.probes,
+        "start": est.start,
     }
 
 
@@ -88,13 +96,14 @@ def _normalize(x: np.ndarray) -> np.ndarray:
     return x / nrm if nrm > 0 else x
 
 
-def _better(val: float, sup: RowSupport, best_val: float, best_sup: RowSupport | None) -> bool:
+def _better(val: float, top: tuple, best_val: float, best_top: tuple) -> bool:
     """Tie-break order: larger value, then lexicographically smaller support."""
-    if val > best_val:
-        return True
-    if val == best_val and best_sup is not None and sup.indices < best_sup.indices:
-        return True
-    return False
+    return val > best_val or (val == best_val and top < best_top)
+
+
+def _top_theta(xs: np.ndarray, k: int, p: float, zero_tol: float):
+    """``theta_top_k`` on the row norms of a stack of candidates X (P, n, r)."""
+    return theta_top_k(np.sqrt(np.add.reduce(xs * xs, axis=2)), k, p, zero_tol)
 
 
 def nsc_estimate(
@@ -112,7 +121,7 @@ def nsc_estimate(
     is X = N C for an orthonormal kernel basis N) runs from deterministic
     unit starts, any ``warm_starts``, and ``opts.restarts`` seeded Gaussian
     draws; theta's scale invariance lets every iterate live on the unit
-    sphere.  Ascent stops early if the value reaches +inf.
+    sphere.  A start stops early if its value reaches +inf.
     """
     a = as_matrix(a, name="A")
     if not (0.0 <= p <= 1.0):
@@ -133,24 +142,59 @@ def _kernel(a: np.ndarray, r, k) -> np.ndarray:
     return basis
 
 
+def _certified(p: float, k: int, x: np.ndarray, top, zero_tol: float,
+               **rest) -> NscEstimate:
+    """The estimate whose certificate is X normalized, on the 0-based rows
+    ``top``; its value is theta of exactly that certificate."""
+    cert = as_matrix(_normalize(x))
+    support = RowSupport(indices=tuple(int(i) + 1 for i in top), n=cert.shape[0])
+    return NscEstimate(p=p, k=k, r=cert.shape[1],
+                       value=theta(p, cert, support, zero_tol=zero_tol),
+                       certificate_x=cert, certificate_support=support, **rest)
+
+
 def _estimate(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
-              warm_starts: tuple[np.ndarray, ...]) -> NscEstimate:
-    """:func:`nsc_estimate` on validated arguments and a nontrivial kernel basis."""
+              warm_starts: tuple[np.ndarray, ...],
+              carried: tuple[np.ndarray, ...] = ()) -> NscEstimate:
+    """:func:`nsc_estimate` on validated arguments and a nontrivial kernel basis.
+
+    Each ``carried`` coefficient matrix is scored as it is after the ascent
+    and replaces the winner if it is better.
+    """
     n, d = basis.shape
     if d == 1:
-        value, support = theta_max_over_S(p, basis, k, zero_tol=opts.zero_tol)
-        cert = np.zeros((n, r))
-        cert[:, 0] = basis[:, 0]
-        return NscEstimate(
-            p=p, k=k, r=r, value=value,
-            certificate_x=as_matrix(_normalize(cert)),
-            certificate_support=support,
-            restarts=0, exact=True,
-        )
+        x = np.zeros((n, r))
+        x[:, 0] = basis[:, 0]
+        _, top = _top_theta(x[None], k, p, opts.zero_tol)
+        return _certified(p, k, x, top[0], opts.zero_tol,
+                          restarts=0, exact=True, probes=1, start=-1)
+    val, top, c, start, probes = _ascend(basis, r, k, p, opts, warm_starts)
+    x = basis @ c
+    for cert_c in carried:
+        x_prev = basis @ cert_c
+        vals, tops = _top_theta(x_prev[None], k, p, opts.zero_tol)
+        cand = float(vals[0]), tuple(tops[0].tolist())
+        if _better(*cand, val, top):
+            (val, top), x, start = cand, x_prev, -1
+    return _certified(p, k, x, top, opts.zero_tol,
+                      restarts=opts.restarts, exact=False, probes=probes, start=start)
 
-    def score(c: np.ndarray) -> tuple[float, RowSupport]:
-        return theta_max_over_S(p, basis @ c, k, zero_tol=opts.zero_tol)
 
+def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
+            warm_starts: tuple[np.ndarray, ...]):
+    """Coordinate ascent of theta_max over C, run in lockstep for every start.
+
+    Each start, on its own, follows the serial order: for each scale, up to
+    ``max_sweeps`` sweeps over the entries j of C, each trying the steps in
+    ``_STEPS`` from the entry's current value and keeping a probe that beats
+    the start's value.  A start leaves a scale after a sweep that brought no
+    gain and leaves the ascent once its value is +inf; C is renormalized
+    after every sweep.  All probes of one (scale, sweep, j, step) are scored
+    as one batch.  Returns the best start's (value, 0-based support, C,
+    start index, number of C scored); ties go to the smaller support, then
+    to the earlier start.
+    """
+    d = basis.shape[1]
     starts: list[np.ndarray] = []
     for j in range(d):                       # deterministic single-generator starts
         c = np.zeros((d, r))
@@ -161,48 +205,51 @@ def _estimate(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
     for _ in range(opts.restarts):
         starts.append(rng.normal((d, r)))
 
-    best_val, best_sup, best_c = -math.inf, None, None
-    for c0 in starts:
-        c = _normalize(c0.astype(float).copy())
-        if float(np.linalg.norm(c)) == 0.0:
-            continue
-        val, sup = score(c)
-        if not math.isinf(val):
-            flat = c.ravel()
-            for scale in _SCALES:
-                for _ in range(opts.max_sweeps):
-                    improved = False
-                    for j in range(flat.size):
-                        old = flat[j]
-                        for step in _STEPS:
-                            flat[j] = old + scale * step
-                            if not np.any(flat):       # probe hit C = 0: invalid
-                                flat[j] = old
-                                continue
-                            cand_val, cand_sup = score(c)
-                            if cand_val > val:
-                                val, sup = cand_val, cand_sup
-                                old = flat[j]
-                                improved = True
-                            else:
-                                flat[j] = old
-                        flat[j] = old
-                    nrm = float(np.linalg.norm(flat))  # theta is scale-invariant;
-                    if nrm > 0:                        # renormalize to stop drift
-                        flat /= nrm
-                    if math.isinf(val) or not improved:
-                        break
-                if math.isinf(val):
-                    break
-        if _better(val, sup, best_val, best_sup):
-            best_val, best_sup, best_c = val, sup, c.copy()
-    cert = _normalize(basis @ best_c)
-    return NscEstimate(
-        p=p, k=k, r=r, value=best_val,
-        certificate_x=as_matrix(cert),
-        certificate_support=best_sup,
-        restarts=opts.restarts, exact=False,
-    )
+    def score(cs: np.ndarray):
+        return _top_theta(basis @ cs.reshape(-1, d, r), k, p, opts.zero_tol)
+
+    flat = np.array([_normalize(c0).ravel() for c0 in starts])
+    valid = np.flatnonzero([float(np.linalg.norm(c)) > 0.0 for c in flat])
+    val = np.full(len(starts), -np.inf)
+    top = np.zeros((len(starts), k), dtype=np.intp)
+    val[valid], top[valid] = score(flat[valid])
+    probes = valid.size
+    live = valid[val[valid] < np.inf]
+    for scale in _SCALES:
+        act = live
+        for _ in range(opts.max_sweeps):
+            if act.size == 0:
+                break
+            improved = np.zeros(act.size, dtype=bool)
+            for j in range(flat.shape[1]):
+                old = flat[act, j]
+                for step in _STEPS:
+                    cand = old + scale * step
+                    probe = flat[act]
+                    probe[:, j] = cand
+                    rows = probe.any(axis=1).nonzero()[0]   # C = 0 is invalid
+                    cand_val, cand_top = score(probe[rows])
+                    probes += rows.size
+                    win = cand_val > val[act[rows]]
+                    if win.any():
+                        rows = rows[win]
+                        old[rows] = cand[rows]
+                        val[act[rows]], top[act[rows]] = cand_val[win], cand_top[win]
+                        improved[rows] = True
+                flat[act, j] = old
+            for i in act:                    # theta is scale-invariant;
+                nrm = float(np.linalg.norm(flat[i]))  # renormalize to stop drift
+                if nrm > 0:
+                    flat[i] /= nrm
+            live = live[val[live] < np.inf]
+            act = act[improved & (val[act] < np.inf)]
+
+    tops = [tuple(t) for t in top.tolist()]
+    best = valid[0]
+    for i in valid[1:]:
+        if _better(val[i], tops[i], val[best], tops[best]):
+            best = i
+    return float(val[best]), tops[best], flat[best].reshape(d, r), int(best), probes
 
 
 def nsc_curve(
@@ -231,18 +278,7 @@ def nsc_curve(
     out: list[NscEstimate] = []
     carried: list[np.ndarray] = []          # certificates, as coefficient matrices
     for p in grid:
-        est = _estimate(basis, int(r), k, p, opts, tuple(carried))
-        best = est
-        for cert_c in carried if not est.exact else ():
-            x_prev = basis @ cert_c
-            val, sup = theta_max_over_S(p, x_prev, k, zero_tol=opts.zero_tol)
-            if _better(val, sup, best.value, best.certificate_support):
-                best = NscEstimate(
-                    p=p, k=k, r=est.r, value=val,
-                    certificate_x=as_matrix(_normalize(x_prev)),
-                    certificate_support=sup,
-                    restarts=est.restarts, exact=est.exact,
-                )
+        best = _estimate(basis, int(r), k, p, opts, tuple(carried), tuple(carried))
         out.append(best)
         if not math.isinf(best.value):
             carried.append(basis.T @ best.certificate_x)

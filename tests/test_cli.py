@@ -123,6 +123,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", example2_path, "--method", "irls")
         assert code == EXIT_USAGE
 
+    def test_k_max_above_n_is_usage_error(self, capsys, example2_path):
+        # example2 has n = 5 columns
+        assert run(capsys, "solve", example2_path, "--method", "l20",
+                   "--k-max", "5")[0] == EXIT_OK
+        code, _, err = run(capsys, "solve", example2_path, "--method", "l20", "--k-max", "6")
+        assert code == EXIT_USAGE
+        assert json.loads(err)["error"]["type"] == "UsageError"
+
+    @pytest.mark.parametrize("method", ["irls", "nullspace"])
+    def test_k_max_with_relaxation_method_is_usage_error(self, capsys, example2_path,
+                                                         method):
+        code, _, err = run(capsys, "solve", example2_path, "--method", method,
+                           "--p", "0.5", "--k-max", "2")
+        assert code == EXIT_USAGE
+        assert "--k-max" in json.loads(err)["error"]["message"]
+
 
 class TestOutputs:
     def test_out_writes_payload(self, capsys, example2_path, tmp_path):

@@ -108,13 +108,13 @@ class TestOptionDomains:
         assert_usage_error(code, err)
 
     @SETTINGS
-    @given(st.integers(1, 10 ** 6))
+    @given(st.integers(1, 5))
     def test_valid_k_max_never_exits_2(self, k_max):
-        # k_max above n = 5 is a domain failure of l20_solve: exit 1, not 2
+        # example2 has n = 5 columns
         assert run("solve", EX2, "--method", "l20", f"--k-max={k_max}")[0] != EXIT_USAGE
 
     @SETTINGS
-    @given(st.integers(max_value=0))
+    @given(st.integers(max_value=0) | st.integers(min_value=6))
     def test_invalid_k_max_exits_2(self, k_max):
         code, _, err = run("solve", EX2, "--method", "l20", f"--k-max={k_max}")
         assert_usage_error(code, err)

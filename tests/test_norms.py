@@ -5,17 +5,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointsparse.errors import DomainError
 from jointsparse.norms import (
+    DEFAULT_ZERO_TOL,
     RowSupport,
     mixed_norm_2p,
     norm_20,
+    row_norms,
     row_support,
     support_from_indices,
     theta,
     theta_max_over_S,
+    theta_top_k,
 )
+
+from oracles import theta_profile_max
 
 # The recorded kernel generator of the bundled 4x5 instance (rounded to 4
 # decimals) and the value of theta at p=1 over its two dominant rows.
@@ -185,6 +192,61 @@ class TestThetaMax:
         val, s = theta_max_over_S(0.5, x, 2)
         assert val == math.inf
         assert s.indices == (1, 3)
+
+
+@st.composite
+def profile_batches(draw):
+    """(x, k, p): a stack x (P, n, r) whose rows repeat a few drawn rows, so
+    ties and zero rows are common, and none of whose profiles is all zero.
+    Rows below the zero tolerance exercise p = 0; with ``only_top`` every
+    row outside k drawn rows is zero, where theta is +inf."""
+    n = draw(st.integers(2, 14))
+    r = draw(st.integers(1, 3))
+    batch = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n - 1))
+    p = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    entry = st.floats(-8.0, 8.0, allow_nan=False) | st.sampled_from([1e-9, -3e-9])
+    pool = [np.zeros(r)] + draw(st.lists(
+        st.lists(entry, min_size=r, max_size=r).map(np.array), min_size=1, max_size=4))
+    x = np.array([[pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)]
+                  for _ in range(batch)])
+    if draw(st.booleans()):                   # all but k rows zero
+        for prof in x:
+            keep = draw(st.permutations(range(n)))[:k]
+            prof[[i for i in range(n) if i not in keep]] = 0.0
+    for prof in x:
+        if not np.any(row_norms(prof) > 0.0):
+            prof[draw(st.integers(0, n - 1))] = 1.0
+    return x, k, p
+
+
+class TestThetaTopK:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(profile_batches())
+    def test_equals_theta_on_its_own_support(self, case):
+        x, k, p = case
+        norms = np.array([row_norms(prof) for prof in x])
+        values, top = theta_top_k(norms, k, p, DEFAULT_ZERO_TOL)
+        assert top.shape == (len(x), k)
+        for prof, nrm, value, rows in zip(x, norms, values, top):
+            assert list(rows) == sorted(rows)
+            rest = np.setdiff1d(np.arange(len(nrm)), rows)
+            # the k largest norms, lower index first on ties
+            assert all(nrm[i] > nrm[j] or (nrm[i] == nrm[j] and i < j)
+                       for i in rows for j in rest)
+            s = RowSupport(indices=tuple(int(i) + 1 for i in rows), n=len(nrm))
+            want = theta(p, prof, s)
+            assert value == want, (value.hex(), want.hex())
+        oracle = theta_profile_max(p, norms, k)
+        assert values == pytest.approx(oracle, rel=1e-12)
+
+    def test_infinite_when_all_but_k_rows_vanish(self):
+        norms = np.array([[0.0, 2.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                          [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+        for p in (0.0, 0.5, 1.0):
+            values, top = theta_top_k(norms, 2, p, DEFAULT_ZERO_TOL)
+            assert values[0] == math.inf and top[0].tolist() == [1, 3]
+            assert values[1] == 2.0 / 7.0 and top[1].tolist() == [0, 1]
 
 
 class TestInterpolationInequality:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from jointsparse.errors import DomainError, EnumerationTooLarge, TrivialNullspace
+from jointsparse.generators import GenSpec, PortableRng, gen_problem
 from jointsparse.norms import theta
 from jointsparse.nsc import (
     NscOptions,
@@ -22,6 +24,50 @@ from oracles import nsc_sphere_oracle
 # Frozen values for the bundled 4x5 example (nullity 1, so exact): the
 # constant at k = 2 over kernel columns, independent of r.
 EX2_H = {0.0: 2.0 / 3.0, 0.5: 1.9285862938389415, 1.0: 5.089554457757596}
+
+DEFAULT_GRID = [round(0.1 * i, 1) for i in range(11)]
+
+# nsc_curve on the generated Gaussian 4x7 matrices of GenSpec seeds 1 and 2
+# (nullity 3; r = 2, k = 2, NscOptions(seed=<same>, restarts=8)) over the
+# default grid, as the one-start-at-a-time ascent computed it.  Per p: the
+# value, the support, the first 16 hex digits of sha256 over the
+# certificate's bytes, and the number of C the ascent scored.
+FROZEN_CURVES = {
+    1: [
+        (0.0, 0.4, (1, 3), "df0f7e15a67f16d5", 2384),
+        (0.1, 0.6705266913045249, (6, 7), "6b0cb6a8165922dc", 5938),
+        (0.2, 1.0134504943248719, (6, 7), "68e2be5bb58bd19a", 5987),
+        (0.3, 1.5184312996593385, (6, 7), "ff03c7b4ec1b03c3", 6780),
+        (0.4, 2.0548722739240883, (6, 7), "0bf149508f06cf8c", 6805),
+        (0.5, 2.86905656163185, (6, 7), "2c533bc7f25088e1", 7286),
+        (0.6, 3.788609335526712, (6, 7), "5746a389e5fd655b", 8007),
+        (0.7, 4.967292188298877, (6, 7), "5746a389e5fd655b", 7912),
+        (0.8, 6.480240650184669, (6, 7), "5746a389e5fd655b", 8608),
+        (0.9, 8.422023740532909, (6, 7), "5746a389e5fd655b", 9929),
+        (1.0, 11.100864972188667, (6, 7), "34c60dccb4bbe76b", 15211),
+    ],
+    2: [
+        (0.0, 0.4, (1, 2), "aeb256d8eded1bbe", 2384),
+        (0.1, 0.635804195687675, (6, 7), "96d8c842dfbc85a1", 5361),
+        (0.2, 0.958848599683749, (2, 3), "d732063f65a9f5e8", 5482),
+        (0.3, 1.3190102771726357, (2, 3), "6b29251492e1d057", 5819),
+        (0.4, 1.838925001641566, (2, 3), "905b97dfac7c8b95", 6323),
+        (0.5, 2.3747307462183835, (2, 3), "0b5c2594d84d8c91", 6757),
+        (0.6, 3.0729585312387386, (2, 3), "023eccd3aa8062c3", 7286),
+        (0.7, 3.9529924757620636, (2, 3), "ac00c1b72d4620c4", 7502),
+        (0.8, 5.0792654785330855, (2, 3), "ac00c1b72d4620c4", 8201),
+        (0.9, 6.52195341733493, (2, 3), "ac00c1b72d4620c4", 8706),
+        (1.0, 8.370756697566437, (2, 3), "4b5a17b3d9b79a7d", 16603),
+    ],
+}
+
+
+def gaussian_4x7(seed: int) -> np.ndarray:
+    return gen_problem(GenSpec("gaussian", 4, 7, 2, 2, seed)).a
+
+
+def digest(x: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()[:16]
 
 
 class TestExactPath:
@@ -52,7 +98,7 @@ class TestExactPath:
         for p in (0.0, 0.25, 0.5, 0.8, 1.0):
             est = nsc_estimate(example2.a, 2, 2, p, NscOptions(seed=0))
             again = theta(p, est.certificate_x, est.certificate_support)
-            assert again == pytest.approx(est.value, rel=1e-9)
+            assert again == est.value
 
     def test_certificate_lies_in_kernel(self, example2):
         est = nsc_estimate(example2.a, 3, 2, 0.5, NscOptions(seed=0))
@@ -73,7 +119,32 @@ class TestAscentPath:
             grid_best = nsc_sphere_oracle(a, 1, 2, 0.5, per_axis=600)
             assert est.value >= grid_best - 1e-3
             again = theta(0.5, est.certificate_x, est.certificate_support)
-            assert again == pytest.approx(est.value, rel=1e-9)
+            assert again == est.value
+
+    def test_probes_match_the_serial_score_calls(self):
+        # 5050 theta_max_over_S calls scored this instance when the ascent
+        # ran one start and one probe at a time
+        est = nsc_estimate(gaussian_4x7(11), 2, 2, 0.5, NscOptions(seed=0, restarts=8))
+        assert est.probes == 5050
+        assert est.certificate_support.indices == (1, 6)
+        assert digest(est.certificate_x) == "840e708820bbf954"
+
+    def test_winning_start_ascends_alone_to_the_same_certificate(self):
+        # starts do not interact: the winner, rerun as the only warm start
+        # next to the unit starts, wins again with the same certificate
+        a, d, r = gaussian_4x7(11), 3, 2
+        opts = NscOptions(seed=4, restarts=8)
+        for p, start in ((0.2, 6), (0.6, 9), (1.0, 1)):
+            est = nsc_estimate(a, r, 2, p, opts)
+            assert est.start == start
+            rng = PortableRng(opts.seed)
+            draws = [rng.normal((d, r)) for _ in range(start - d + 1)]
+            warm = (draws[-1],) if start >= d else ()
+            alone = nsc_estimate(a, r, 2, p, NscOptions(seed=4, restarts=0),
+                                 warm_starts=warm)
+            assert alone.start == min(start, d)
+            assert alone.value == est.value
+            assert np.array_equal(alone.certificate_x, est.certificate_x)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -139,6 +210,20 @@ class TestCurve:
         assert obj["value"] == pytest.approx(EX2_H[0.5], abs=1e-9)
         assert obj["certificate_support"] == [1, 3]
         assert obj["exact"] is True
+        assert (obj["probes"], obj["start"]) == (1, -1)
+
+    @pytest.mark.parametrize("seed", sorted(FROZEN_CURVES))
+    def test_frozen_curves(self, seed):
+        ests = nsc_curve(gaussian_4x7(seed), 2, 2, DEFAULT_GRID,
+                         NscOptions(seed=seed, restarts=8))
+        assert len(ests) == len(FROZEN_CURVES[seed])
+        for est, (p, value, support, cert, probes) in zip(ests, FROZEN_CURVES[seed]):
+            assert est.p == p and est.exact is False
+            assert est.certificate_support.indices == support
+            assert digest(est.certificate_x) == cert
+            assert est.value == pytest.approx(value, rel=1e-12)
+            assert est.value == theta(p, est.certificate_x, est.certificate_support)
+            assert est.probes == probes
 
 
 class TestSpark:
