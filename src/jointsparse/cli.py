@@ -64,10 +64,10 @@ class UsageError(Exception):
 class Flags:
     """Global options shared by every command."""
 
-    seed: int = 0
-    tol: float | None = None
-    out: str | None = None
-    fmt: str = "json"
+    seed: int
+    tol: float | None
+    out: str | None
+    fmt: str
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,7 @@ def cmd_solve(
     method: str,
     p: float | None,
     flags: Flags,
-    k_max: int | None = None,
+    k_max: int | None,
 ) -> tuple[RunReport, str]:
     prob, raw = _load_problem(problem_path)
     if method not in ("l20", "irls", "nullspace"):
@@ -322,13 +322,11 @@ def cmd_nsc(
     source_path: str,
     k: int,
     flags: Flags,
-    r: int = 1,
-    p_grid: list[float] | None = None,
-    restarts: int = 64,
+    r: int,
+    p_grid: list[float],
+    restarts: int,
 ) -> tuple[RunReport, str]:
     a, raw = _load_matrix_source(source_path)
-    if p_grid is None:
-        p_grid = [round(0.1 * i, 1) for i in range(11)]
     if any(not (0.0 <= q <= 1.0) for q in p_grid):
         raise UsageError("nsc grid values must lie in [0, 1]")
     n = a.shape[1]
@@ -518,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("source", help="problem JSON, matrix JSON, or matrix CSV path")
     sp.add_argument("--k", type=int, required=True, help="sparsity level")
     sp.add_argument("--r", type=int, default=1, help="number of columns (default 1)")
-    sp.add_argument("--grid", default=None, help="p grid (default 0,0.1,...,1)")
+    sp.add_argument("--grid", default="0:1:0.1", help="p grid (default 0:1:0.1)")
     sp.add_argument("--restarts", type=int, default=64)
 
     sp = sub.add_parser("reproduce", parents=[common],
@@ -551,9 +549,8 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             rep, csv_text = cmd_sweep(args.problem, _parse_grid(args.grid), flags)
         elif args.command == "nsc":
-            grid = _parse_grid(args.grid) if args.grid is not None else None
             rep, csv_text = cmd_nsc(args.source, args.k, flags, r=args.r,
-                                    p_grid=grid, restarts=args.restarts)
+                                    p_grid=_parse_grid(args.grid), restarts=args.restarts)
         elif args.command == "reproduce":
             rep, csv_text = cmd_reproduce(args.which, flags)
         else:

@@ -6,25 +6,34 @@ eigendecomposition of A^T A, made by :func:`gram_spectrum`, which also owns
 the rank rule: an eigenvalue at or below ``REL_EIG_TOL * lambda_max`` is
 zero.  The public spectral functions each read from one such decomposition,
 and the solvers take one per call and read everything from it.
+:func:`column_subsets` applies the same cut to every column subset it
+enumerates.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroMatrix, DomainError, RankDeficient
+from .errors import AllZeroMatrix, DomainError, EnumerationTooLarge, RankDeficient
 
 #: Relative threshold separating "zero" eigenvalues of A^T A from positive ones.
 REL_EIG_TOL = 1e-10
 
+#: Most columns a matrix may have for its column subsets to be enumerated.
+ENUMERATION_GUARD = 20
 
-def as_matrix(data, name: str = "matrix", allow_empty: bool = False) -> np.ndarray:
+#: Column subsets decomposed per batch by :func:`column_subsets`.
+_CHUNK = 2048
+
+
+def as_matrix(data, name: str = "matrix") -> np.ndarray:
     """Validate *data* as a finite 2-D float64 matrix and return it read-only.
 
-    Rejects ragged nested lists, non-2-D arrays, NaN/inf entries, and (unless
-    *allow_empty*) zero-length axes.
+    Rejects ragged nested lists, non-2-D arrays, NaN/inf entries and
+    zero-length axes.
     """
     try:
         arr = np.asarray(data, dtype=float)
@@ -32,9 +41,9 @@ def as_matrix(data, name: str = "matrix", allow_empty: bool = False) -> np.ndarr
         raise DomainError(f"{name}: not interpretable as a numeric matrix: {exc}") from None
     if arr.ndim != 2:
         raise DomainError(f"{name}: expected a 2-D matrix, got ndim={arr.ndim}")
-    if not allow_empty and (arr.shape[0] == 0 or arr.shape[1] == 0):
+    if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise DomainError(f"{name}: empty dimension in shape {arr.shape}")
-    if arr.size and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name}: contains non-finite entries")
     out = np.array(arr, dtype=float, order="C")
     out.flags.writeable = False
@@ -177,6 +186,35 @@ def gram_spectrum(a: np.ndarray) -> GramSpectrum:
         rank=int(evals.size - zero.sum()),
         kernel=_frozen(_fix_column_signs(evecs[:, zero])),
     )
+
+
+def check_enumerable(a: np.ndarray) -> None:
+    """Raise EnumerationTooLarge when A has more than ``ENUMERATION_GUARD``
+    columns; callers check before they decompose anything."""
+    n = a.shape[1]
+    if n > ENUMERATION_GUARD:
+        raise EnumerationTooLarge(f"n={n} exceeds enumeration guard {ENUMERATION_GUARD}")
+
+
+def column_subsets(a: np.ndarray, card: int, cut: float):
+    """Every column subset S of A with |S| = *card*, in batches.
+
+    Subsets come in lexicographic order (that of ``itertools.combinations``),
+    at most ``_CHUNK`` per batch.  Each batch is ``(subsets, sub, gram,
+    full_rank)``: the subsets as 0-based index tuples, the stack A_S of shape
+    (c, m, card), the stack A_S^T A_S of shape (c, card, card), and whether
+    each Gram matrix's smallest eigenvalue clears *cut*, the rank cut of A
+    from :func:`gram_spectrum`.  The caller checks :func:`check_enumerable`.
+    """
+    combos = itertools.combinations(range(a.shape[1]), card)
+    while True:
+        subsets = list(itertools.islice(combos, _CHUNK))
+        if not subsets:
+            return
+        sub = np.moveaxis(a[:, np.array(subsets, dtype=int)], 1, 0)   # (c, m, card)
+        gram = sub.transpose(0, 2, 1) @ sub                          # (c, card, card)
+        full_rank = np.linalg.eigvalsh(gram)[:, 0] > cut
+        yield subsets, sub, gram, full_rank
 
 
 def gram_eigenvalues(a: np.ndarray) -> np.ndarray:

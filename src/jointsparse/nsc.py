@@ -15,18 +15,18 @@ exact-recovery cardinality limit derived from it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EnumerationTooLarge, TrivialNullspace
+from .errors import DomainError, TrivialNullspace
 from .generators import PortableRng
-from .linalg import as_matrix, gram_spectrum, matrix_to_json
+from .linalg import as_matrix, check_enumerable, column_subsets, gram_spectrum, matrix_to_json
 from .norms import DEFAULT_ZERO_TOL, RowSupport, theta, theta_top_k
 
-ENUMERATION_GUARD = 20
+#: Most sweeps the ascent makes at one scale.
+MAX_SWEEPS = 40
 
 #: Multi-scale offsets for the coordinate ascent: each scale tries these
 #: relative steps on every coefficient before shrinking.
@@ -41,15 +41,12 @@ class NscOptions:
     seed: int
     restarts: int = 64
     zero_tol: float = DEFAULT_ZERO_TOL
-    max_sweeps: int = 40
 
     def __post_init__(self):
         if self.seed < 0:
             raise DomainError("seed must be nonnegative")
         if self.restarts < 0:
             raise DomainError("restarts must be nonnegative")
-        if self.max_sweeps < 1:
-            raise DomainError("max_sweeps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -185,7 +182,7 @@ def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
     """Coordinate ascent of theta_max over C, run in lockstep for every start.
 
     Each start, on its own, follows the serial order: for each scale, up to
-    ``max_sweeps`` sweeps over the entries j of C, each trying the steps in
+    ``MAX_SWEEPS`` sweeps over the entries j of C, each trying the steps in
     ``_STEPS`` from the entry's current value and keeping a probe that beats
     the start's value.  A start leaves a scale after a sweep that brought no
     gain and leaves the ascent once its value is +inf; C is renormalized
@@ -217,7 +214,7 @@ def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
     live = valid[val[valid] < np.inf]
     for scale in _SCALES:
         act = live
-        for _ in range(opts.max_sweeps):
+        for _ in range(MAX_SWEEPS):
             if act.size == 0:
                 break
             improved = np.zeros(act.size, dtype=bool)
@@ -289,35 +286,26 @@ def nsc_curve(
 # spark
 
 
-def spark(a: np.ndarray, guard: int = ENUMERATION_GUARD) -> int:
+def spark(a: np.ndarray) -> int:
     """Size of the smallest linearly dependent column subset (n + 1 if none).
 
     A subset counts as dependent when the smallest eigenvalue of its Gram
     matrix is zero by A's rank rule (at or below 1e-10 times
     lambda_max(A^T A)); in the zero matrix every column is dependent.
-    Enumeration is capped at ``guard`` columns.
+    Enumeration is capped at ``linalg.ENUMERATION_GUARD`` columns.
     """
     a = as_matrix(a, name="A")
     m, n = a.shape
-    if n > guard:
-        raise EnumerationTooLarge(f"n={n} exceeds enumeration guard {guard}")
+    check_enumerable(a)
     cut = gram_spectrum(a).cut
-    top = min(n, m + 1)
-    for card in range(1, top + 1):
-        combos = itertools.combinations(range(n), card)
-        while True:
-            chunk = list(itertools.islice(combos, 4096))
-            if not chunk:
-                break
-            idx = np.array(chunk, dtype=int)
-            sub = np.moveaxis(a[:, idx], 1, 0)
-            evs = np.linalg.eigvalsh(sub.transpose(0, 2, 1) @ sub)
-            if np.any(evs[:, 0] <= cut):
+    for card in range(1, min(n, m + 1) + 1):
+        for *_, full_rank in column_subsets(a, card, cut):
+            if not full_rank.all():
                 return card
     return n + 1
 
 
-def max_recoverable_k(a: np.ndarray, guard: int = ENUMERATION_GUARD) -> int:
+def max_recoverable_k(a: np.ndarray) -> int:
     """Largest k with 2k < spark(A): the uniqueness limit for k-row-sparse
     solutions."""
-    return (spark(a, guard=guard) - 1) // 2
+    return (spark(a) - 1) // 2

@@ -16,9 +16,8 @@ whether they land on the same solution.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,18 +25,20 @@ import numpy as np
 from .errors import (
     DimGuardExceeded,
     DomainError,
-    EnumerationTooLarge,
     Infeasible,
     MaxIterationsExceeded,
     RankDeficient,
 )
 from .generators import PortableRng
-from .linalg import as_matrix, gram_spectrum, matrix_from_json, matrix_to_json
-from .norms import DEFAULT_ZERO_TOL, RowSupport, mixed_norm_2p, norm_20, row_support
+from .linalg import as_matrix, check_enumerable, column_subsets, gram_spectrum
+from .linalg import matrix_from_json, matrix_to_json
+from .norms import DEFAULT_ZERO_TOL, RowSupport, mixed_norm_2p, row_support
 
-DEFAULT_FEASIBILITY_TOL = 1e-8
-DEFAULT_MATCH_TOL = 1e-4
-ENUMERATION_GUARD = 20
+FEASIBILITY_TOL = 1e-8      # l20_solve's residual bound, times max(1, ||B||_F)
+MATCH_TOL = 1e-4            # check_equivalence's Frobenius match distance
+IRLS_EPS0, IRLS_EPS_MIN, IRLS_TOL = 1.0, 1e-10, 1e-9   # irls_solve's schedule
+DESCENT_DIM_GUARD = 8       # largest nullity * r that nullspace_solve accepts
+DESCENT_MAX_SWEEPS = 200    # per coordinate descent and per polish round
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -124,7 +125,8 @@ class SparseSolution:
     ``x`` is never truncated; ``support`` is what survives ``zero_tol``,
     derived from ``x`` on access rather than stored, so that a solution
     holds no more than its array and a few scalars.
-    ``objective`` is the norms-module value at ``p`` (row count for p = 0).
+    ``objective`` is the norms-module value at ``p`` of ``x`` with the rows
+    outside ``support`` zeroed (the row count for p = 0).
     """
 
     x: np.ndarray
@@ -157,7 +159,9 @@ def solution_to_json(sol: SparseSolution) -> dict:
 def _finish(x: np.ndarray, p: float, method: str, prob: MmvProblem,
             zero_tol: float, unique: bool | None = None) -> SparseSolution:
     x = as_matrix(x, name="X")
-    objective = float(norm_20(x, zero_tol)) if p == 0.0 else mixed_norm_2p(x, p)
+    support = row_support(x, zero_tol)
+    objective = (float(len(support)) if p == 0.0
+                 else mixed_norm_2p(np.where(support.mask()[:, None], x, 0.0), p))
     return SparseSolution(
         x=x,
         zero_tol=zero_tol,
@@ -173,63 +177,45 @@ def _finish(x: np.ndarray, p: float, method: str, prob: MmvProblem,
 # exact l_{2,0} by enumeration
 
 
-def l20_solve(
-    prob: MmvProblem,
-    k_max: int,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    feasibility_tol: float = DEFAULT_FEASIBILITY_TOL,
-    guard: int = ENUMERATION_GUARD,
-) -> SparseSolution:
+def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) -> SparseSolution:
     """Row-sparsest solution of A X = B by enumeration over supports.
 
     Supports are tried in order of increasing cardinality (lexicographic
     within a cardinality); the first feasible cardinality wins.  A support S
     is feasible when least squares restricted to S leaves a residual of at
-    most ``feasibility_tol * max(1, ||B||_F)``.  Ties at the winning
+    most ``FEASIBILITY_TOL * max(1, ||B||_F)``.  Ties at the winning
     cardinality break by smaller Frobenius norm, then lexicographic support.
 
     ``unique`` is true iff exactly one support of the winning cardinality is
     feasible and A restricted to it has full column rank.
 
-    Raises EnumerationTooLarge when n exceeds ``guard``, and Infeasible when
-    no support of size <= k_max fits.
+    Raises EnumerationTooLarge when n exceeds ``linalg.ENUMERATION_GUARD``,
+    and Infeasible when no support of size <= k_max fits.
     """
     a, b = prob.a, prob.b
-    m, n = a.shape
-    r = b.shape[1]
-    if n > guard:
-        raise EnumerationTooLarge(f"n={n} exceeds enumeration guard {guard}")
+    n, r = prob.n, prob.r
+    check_enumerable(a)
     if not (1 <= k_max <= n):
         raise DomainError(f"k_max must lie in 1..{n}, got {k_max}")
     bnorm = float(np.linalg.norm(b))
     ref = max(1.0, bnorm)
-    if bnorm <= feasibility_tol * ref:
+    if bnorm <= FEASIBILITY_TOL * ref:
         zero = np.zeros((n, r))
         return _finish(zero, 0.0, "exact_l20", prob, zero_tol, unique=True)
-    rank_cut = gram_spectrum(a).cut
-    chunk_size = 2048
+    cut = gram_spectrum(a).cut
     for card in range(1, k_max + 1):
         feasible: list[tuple[float, tuple[int, ...], np.ndarray, bool]] = []
-        combos = itertools.combinations(range(n), card)
-        while True:
-            chunk = list(itertools.islice(combos, chunk_size))
-            if not chunk:
-                break
-            idx = np.array(chunk, dtype=int)                      # (c, card)
-            sub = np.moveaxis(a[:, idx], 1, 0)                    # (c, m, card)
-            gram = sub.transpose(0, 2, 1) @ sub                   # (c, card, card)
-            evs = np.linalg.eigvalsh(gram)
-            full_rank = evs[:, 0] > rank_cut
+        for subsets, sub, gram, full_rank in column_subsets(a, card, cut):
             rhs = sub.transpose(0, 2, 1) @ b                      # (c, card, r)
-            sols = np.empty((len(chunk), card, r))
+            sols = np.empty((len(subsets), card, r))
             if np.any(full_rank):
                 sols[full_rank] = np.linalg.solve(gram[full_rank], rhs[full_rank])
             for i in np.nonzero(~full_rank)[0]:
                 sols[i] = np.linalg.lstsq(sub[i], b, rcond=None)[0]
             resid = np.linalg.norm(sub @ sols - b[None], axis=(1, 2))
-            for i in np.nonzero(resid <= feasibility_tol * ref)[0]:
+            for i in np.nonzero(resid <= FEASIBILITY_TOL * ref)[0]:
                 frob = float(np.linalg.norm(sols[i]))
-                feasible.append((frob, chunk[i], sols[i], bool(full_rank[i])))
+                feasible.append((frob, subsets[i], sols[i], bool(full_rank[i])))
         if feasible:
             feasible.sort(key=lambda t: (t[0], t[1]))
             frob, supp, y, well_posed = feasible[0]
@@ -248,27 +234,15 @@ def l20_solve(
 class IrlsOptions:
     """Knobs for :func:`irls_solve`.
 
-    The smoothing parameter starts at ``eps0`` and divides by 10 (never below
-    ``eps_min``) each time the relative iterate change drops under
-    sqrt(eps)/100, i.e. once the iterate has settled at the current smoothing
-    level.  Convergence is declared when the change is below ``tol`` at
-    eps_min.
     ``callback(iteration, x, eps, smoothed_objective)`` fires once per
     iteration when provided.
     """
 
-    eps0: float = 1.0
-    eps_min: float = 1e-10
-    tol: float = 1e-9
     max_iter: int = 2000
     zero_tol: float = DEFAULT_ZERO_TOL
     callback: Callable[[int, np.ndarray, float, float], None] | None = None
 
     def __post_init__(self):
-        if self.eps0 <= 0 or self.eps_min <= 0 or self.eps_min > self.eps0:
-            raise DomainError("need 0 < eps_min <= eps0")
-        if self.tol <= 0:
-            raise DomainError("tol must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
 
@@ -279,6 +253,10 @@ def irls_solve(prob: MmvProblem, p: float, opts: IrlsOptions = IrlsOptions()) ->
     Each iterate solves the weighted minimum-norm problem
     X = W^{-1} A^T (A W^{-1} A^T)^{-1} B with row weights
     w_i = (||row_i||^2 + eps)^(p/2 - 1), so feasibility is exact throughout.
+    The smoothing parameter eps starts at 1 and divides by 10 (never below
+    1e-10) each time the relative iterate change drops under sqrt(eps)/100,
+    i.e. once the iterate has settled at the current smoothing level; the
+    iteration has converged once that change is below 1e-9 at eps = 1e-10.
     Requires A with full row rank.  Raises MaxIterationsExceeded (carrying the
     last iterate in ``.last``) if the budget runs out.
     """
@@ -286,7 +264,7 @@ def irls_solve(prob: MmvProblem, p: float, opts: IrlsOptions = IrlsOptions()) ->
         raise DomainError(f"p must lie in (0, 1], got {p}")
     a = prob.a
     x = np.array(gram_spectrum(a).min_norm(prob.b))
-    eps = opts.eps0
+    eps = IRLS_EPS0
     for iteration in range(1, opts.max_iter + 1):
         rowsq = np.sum(x * x, axis=1)
         winv = (rowsq + eps) ** (1.0 - p / 2.0)      # 1/w_i, strictly positive
@@ -304,9 +282,9 @@ def irls_solve(prob: MmvProblem, p: float, opts: IrlsOptions = IrlsOptions()) ->
         # the current eps (the /100 keeps the continuation slow enough to
         # track the smoothed minimizer instead of freezing in the first basin).
         if rel < math.sqrt(eps) / 100.0:
-            if eps <= opts.eps_min and rel < opts.tol:
+            if eps <= IRLS_EPS_MIN and rel < IRLS_TOL:
                 return _finish(x, p, "irls", prob, opts.zero_tol)
-            eps = max(eps / 10.0, opts.eps_min)
+            eps = max(eps / 10.0, IRLS_EPS_MIN)
     raise MaxIterationsExceeded(
         f"no convergence within {opts.max_iter} iterations",
         last=_finish(x, p, "irls", prob, opts.zero_tol),
@@ -326,9 +304,7 @@ class DescentOptions:
     restarts: int = 32
     grid_points: int = 201
     tol: float = 1e-10
-    dim_guard: int = 8
     zero_tol: float = DEFAULT_ZERO_TOL
-    max_sweeps: int = 200
 
     def __post_init__(self):
         if self.seed < 0:
@@ -337,8 +313,8 @@ class DescentOptions:
             raise DomainError("restarts must be nonnegative")
         if self.grid_points < 2:
             raise DomainError("grid_points must be >= 2")
-        if self.tol <= 0 or self.max_sweeps < 1 or self.dim_guard < 1:
-            raise DomainError("tol, max_sweeps, dim_guard must be positive")
+        if self.tol <= 0:
+            raise DomainError("tol must be positive")
 
 
 def _golden_shrink(g, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -407,14 +383,14 @@ def _along(x: np.ndarray, j: int, w: np.ndarray, p: float, t0: float = 0.0):
 
 
 def _coordinate_descent(x0: np.ndarray, basis: np.ndarray, p: float, c0: np.ndarray,
-                        tol: float, max_sweeps: int):
+                        tol: float):
     """Cyclic coordinate descent on C with golden-section line searches.
 
     Stops when a full sweep improves the objective by at most *tol*.
     """
     c = c0.astype(float).copy()
     f_cur = mixed_norm_2p(x0 + basis @ c, p)
-    for _ in range(max_sweeps):
+    for _ in range(DESCENT_MAX_SWEEPS):
         f_start = f_cur
         for i, j in np.ndindex(c.shape):
             old = float(c[i, j])
@@ -429,7 +405,7 @@ def _coordinate_descent(x0: np.ndarray, basis: np.ndarray, p: float, c0: np.ndar
 
 
 def _kink_polish(x0: np.ndarray, basis: np.ndarray, p: float, c0: np.ndarray,
-                 f_cur: float, tol: float, max_sweeps: int):
+                 f_cur: float, tol: float):
     """Escape coordinate-descent stalls at the objective's kinks.
 
     Wherever row norms vanish the objective is non-smooth, and cyclic
@@ -475,7 +451,7 @@ def _kink_polish(x0: np.ndarray, basis: np.ndarray, p: float, c0: np.ndarray,
                 dirs.append(v / nrm)
         if not dirs:
             break
-        for _ in range(max_sweeps):
+        for _ in range(DESCENT_MAX_SWEEPS):
             f_round = f_cur
             for v in dirs:
                 w = basis @ v
@@ -487,7 +463,7 @@ def _kink_polish(x0: np.ndarray, basis: np.ndarray, p: float, c0: np.ndarray,
                         f_cur = f_new
             if f_round - f_cur <= tol:
                 break
-        c2, f2 = _coordinate_descent(x0, basis, p, c, tol, max_sweeps)
+        c2, f2 = _coordinate_descent(x0, basis, p, c, tol)
         if f2 < f_cur:
             c, f_cur = c2, f2
         if f_enter - f_cur <= tol:
@@ -544,8 +520,8 @@ def nullspace_solve(prob: MmvProblem, p: float, opts: DescentOptions) -> SparseS
     d, r = basis.shape[1], prob.r
     if d == 0:
         return _finish(x0, p, "nullspace_descent", prob, opts.zero_tol, unique=True)
-    if d * r > opts.dim_guard:
-        raise DimGuardExceeded(f"nullity*r = {d * r} exceeds dim_guard {opts.dim_guard}")
+    if d * r > DESCENT_DIM_GUARD:
+        raise DimGuardExceeded(f"nullity*r = {d * r} exceeds dim_guard {DESCENT_DIM_GUARD}")
 
     starts: list[np.ndarray] = [np.zeros((d, r))]
     if prob.planted is not None:
@@ -559,13 +535,11 @@ def nullspace_solve(prob: MmvProblem, p: float, opts: DescentOptions) -> SparseS
 
     best_c, best_val = None, math.inf
     for c_init in starts:
-        c, val = _coordinate_descent(x0, basis, p, c_init, opts.tol, opts.max_sweeps)
+        c, val = _coordinate_descent(x0, basis, p, c_init, opts.tol)
         if val < best_val:
             best_c, best_val = c, val
     if best_c.size >= 2:
-        best_c, best_val = _kink_polish(
-            x0, basis, p, best_c, best_val, opts.tol, opts.max_sweeps,
-        )
+        best_c, best_val = _kink_polish(x0, basis, p, best_c, best_val, opts.tol)
     x = x0 + basis @ best_c
     return _finish(x, p, "nullspace_descent", prob, opts.zero_tol)
 
@@ -576,20 +550,11 @@ def nullspace_solve(prob: MmvProblem, p: float, opts: DescentOptions) -> SparseS
 
 @dataclass(frozen=True)
 class EquivalenceOptions:
-    """Configuration for :func:`check_equivalence`; ``seed`` drives the
-    nullspace restarts."""
+    """Configuration for :func:`check_equivalence`: ``seed`` drives the
+    nullspace restarts, and every solver reads its support at ``zero_tol``."""
 
     seed: int
-    k_max: int | None = None
-    match_tol: float = DEFAULT_MATCH_TOL
     zero_tol: float = DEFAULT_ZERO_TOL
-    feasibility_tol: float = DEFAULT_FEASIBILITY_TOL
-    irls: IrlsOptions = field(default_factory=IrlsOptions)
-    descent: DescentOptions | None = None
-
-    def __post_init__(self):
-        if self.match_tol <= 0:
-            raise DomainError("match_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -624,25 +589,22 @@ def equivalence_report_to_json(rep: EquivalenceReport) -> dict:
 def check_equivalence(prob: MmvProblem, p: float, opts: EquivalenceOptions) -> EquivalenceReport:
     """Compare the exact row-sparsest solution against the l_{2,p} relaxations.
 
-    Runs l20_solve, then irls_solve and nullspace_solve where their guards
+    Runs l20_solve up to cardinality ``prob.k`` (min(m, n) when the problem
+    claims no k), then irls_solve and nullspace_solve where their guards
     allow (a relaxed solver that raises is recorded in ``skipped`` with the
-    reason).  The relaxed solution with the smaller objective is compared to
-    the exact one; ``equivalent`` means Frobenius distance <= match_tol.
+    reason), all three at ``opts.zero_tol``.  The relaxed solution with the
+    smaller objective is compared to the exact one; ``equivalent`` means
+    Frobenius distance <= ``MATCH_TOL``.
     """
     if not (0.0 < p <= 1.0):
         raise DomainError(f"p must lie in (0, 1], got {p}")
-    k_max = opts.k_max
-    if k_max is None:
-        k_max = prob.k if prob.k is not None else min(prob.m, prob.n)
-    exact = l20_solve(
-        prob, k_max, zero_tol=opts.zero_tol,
-        feasibility_tol=opts.feasibility_tol,
-    )
+    k_max = prob.k if prob.k is not None else min(prob.m, prob.n)
+    exact = l20_solve(prob, k_max, zero_tol=opts.zero_tol)
     skipped: list[tuple[str, str]] = []
     ran: list[tuple[str, SparseSolution]] = []
     irls_sol = None
     try:
-        irls_sol = irls_solve(prob, p, opts.irls)
+        irls_sol = irls_solve(prob, p, IrlsOptions(zero_tol=opts.zero_tol))
         ran.append(("irls", irls_sol))
     except MaxIterationsExceeded as exc:
         irls_sol = exc.last
@@ -650,7 +612,7 @@ def check_equivalence(prob: MmvProblem, p: float, opts: EquivalenceOptions) -> E
         skipped.append(("irls", "budget exhausted; last iterate used"))
     except (RankDeficient, DomainError) as exc:
         skipped.append(("irls", str(exc)))
-    descent = opts.descent if opts.descent is not None else DescentOptions(seed=opts.seed)
+    descent = DescentOptions(seed=opts.seed, zero_tol=opts.zero_tol)
     null_sol = None
     try:
         null_sol = nullspace_solve(prob, p, descent)
@@ -664,12 +626,12 @@ def check_equivalence(prob: MmvProblem, p: float, opts: EquivalenceOptions) -> E
         best_method, distance = None, math.inf
     return EquivalenceReport(
         p=p,
-        match_tol=opts.match_tol,
+        match_tol=MATCH_TOL,
         l20=exact,
         irls=irls_sol,
         nullspace=null_sol,
         skipped=tuple(skipped),
         best_method=best_method,
         distance=distance,
-        equivalent=distance <= opts.match_tol,
+        equivalent=distance <= MATCH_TOL,
     )

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from jointsparse.bounds import pstar
-from jointsparse.errors import AllZeroMatrix, DomainError, RankDeficient
+from jointsparse.errors import AllZeroMatrix, DomainError, EnumerationTooLarge, RankDeficient
 from jointsparse.linalg import (
+    ENUMERATION_GUARD,
     as_matrix,
+    check_enumerable,
+    column_subsets,
     eig_summary,
     gram_eigenvalues,
+    gram_spectrum,
     matrix_from_csv,
     matrix_from_json,
     matrix_to_csv,
@@ -202,6 +208,33 @@ class TestMinNorm:
             min_norm_solution(rng.standard_normal((3, 5)), rng.standard_normal((4, 1)))
 
 
+class TestColumnSubsets:
+    """3003 subsets of 15 columns taken 5 at a time span two batches."""
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_matches_per_subset_reference(self, rng, duplicate):
+        a = rng.standard_normal((6, 15))
+        if duplicate:
+            a[:, 9] = a[:, 2]          # every subset holding columns 2 and 9 is singular
+        cut = gram_spectrum(a).cut
+        subsets, batches = [], 0
+        for chunk, sub, gram, full_rank in column_subsets(a, 5, cut):
+            batches += 1
+            for s, a_s, g_s, ok in zip(chunk, sub, gram, full_rank):
+                assert np.array_equal(a_s, a[:, list(s)])
+                assert np.allclose(g_s, a_s.T @ a_s, rtol=1e-12, atol=0)
+                assert ok == (np.linalg.eigvalsh(a_s.T @ a_s)[0] > cut)
+                assert ok == (not duplicate or not {2, 9} <= set(s))
+            subsets.extend(chunk)
+        assert batches == 2
+        assert subsets == list(itertools.combinations(range(15), 5))
+
+    def test_guard(self):
+        check_enumerable(np.zeros((1, ENUMERATION_GUARD)))
+        with pytest.raises(EnumerationTooLarge):
+            check_enumerable(np.zeros((1, ENUMERATION_GUARD + 1)))
+
+
 class TestOneDecompositionPerCall:
     """Every entry point decomposes A's Gram matrix (a 2-D eigh or eigvalsh
     call) exactly once.  The descent instance has nullity * r = 1, so the
@@ -210,7 +243,7 @@ class TestOneDecompositionPerCall:
     CALLS = {
         "pstar": lambda ex: pstar(ex.a, ex.b),
         "nsc_curve": lambda ex: nsc_curve(
-            ex.a[:3], 1, 1, [0.2, 0.5, 0.8], NscOptions(seed=0, restarts=1, max_sweeps=2)),
+            ex.a[:3], 1, 1, [0.2, 0.5, 0.8], NscOptions(seed=0, restarts=1)),
         "nullspace_solve": lambda ex: nullspace_solve(
             MmvProblem(a=ex.a, b=ex.b[:, [0]]), 0.5, DescentOptions(seed=0, restarts=1)),
         "irls_solve": lambda ex: irls_solve(ex, 0.5, IrlsOptions()),

@@ -18,6 +18,8 @@ from jointsparse.generators import GenSpec, gen_problem
 from jointsparse.norms import mixed_norm_2p
 from jointsparse.linalg import min_norm_solution, nullspace_basis
 from jointsparse.solvers import (
+    IRLS_EPS0,
+    IRLS_EPS_MIN,
     DescentOptions,
     EquivalenceOptions,
     IrlsOptions,
@@ -150,7 +152,9 @@ class TestIrls:
             assert np.linalg.norm(sol.x - example2.planted) <= 1e-6
             assert sol.support.indices == (2, 5)
             assert sol.residual <= 1e-8
-            assert sol.objective == pytest.approx(mixed_norm_2p(sol.x, p), abs=0)
+            # the objective is taken over the reported support only
+            kept = np.where(sol.support.mask()[:, None], sol.x, 0.0)
+            assert sol.objective == mixed_norm_2p(kept, p)
 
     def test_smoothed_objective_monotone_at_fixed_eps(self, example2):
         trace: list[tuple[float, float]] = []
@@ -165,8 +169,8 @@ class TestIrls:
         seen = []
         opts = IrlsOptions(callback=lambda it, x, eps, obj: seen.append(eps))
         irls_solve(example2, 0.5, opts)
-        assert min(seen) >= IrlsOptions().eps_min
-        assert seen[0] == IrlsOptions().eps0
+        assert min(seen) >= IRLS_EPS_MIN
+        assert seen[0] == IRLS_EPS0
 
     def test_budget_exhaustion_carries_last_iterate(self, example2):
         with pytest.raises(MaxIterationsExceeded) as exc_info:
@@ -188,9 +192,7 @@ class TestIrls:
 
     def test_options_validation(self):
         with pytest.raises(DomainError):
-            IrlsOptions(eps0=1e-12, eps_min=1e-10)
-        with pytest.raises(DomainError):
-            IrlsOptions(tol=0.0)
+            IrlsOptions(max_iter=0)
 
 
 class TestNullspaceSolve:
@@ -261,19 +263,20 @@ class TestCheckEquivalence:
         assert rep.skipped == ()
 
     def test_descent_skipped_when_guard_trips(self, rng):
-        a = rng.standard_normal((3, 13))
+        a = rng.standard_normal((3, 13))            # nullity * r = 10 > 8
         x = np.zeros((13, 1))
         x[2, 0] = 1.0
         prob = MmvProblem(a=a, b=a @ x)
-        rep = check_equivalence(
-            prob, 0.5,
-            EquivalenceOptions(seed=0, k_max=2,
-                               descent=DescentOptions(seed=0, dim_guard=4)),
-        )
+        rep = check_equivalence(prob, 0.5, EquivalenceOptions(seed=0))
         assert rep.nullspace is None
         assert any(name == "nullspace" for name, _ in rep.skipped)
         assert rep.irls is not None
         assert rep.best_method == "irls"
+
+    def test_every_solver_reads_its_support_at_zero_tol(self, example2):
+        rep = check_equivalence(example2, 0.5, EquivalenceOptions(seed=0, zero_tol=1e-6))
+        for sol in (rep.l20, rep.irls, rep.nullspace):
+            assert sol.zero_tol == 1e-6
 
     def test_report_serializes(self, example2):
         rep = check_equivalence(example2, 0.8, EquivalenceOptions(seed=0))
