@@ -8,11 +8,24 @@ zero.  The public spectral functions each read from one such decomposition,
 and the solvers take one per call and read everything from it.
 :func:`column_subsets` applies the same cut to every column subset it
 enumerates.
+
+:func:`size_cuts` spares that test where it cannot change the answer.  By
+Cauchy interlacing (Horn & Johnson, *Matrix Analysis*, 4.3) the Gram matrix
+of a subset S of T is a principal submatrix of T's, so its smallest
+eigenvalue is at least T's: once every subset of c* columns clears the cut,
+so does every smaller subset.  For a caller that needs sizes up to k it
+tests the size c* in [k, min(m, n)] with the fewest subsets, and only once
+the caller has decomposed at least that many subsets: the test never costs
+more than the work before it, so no matrix costs more than twice the
+one-subset-at-a-time loop plus one batch.  In floating point a subset is
+then classed differently from a test of its own only if its smallest Gram
+eigenvalue lies within rounding (about 1e-15 * lambda_max) of the cut.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,7 +217,9 @@ def column_subsets(a: np.ndarray, card: int, cut: float):
     full_rank)``: the subsets as 0-based index tuples, the stack A_S of shape
     (c, m, card), the stack A_S^T A_S of shape (c, card, card), and whether
     each Gram matrix's smallest eigenvalue clears *cut*, the rank cut of A
-    from :func:`gram_spectrum`.  The caller checks :func:`check_enumerable`.
+    from :func:`gram_spectrum`.  A *cut* of None, which :func:`size_cuts`
+    gives once interlacing vouches for every subset, marks them all full
+    rank without decomposing any.  The caller checks :func:`check_enumerable`.
     """
     combos = itertools.combinations(range(a.shape[1]), card)
     while True:
@@ -213,8 +228,37 @@ def column_subsets(a: np.ndarray, card: int, cut: float):
             return
         sub = np.moveaxis(a[:, np.array(subsets, dtype=int)], 1, 0)   # (c, m, card)
         gram = sub.transpose(0, 2, 1) @ sub                          # (c, card, card)
-        full_rank = np.linalg.eigvalsh(gram)[:, 0] > cut
+        if cut is None:
+            full_rank = np.ones(len(subsets), dtype=bool)
+        else:
+            full_rank = np.linalg.eigvalsh(gram)[:, 0] > cut
         yield subsets, sub, gram, full_rank
+
+
+def size_cuts(a: np.ndarray, top: int):
+    """The rank cut to give :func:`column_subsets` for each size 1..*top*.
+
+    Yields ``(card, cut)``, *cut* being A's from :func:`gram_spectrum`,
+    until interlacing (module docstring) vouches for every subset of up to
+    *top* columns, then ``(card, None)``.  The voucher is one test of every
+    subset of c* columns, c* being the size in [top, min(m, n)] with the
+    fewest subsets (the smallest on ties).  It runs before the first size
+    at which the caller has already enumerated at least as many subsets as
+    size c* has, unless that size is c*, whose own enumeration is the test.
+    If a subset fails, the cut stays and no test is made again.  The caller
+    resumes the generator only after enumerating a whole size.
+    """
+    m, n = a.shape
+    cut = gram_spectrum(a).cut
+    star = min(range(top, min(m, n) + 1), key=lambda c: math.comb(n, c), default=None)
+    done = 0
+    for card in range(1, top + 1):
+        if star is not None and star > card and done >= math.comb(n, star):
+            if all(ok.all() for *_, ok in column_subsets(a, star, cut)):
+                cut = None
+            star = None
+        yield card, cut
+        done += math.comb(n, card)
 
 
 def gram_eigenvalues(a: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DomainError, TrivialNullspace
 from .generators import PortableRng
 from .linalg import as_matrix, check_enumerable, column_subsets, gram_spectrum, matrix_to_json
+from .linalg import size_cuts
 from .norms import DEFAULT_ZERO_TOL, RowSupport, theta, theta_top_k
 
 #: Most sweeps the ascent makes at one scale.
@@ -287,22 +288,31 @@ def nsc_curve(
 
 
 def spark(a: np.ndarray) -> int:
-    """Size of the smallest linearly dependent column subset (n + 1 if none).
+    """Size of the smallest linearly dependent column subset of A (m x n);
+    min(m, n) + 1 if there is none of up to min(m, n) columns, since any
+    m + 1 columns are dependent.
 
     A subset counts as dependent when the smallest eigenvalue of its Gram
     matrix is zero by A's rank rule (at or below 1e-10 times
     lambda_max(A^T A)); in the zero matrix every column is dependent.
-    Enumeration is capped at ``linalg.ENUMERATION_GUARD`` columns.
+    Sizes go up from 1 through ``linalg.size_cuts``.  Once every subset of
+    min(m, n) columns passes (one test, made when the smaller sizes have
+    cost at least as many subsets), interlacing makes every smaller subset
+    independent too, and the answer is min(m, n) + 1.  A subset is classed
+    differently from a test of its own only if its smallest Gram eigenvalue
+    lies within rounding (about 1e-15 lambda_max) of the cut.  Enumeration
+    is capped at ``linalg.ENUMERATION_GUARD`` columns.
     """
     a = as_matrix(a, name="A")
-    m, n = a.shape
     check_enumerable(a)
-    cut = gram_spectrum(a).cut
-    for card in range(1, min(n, m + 1) + 1):
+    top = min(a.shape)
+    for card, cut in size_cuts(a, top):
+        if cut is None:
+            break
         for *_, full_rank in column_subsets(a, card, cut):
             if not full_rank.all():
                 return card
-    return n + 1
+    return top + 1
 
 
 def max_recoverable_k(a: np.ndarray) -> int:

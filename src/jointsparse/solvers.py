@@ -30,7 +30,7 @@ from .errors import (
     RankDeficient,
 )
 from .generators import PortableRng
-from .linalg import as_matrix, check_enumerable, column_subsets, gram_spectrum
+from .linalg import as_matrix, check_enumerable, column_subsets, gram_spectrum, size_cuts
 from .linalg import matrix_from_json, matrix_to_json
 from .norms import DEFAULT_ZERO_TOL, RowSupport, mixed_norm_2p, row_support
 
@@ -187,7 +187,14 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
     cardinality break by smaller Frobenius norm, then lexicographic support.
 
     ``unique`` is true iff exactly one support of the winning cardinality is
-    feasible and A restricted to it has full column rank.
+    feasible and A restricted to it has full column rank.  Rank comes from
+    ``linalg.size_cuts``.  Once every subset of the size c* in [k_max,
+    min(m, n)] with the fewest subsets clears A's rank cut (one test, made
+    when the smaller sizes have cost at least as many subsets), interlacing
+    makes every support of up to k_max rows full rank, and none is
+    decomposed.  A support is classed differently from a test of its own
+    only if its smallest Gram eigenvalue lies within rounding (about 1e-15
+    lambda_max) of the cut.
 
     Raises EnumerationTooLarge when n exceeds ``linalg.ENUMERATION_GUARD``,
     and Infeasible when no support of size <= k_max fits.
@@ -202,8 +209,7 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
     if bnorm <= FEASIBILITY_TOL * ref:
         zero = np.zeros((n, r))
         return _finish(zero, 0.0, "exact_l20", prob, zero_tol, unique=True)
-    cut = gram_spectrum(a).cut
-    for card in range(1, k_max + 1):
+    for card, cut in size_cuts(a, k_max):
         feasible: list[tuple[float, tuple[int, ...], np.ndarray, bool]] = []
         for subsets, sub, gram, full_rank in column_subsets(a, card, cut):
             rhs = sub.transpose(0, 2, 1) @ b                      # (c, card, r)
@@ -555,6 +561,10 @@ class EquivalenceOptions:
 
     seed: int
     zero_tol: float = DEFAULT_ZERO_TOL
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

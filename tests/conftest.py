@@ -27,3 +27,19 @@ def example2() -> MmvProblem:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def decomposed(monkeypatch) -> list[int]:
+    """Batch sizes of the 3-D ``eigvalsh`` calls made while the test runs:
+    their sum is the number of column subsets whose Gram matrix was
+    decomposed."""
+    batches: list[int] = []
+
+    def spy(mat, *args, _real=np.linalg.eigvalsh, **kwargs):
+        if np.ndim(mat) == 3:
+            batches.append(np.shape(mat)[0])
+        return _real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return batches

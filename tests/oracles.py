@@ -3,9 +3,9 @@
 These deliberately avoid the code paths under test: eigenvalues come from the
 characteristic polynomial (Faddeev-LeVerrier coefficients + bisection),
 linear solves from a plain textbook elimination, sparsest solutions from a
-one-support-at-a-time least-squares re-enumeration, l_{2,p} optima from the
-basic solutions, and null-space-constant maxima from dense sphere grids in
-coefficient space.
+one-support-at-a-time least-squares re-enumeration, spark from a
+one-subset-at-a-time rank test, l_{2,p} optima from the basic solutions, and
+null-space-constant maxima from dense sphere grids in coefficient space.
 """
 
 from __future__ import annotations
@@ -137,6 +137,27 @@ def exhaustive_l20(a: np.ndarray, b: np.ndarray, k_max: int, tol: float = 1e-8):
             feas.sort(key=lambda t: (t[0], t[1]))
             return card, [f[1] for f in feas], feas[0][2]
     return None
+
+
+def spark_bottom_up(a: np.ndarray) -> tuple[int, int]:
+    """Spark by the textbook loop, and the number of subsets it decomposed.
+
+    Every column subset of size 1, 2, ... up to min(n, m + 1) gets its own
+    2-D ``eigvalsh``; the first subset whose smallest Gram eigenvalue is at
+    or below A's rank cut (1e-10 times lambda_max(A^T A)) ends the loop.
+    n + 1 when no subset is dependent.
+    """
+    a = np.asarray(a, dtype=float)
+    m, n = a.shape
+    cut = 1e-10 * max(float(np.linalg.eigvalsh(a.T @ a)[-1]), 0.0)
+    decomposed = 0
+    for card in range(1, min(n, m + 1) + 1):
+        for sup in itertools.combinations(range(n), card):
+            sub = a[:, sup]
+            decomposed += 1
+            if np.linalg.eigvalsh(sub.T @ sub)[0] <= cut:
+                return card, decomposed
+    return n + 1, decomposed
 
 
 def basic_solutions(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from jointsparse.bounds import pstar
 from jointsparse.errors import AllZeroMatrix, DomainError, EnumerationTooLarge, RankDeficient
+from jointsparse.generators import GenSpec, gen_problem
 from jointsparse.linalg import (
     ENUMERATION_GUARD,
     as_matrix,
@@ -21,6 +22,7 @@ from jointsparse.linalg import (
     matrix_to_json,
     min_norm_solution,
     nullspace_basis,
+    size_cuts,
 )
 from jointsparse.nsc import NscOptions, nsc_curve, spark
 from jointsparse.solvers import (
@@ -233,6 +235,53 @@ class TestColumnSubsets:
         check_enumerable(np.zeros((1, ENUMERATION_GUARD)))
         with pytest.raises(EnumerationTooLarge):
             check_enumerable(np.zeros((1, ENUMERATION_GUARD + 1)))
+
+
+class TestSizeCuts:
+    """One test of every subset of size c* spares the rank test of every
+    smaller subset."""
+
+    @staticmethod
+    def cuts(a, top):
+        cut = gram_spectrum(a).cut
+        return [c if c is None else c == cut for _, c in size_cuts(a, top)]
+
+    def test_certified_after_the_first_size(self, rng, decomposed):
+        # c* = 16 has 17 subsets, as many as size 1 enumerated before it
+        a = rng.standard_normal((16, 17))
+        assert self.cuts(a, 8) == [True] + [None] * 7
+        assert decomposed == [17]
+
+    def test_n_at_most_m(self, rng, decomposed):
+        assert self.cuts(rng.standard_normal((6, 5)), 5) == [True] + [None] * 4
+        assert decomposed == [1]
+
+    def test_failed_check_keeps_the_cut(self, rng, decomposed):
+        a = rng.standard_normal((16, 17))
+        a[:, 9] = a[:, 2]
+        assert self.cuts(a, 8) == [True] * 8
+        assert decomposed == [17]
+
+    def test_no_size_qualifies_above_min_m_n(self, rng, decomposed):
+        assert self.cuts(rng.standard_normal((3, 6)), 4) == [True] * 4
+        assert decomposed == []
+
+    def test_no_test_when_c_star_is_the_last_size(self, rng, decomposed):
+        # c* = 4 (495 subsets, as many as size 8); sizes 1-3 hold only 298
+        assert self.cuts(rng.standard_normal((8, 12)), 4) == [True] * 4
+        assert decomposed == []
+
+    def test_pinned_subset_counts(self, decomposed):
+        # Before the interlacing test: spark decomposed all 2^17 - 2 subsets
+        # of 1-16 columns and one of 17 (131 071), l20_solve every subset of
+        # 1-8 columns (65 535).  Now each decomposes the 17 single columns,
+        # then the 17 subsets of 16 columns, and nothing more.
+        prob = gen_problem(GenSpec("gaussian", 16, 17, 4, 8, 1))
+        assert spark(prob.a) == 17
+        assert sum(decomposed) == 34
+        decomposed.clear()
+        assert l20_solve(prob, 8).unique is True
+        assert sum(decomposed) == 34
 
 
 class TestOneDecompositionPerCall:

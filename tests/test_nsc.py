@@ -19,7 +19,7 @@ from jointsparse.nsc import (
     spark,
 )
 
-from oracles import nsc_sphere_oracle
+from oracles import nsc_sphere_oracle, spark_bottom_up
 
 # Frozen values for the bundled 4x5 example (nullity 1, so exact): the
 # constant at k = 2 over kernel columns, independent of r.
@@ -226,7 +226,44 @@ class TestCurve:
             assert est.probes == probes
 
 
+def spark_cases() -> dict[str, np.ndarray]:
+    """Seeded matrices with n <= m, n = m + 1 and wider, each Gaussian and
+    with a dependency of d columns planted in the first or the last
+    columns (column d - 1, or n - 1, made a combination of the others), a
+    zero first or last column, and the zero matrix.  The 16x20 matrices are
+    where a test of all 16-column subsets made as soon as the next size has
+    as many subsets (4845 each) would cost more than twice the loop."""
+    rng = np.random.default_rng(2006)
+    cases = {}
+    for m, n in ((4, 4), (5, 4), (4, 5), (7, 8), (4, 9), (6, 10), (9, 12), (16, 20)):
+        if m < 16:
+            cases[f"{m}x{n}"] = rng.standard_normal((m, n))
+        for d in sorted({2, 4, min(m, n)} if m < 16 else {4}):
+            for where, cols in (("first", range(d)), ("last", range(n - d, n))):
+                a = rng.standard_normal((m, n))
+                cols = list(cols)
+                a[:, cols[-1]] = a[:, cols[:-1]] @ rng.standard_normal(d - 1)
+                cases[f"{m}x{n} {where} {d}"] = a
+        for where, j in (("first", 0), ("last", n - 1)):
+            a = rng.standard_normal((m, n))
+            a[:, j] = 0.0
+            cases[f"{m}x{n} zero {where}"] = a
+    cases["zero 3x5"] = np.zeros((3, 5))
+    return cases
+
+
+SPARK_CASES = spark_cases()
+
+
 class TestSpark:
+    @pytest.mark.parametrize("name", list(SPARK_CASES))
+    def test_matches_bottom_up_loop(self, name, decomposed):
+        a = SPARK_CASES[name]
+        want, oracle_count = spark_bottom_up(a)
+        decomposed.clear()
+        assert spark(a) == want
+        assert sum(decomposed) <= 2 * oracle_count + 2048, (sum(decomposed), oracle_count)
+
     def test_frozen_cases(self, example2):
         assert spark(example2.a) == 5
         assert spark(np.eye(4)) == 5

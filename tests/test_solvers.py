@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -14,6 +15,7 @@ from jointsparse.errors import (
     MaxIterationsExceeded,
     RankDeficient,
 )
+from jointsparse import solvers
 from jointsparse.generators import GenSpec, gen_problem
 from jointsparse.norms import mixed_norm_2p
 from jointsparse.linalg import min_norm_solution, nullspace_basis
@@ -141,6 +143,85 @@ class TestL20:
         )
         assert sol.support.indices == planted_support
         assert np.allclose(sol.x, prob.planted, atol=1e-8)
+
+
+def l20_cases() -> dict[str, tuple[MmvProblem, int]]:
+    """Problems and k_max for the frozen ``l20_solve`` values.
+
+    The generated instances reach every route through the interlacing
+    check: it passes before the last size (8x10 k4, 16x17 k8), it is never
+    made apart from enumerating the last size (4x6, 5x8, 8x12), and n <= m
+    (6x5).  "duplicate" copies column 1 into column 5, so the check fails
+    and the rank-deficient supports take the lstsq path; "k_max > m" asks
+    for more rows than A has, where no size qualifies for the check.
+    """
+    cases = {
+        f"gaussian {m}x{n} r{r} k{k} seed {s} k_max {k + extra}":
+            (gen_problem(GenSpec("gaussian", m, n, r, k, s)), k + extra)
+        for m, n, r, k, s, extra in (
+            (4, 6, 1, 2, 3, 0), (5, 8, 2, 2, 11, 1), (6, 5, 2, 2, 4, 1),
+            (7, 8, 1, 3, 2, 0), (8, 10, 2, 4, 6, 0), (8, 12, 3, 4, 9, 0),
+            (16, 17, 4, 8, 1, 0), (16, 17, 4, 8, 2, 0),
+        )
+    }
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((7, 8))
+    a[:, 5] = a[:, 1]
+    x = np.zeros((8, 2))
+    x[[1, 3, 6]] = rng.standard_normal((3, 2))
+    cases["duplicate"] = (MmvProblem(a=a, b=a @ x), 3)
+    a = rng.standard_normal((3, 6))
+    cases["k_max > m"] = (MmvProblem(a=a, b=rng.standard_normal((3, 2))), 4)
+    return cases
+
+
+def l20_digest(sol) -> tuple:
+    return (sol.support.indices, sol.unique, sol.objective,
+            hashlib.sha256(sol.x.tobytes()).hexdigest()[:16])
+
+
+# l20_solve on l20_cases() as it ran when every support's Gram matrix was
+# decomposed: support, unique, objective and the first 16 hex digits of
+# sha256 over x's bytes.
+FROZEN_L20 = {
+    "gaussian 4x6 r1 k2 seed 3 k_max 2": ((3, 4), True, 2.0, "d9a9303555a2b987"),
+    "gaussian 5x8 r2 k2 seed 11 k_max 3": ((1, 2), True, 2.0, "5e81e1e02070ca3e"),
+    "gaussian 6x5 r2 k2 seed 4 k_max 3": ((4, 5), True, 2.0, "42b1b89c30b8b03f"),
+    "gaussian 7x8 r1 k3 seed 2 k_max 3": ((2, 3, 4), True, 3.0, "1ed1203dec382418"),
+    "gaussian 8x10 r2 k4 seed 6 k_max 4": ((1, 5, 8, 10), True, 4.0, "603e1a25994458f4"),
+    "gaussian 8x12 r3 k4 seed 9 k_max 4": ((3, 7, 8, 9), True, 4.0, "b91f424b1a7a5c54"),
+    "gaussian 16x17 r4 k8 seed 1 k_max 8":
+        ((1, 4, 6, 8, 11, 14, 16, 17), True, 8.0, "878fc8debd0ce538"),
+    "gaussian 16x17 r4 k8 seed 2 k_max 8":
+        ((1, 2, 3, 4, 8, 10, 11, 15), True, 8.0, "7912320384a55527"),
+    "duplicate": ((2, 4, 7), False, 3.0, "7850a1a252bb2c13"),
+    "k_max > m": ((2, 4, 6), False, 3.0, "db8e8cb091467745"),
+}
+
+L20_CASES = l20_cases()
+
+
+class TestL20Frozen:
+    @pytest.mark.parametrize("name", list(FROZEN_L20))
+    def test_frozen_values(self, name):
+        prob, k_max = L20_CASES[name]
+        assert l20_digest(l20_solve(prob, k_max)) == FROZEN_L20[name]
+
+    def test_duplicate_column_takes_the_lstsq_path(self, monkeypatch, decomposed):
+        singular = []
+
+        def spy(mat, *args, _real=np.linalg.lstsq, **kwargs):
+            singular.append(mat.shape[1])
+            return _real(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        prob, k_max = L20_CASES["duplicate"]
+        l20_solve(prob, k_max)
+        # the check of all 8 seven-column subsets fails, so sizes 2 and 3
+        # are rank-tested and their supports holding columns 1 and 5 solved
+        # by lstsq: {1, 5}, then {1, 5, j} for the six other j
+        assert decomposed == [8, 8, 28, 56]
+        assert singular == [2] + [3] * 6
 
 
 class TestIrls:
@@ -288,6 +369,14 @@ class TestCheckEquivalence:
     def test_bad_p(self, example2):
         with pytest.raises(DomainError):
             check_equivalence(example2, 0.0, EquivalenceOptions(seed=0))
+
+    def test_bad_seed_rejected_before_any_solver_runs(self, example2, monkeypatch):
+        ran = []
+        for name in ("l20_solve", "irls_solve"):
+            monkeypatch.setattr(solvers, name, lambda *args, _name=name, **kw: ran.append(_name))
+        with pytest.raises(DomainError):
+            check_equivalence(example2, 0.5, EquivalenceOptions(seed=-1))
+        assert ran == []
 
 
 class TestSolutionContainer:
