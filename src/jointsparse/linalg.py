@@ -6,25 +6,48 @@ eigendecomposition of A^T A, made by :func:`gram_spectrum`, which also owns
 the rank rule: an eigenvalue at or below ``REL_EIG_TOL * lambda_max`` is
 zero.  The public spectral functions each read from one such decomposition,
 and the solvers take one per call and read everything from it.
-:func:`column_subsets` applies the same cut to every column subset it
-enumerates.
+:func:`subset_batches` enumerates column subsets, and :func:`column_stacks`
+applies the same cut to each.
 
-:func:`size_cuts` spares that test where it cannot change the answer.  By
-Cauchy interlacing (Horn & Johnson, *Matrix Analysis*, 4.3) the Gram matrix
-of a subset S of T is a principal submatrix of T's, so its smallest
-eigenvalue is at least T's: once every subset of c* columns clears the cut,
-so does every smaller subset.  For a caller that needs sizes up to k it
-tests the size c* in [k, min(m, n)] with the fewest subsets, and only once
-the caller has decomposed at least that many subsets: the test never costs
-more than the work before it, so no matrix costs more than twice the
-one-subset-at-a-time loop plus one batch.  In floating point a subset is
-then classed differently from a test of its own only if its smallest Gram
-eigenvalue lies within rounding (about 1e-15 * lambda_max) of the cut.
+Two vouchers spare per-subset work where it cannot change the answer.  Each
+tests every subset of one size, the one with the fewest subsets in its
+range, and only once the caller has enumerated at least that many subsets
+(:func:`_schedule`): a test never costs more than the work before it, so it
+at most doubles the one-subset-at-a-time loop, plus one batch.
+
+:func:`size_cuts` vouches for rank.  By Cauchy interlacing (Horn & Johnson,
+*Matrix Analysis*, 4.3) the Gram matrix of a subset S of T is a principal
+submatrix of T's, so its smallest eigenvalue is at least T's: once every
+subset of c* columns clears the cut, so does every smaller subset.  It tests
+the size c* in [k, min(m, n)] for a caller that needs sizes up to k.  In
+floating point a subset is then classed differently from a test of its own
+only if its smallest Gram eigenvalue lies within rounding (about 1e-15 *
+lambda_max) of the cut.
+
+:func:`residual_covers` vouches against feasibility.  Least-squares
+residuals only grow as columns are removed (Bjorck, *Numerical Methods for
+Least Squares Problems*, 1.1 and 2.4): for S a subset of U,
+
+    min_Y ||A_S Y - B||_F >= min_Y ||A_U Y - B||_F >= ||Q_perp^T B||_F,
+
+Q_perp being the trailing m - |U| columns of a complete QR of A_U (an
+orthonormal basis of a space orthogonal to range(A_U), whatever A_U's
+rank).  So one U whose bound clears the caller's tolerance rules out every
+subset of U.  It tests the size u* in [k, min(m - 1, n)].  The rounding
+allowance: a support S that A's cut classes full rank has smallest
+singular value above sqrt(cut) and norm at most sqrt(lambda_max), so any Y
+that fits B to the tolerance tol has ||A_S|| ||Y|| <= (||B||_F + tol) /
+sqrt(REL_EIG_TOL).  The rounding of the QR, and of S's own solve and
+residual, is a small multiple of eps times that, and U is certified only
+when its bound clears tol by m * n * eps times it.  A support S skipped
+this way would then be found feasible by a solve of its own only if that
+rounding exceeded the allowance, about 6e-9 * (||B||_F + tol) at m = 16,
+n = 17.  Rank-deficient supports have no such bound: the caller solves
+them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -209,56 +232,138 @@ def check_enumerable(a: np.ndarray) -> None:
         raise EnumerationTooLarge(f"n={n} exceeds enumeration guard {ENUMERATION_GUARD}")
 
 
-def column_subsets(a: np.ndarray, card: int, cut: float):
+def subset_batches(n: int, card: int):
+    """Every *card*-subset of range(n), in lexicographic order (that of
+    ``itertools.combinations``), as int8 index arrays of at most ``_CHUNK``
+    rows, one subset per row.  The caller checks :func:`check_enumerable`.
+    """
+    low = min(card, n - card)
+    table, last = np.empty((1, 0), dtype=np.int8), np.full(1, -1)
+    for k in range(1, low + 1):
+        # lexicographic order extends each (k-1)-subset, in order, by every
+        # index above its last, in increasing order
+        ext = n - 1 - last
+        rows = np.repeat(table, ext, axis=0)
+        last = np.repeat(last + 1 - (np.cumsum(ext) - ext), ext) + np.arange(len(rows))
+        table = np.empty((len(rows), k), dtype=np.int8)
+        table[:, :-1] = rows
+        table[:, -1] = last
+    if low < card:
+        # taking complements reverses lexicographic order within a size
+        keep = np.ones((len(table), n), dtype=bool)
+        keep[np.arange(len(table))[:, None], table] = False
+        table = np.nonzero(keep[::-1])[1].astype(np.int8).reshape(-1, card)
+    for start in range(0, len(table), _CHUNK):
+        yield table[start:start + _CHUNK]
+
+
+def column_stacks(a: np.ndarray, idx: np.ndarray, cut: float | None):
+    """``(sub, gram, full_rank)`` for the column subsets in the rows of
+    *idx*: the stack A_S of shape (c, m, card), the stack A_S^T A_S of shape
+    (c, card, card), and whether each Gram matrix's smallest eigenvalue
+    clears *cut*, the rank cut of A from :func:`gram_spectrum`.  A *cut* of
+    None, which :func:`size_cuts` gives once interlacing vouches for every
+    subset, marks them all full rank without decomposing any.
+    """
+    sub = np.moveaxis(a[:, idx], 1, 0)                           # (c, m, card)
+    gram = sub.transpose(0, 2, 1) @ sub                          # (c, card, card)
+    if cut is None:
+        full_rank = np.ones(len(idx), dtype=bool)
+    else:
+        full_rank = np.linalg.eigvalsh(gram)[:, 0] > cut
+    return sub, gram, full_rank
+
+
+def column_subsets(a: np.ndarray, card: int, cut: float | None):
     """Every column subset S of A with |S| = *card*, in batches.
 
-    Subsets come in lexicographic order (that of ``itertools.combinations``),
-    at most ``_CHUNK`` per batch.  Each batch is ``(subsets, sub, gram,
-    full_rank)``: the subsets as 0-based index tuples, the stack A_S of shape
-    (c, m, card), the stack A_S^T A_S of shape (c, card, card), and whether
-    each Gram matrix's smallest eigenvalue clears *cut*, the rank cut of A
-    from :func:`gram_spectrum`.  A *cut* of None, which :func:`size_cuts`
-    gives once interlacing vouches for every subset, marks them all full
-    rank without decomposing any.  The caller checks :func:`check_enumerable`.
+    Each batch of :func:`subset_batches` comes as ``(subsets, sub, gram,
+    full_rank)``: the subsets as 0-based index tuples, then
+    :func:`column_stacks` of them.  The caller checks
+    :func:`check_enumerable`.
     """
-    combos = itertools.combinations(range(a.shape[1]), card)
-    while True:
-        subsets = list(itertools.islice(combos, _CHUNK))
-        if not subsets:
-            return
-        sub = np.moveaxis(a[:, np.array(subsets, dtype=int)], 1, 0)   # (c, m, card)
-        gram = sub.transpose(0, 2, 1) @ sub                          # (c, card, card)
-        if cut is None:
-            full_rank = np.ones(len(subsets), dtype=bool)
-        else:
-            full_rank = np.linalg.eigvalsh(gram)[:, 0] > cut
-        yield subsets, sub, gram, full_rank
+    for idx in subset_batches(a.shape[1], card):
+        yield list(map(tuple, idx.tolist())), *column_stacks(a, idx, cut)
+
+
+def _schedule(n: int, top: int, sizes: range):
+    """The cost rule shared by the two vouchers (module docstring).
+
+    Yields ``(card, star)`` for each size 1..*top*.  *star* is the member of
+    *sizes* with the fewest subsets (the smallest on ties), given once:
+    before the first size at which the caller has already enumerated at
+    least as many subsets as size *star* has, unless that size is *star*,
+    whose own enumeration would be the test.  Otherwise *star* is None.
+    The caller resumes the generator only after enumerating a whole size.
+    """
+    star = min(sizes, key=lambda c: math.comb(n, c), default=None)
+    done = 0
+    for card in range(1, top + 1):
+        due = star is not None and star > card and done >= math.comb(n, star)
+        yield card, (star if due else None)
+        if due:
+            star = None
+        done += math.comb(n, card)
 
 
 def size_cuts(a: np.ndarray, top: int):
-    """The rank cut to give :func:`column_subsets` for each size 1..*top*.
+    """The rank cut to give :func:`column_stacks` for each size 1..*top*.
 
     Yields ``(card, cut)``, *cut* being A's from :func:`gram_spectrum`,
     until interlacing (module docstring) vouches for every subset of up to
     *top* columns, then ``(card, None)``.  The voucher is one test of every
     subset of c* columns, c* being the size in [top, min(m, n)] with the
-    fewest subsets (the smallest on ties).  It runs before the first size
-    at which the caller has already enumerated at least as many subsets as
-    size c* has, unless that size is c*, whose own enumeration is the test.
-    If a subset fails, the cut stays and no test is made again.  The caller
-    resumes the generator only after enumerating a whole size.
+    fewest subsets, made when :func:`_schedule` says.  If a subset fails,
+    the cut stays and no test is made again.
     """
     m, n = a.shape
     cut = gram_spectrum(a).cut
-    star = min(range(top, min(m, n) + 1), key=lambda c: math.comb(n, c), default=None)
-    done = 0
-    for card in range(1, top + 1):
-        if star is not None and star > card and done >= math.comb(n, star):
-            if all(ok.all() for *_, ok in column_subsets(a, star, cut)):
-                cut = None
-            star = None
+    for card, star in _schedule(n, top, range(top, min(m, n) + 1)):
+        if star is not None and all(ok.all() for *_, ok in column_subsets(a, star, cut)):
+            cut = None
         yield card, cut
-        done += math.comb(n, card)
+
+
+def residual_covers(a: np.ndarray, b: np.ndarray, top: int, tol: float):
+    """Which supports of up to *top* columns least squares cannot fit to *tol*.
+
+    Yields ``(card, covered)`` for each size 1..*top*.  *covered* is None
+    until the voucher (module docstring) has run and certified some U; from
+    then on it maps an index batch of :func:`subset_batches` to a boolean
+    array, true for each subset of a certified U.  The voucher is one
+    complete QR of every U of u* columns, u* being the size in [top,
+    min(m - 1, n)] with the fewest subsets, made when :func:`_schedule`
+    says.  U is certified when ``||Q_perp^T B||_F`` exceeds *tol* plus the
+    rounding allowance ``m * n * eps * (||B||_F + tol) / sqrt(REL_EIG_TOL)``.
+    The caller skips only the covered supports that A's rank cut classes
+    full rank; the allowance holds for those alone.
+    """
+    m, n = a.shape
+    covered = None
+    for card, star in _schedule(n, top, range(top, min(m - 1, n) + 1)):
+        if star is not None:
+            covered = _residual_voucher(a, b, star, tol)
+        yield card, covered
+
+
+def _residual_voucher(a: np.ndarray, b: np.ndarray, u: int, tol: float):
+    """The lookup :func:`residual_covers` yields after testing every U of *u*
+    columns, or None when no U is certified."""
+    m, n = a.shape
+    eps = float(np.finfo(float).eps)
+    limit = tol + m * n * eps * (float(np.linalg.norm(b)) + tol) / math.sqrt(REL_EIG_TOL)
+    one = np.int64(1)
+    table = np.zeros(1 << n, dtype=bool)        # indexed by column bit mask
+    for idx in subset_batches(n, u):
+        perp = np.linalg.qr(np.moveaxis(a[:, idx], 1, 0), mode="complete").Q[:, :, u:]
+        bound = np.linalg.norm(perp.transpose(0, 2, 1) @ b, axis=(1, 2))
+        table[(one << idx[bound > limit]).sum(axis=1)] = True
+    if not table.any():
+        return None
+    for i in range(n):                          # every subset of a certified U
+        pairs = table.reshape(-1, 2, 1 << i)
+        pairs[:, 0] |= pairs[:, 1]
+    return lambda idx: table[(one << idx).sum(axis=1)]
 
 
 def gram_eigenvalues(a: np.ndarray) -> np.ndarray:

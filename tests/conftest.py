@@ -43,3 +43,19 @@ def decomposed(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     return batches
+
+
+@pytest.fixture()
+def solved(monkeypatch) -> list[int]:
+    """Batch sizes of the 3-D ``np.linalg.solve`` calls made while the test
+    runs: their sum is the number of supports ``l20_solve`` solved by their
+    normal equations."""
+    batches: list[int] = []
+
+    def spy(mat, *args, _real=np.linalg.solve, **kwargs):
+        if np.ndim(mat) == 3:
+            batches.append(np.shape(mat)[0])
+        return _real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return batches

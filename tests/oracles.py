@@ -2,8 +2,8 @@
 
 These deliberately avoid the code paths under test: eigenvalues come from the
 characteristic polynomial (Faddeev-LeVerrier coefficients + bisection),
-linear solves from a plain textbook elimination, sparsest solutions from a
-one-support-at-a-time least-squares re-enumeration, spark from a
+linear solves from a plain textbook elimination, sparsest solutions from
+one-support-at-a-time least-squares re-enumerations, spark from a
 one-subset-at-a-time rank test, l_{2,p} optima from the basic solutions, and
 null-space-constant maxima from dense sphere grids in coefficient space.
 """
@@ -136,6 +136,55 @@ def exhaustive_l20(a: np.ndarray, b: np.ndarray, k_max: int, tol: float = 1e-8):
         if feas:
             feas.sort(key=lambda t: (t[0], t[1]))
             return card, [f[1] for f in feas], feas[0][2]
+    return None
+
+
+def l20_every_support(a: np.ndarray, b: np.ndarray, k_max: int):
+    """``l20_solve`` by the textbook loop: one ``lstsq`` per support.
+
+    Sizes 1..k_max in turn, every support of a size with plain
+    ``itertools``; a support is feasible when its least-squares residual is
+    at most 1e-8 * max(1, ||B||_F), and the first size with a feasible
+    support wins.  Ties break by smaller Frobenius norm, then lexicographic
+    support.  ``unique`` holds when exactly one support of that size is
+    feasible and its own Gram matrix's smallest eigenvalue (a 2-D
+    ``eigvalsh``) clears 1e-10 * lambda_max(A^T A).
+
+    Returns None when no support of up to k_max columns is feasible, else
+    the answers in tie order, each (support, unique, objective, X): the
+    1-based rows of X whose norm exceeds 1e-8, their count as a float, and
+    X.  The first is the winner; the others are the feasible supports whose
+    norms agree with its norm to 1e-12 (relative).  Those tie in exact
+    arithmetic (two supports that differ by a duplicated column, say), so
+    which of them comes first under rounding depends on the solve path.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = a.shape[1]
+    tol = 1e-8 * max(1.0, float(np.linalg.norm(b)))
+    if float(np.linalg.norm(b)) <= tol:
+        return [((), True, 0.0, np.zeros((n, b.shape[1])))]
+    cut = 1e-10 * max(float(np.linalg.eigvalsh(a.T @ a)[-1]), 0.0)
+    for card in range(1, k_max + 1):
+        feas = []
+        for sup in itertools.combinations(range(n), card):
+            sub = a[:, sup]
+            y = np.linalg.lstsq(sub, b, rcond=None)[0]
+            if float(np.linalg.norm(sub @ y - b)) <= tol:
+                feas.append((float(np.linalg.norm(y)), sup, y))
+        if feas:
+            feas.sort(key=lambda t: (t[0], t[1]))
+            answers = []
+            for frob, sup, y in feas:
+                if frob > feas[0][0] * (1 + 1e-12):
+                    break
+                sub = a[:, sup]
+                x = np.zeros((n, b.shape[1]))
+                x[list(sup)] = y
+                unique = len(feas) == 1 and bool(np.linalg.eigvalsh(sub.T @ sub)[0] > cut)
+                rows = tuple(int(i) + 1 for i in np.flatnonzero(np.linalg.norm(x, axis=1) > 1e-8))
+                answers.append((rows, unique, float(len(rows)), x))
+            return answers
     return None
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from jointsparse.errors import AllZeroMatrix, DomainError, EnumerationTooLarge, 
 from jointsparse.generators import GenSpec, gen_problem
 from jointsparse.linalg import (
     ENUMERATION_GUARD,
+    REL_EIG_TOL,
     as_matrix,
     check_enumerable,
     column_subsets,
@@ -22,7 +24,9 @@ from jointsparse.linalg import (
     matrix_to_json,
     min_norm_solution,
     nullspace_basis,
+    residual_covers,
     size_cuts,
+    subset_batches,
 )
 from jointsparse.nsc import NscOptions, nsc_curve, spark
 from jointsparse.solvers import (
@@ -282,6 +286,94 @@ class TestSizeCuts:
         decomposed.clear()
         assert l20_solve(prob, 8).unique is True
         assert sum(decomposed) == 34
+
+
+class TestSubsetBatches:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 12])
+    def test_every_size_in_lexicographic_order(self, n):
+        for card in range(n + 1):
+            batches = list(subset_batches(n, card))
+            assert all(b.dtype == np.int8 and len(b) <= 2048 for b in batches)
+            rows = [tuple(row) for b in batches for row in b.tolist()]
+            assert rows == list(itertools.combinations(range(n), card))
+
+    def test_complements_of_the_smaller_size(self):
+        # sizes above n/2 come from the complements of the smaller size
+        rows = [tuple(r) for b in subset_batches(ENUMERATION_GUARD, 17) for r in b.tolist()]
+        assert rows == list(itertools.combinations(range(ENUMERATION_GUARD), 17))
+
+
+class TestResidualCovers:
+    """One least-squares residual of a superset U rules out every subset of
+    U; ``residual_covers`` says which supports that rules out, and when."""
+
+    @staticmethod
+    def certified(a, b, u, tol):
+        # the voucher's rule, by one lstsq per U
+        m, n = a.shape
+        allowance = m * n * np.finfo(float).eps * (np.linalg.norm(b) + tol)
+        limit = tol + allowance / math.sqrt(REL_EIG_TOL)
+        out = []
+        for cols in itertools.combinations(range(n), u):
+            y = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
+            if np.linalg.norm(a[:, cols] @ y - b) > limit:
+                out.append(set(cols))
+        return out
+
+    @pytest.mark.parametrize("planted", [0, 2, 5])
+    def test_matches_per_superset_least_squares(self, rng, planted):
+        a = rng.standard_normal((6, 8))
+        x = np.zeros((8, 2))
+        x[:planted] = rng.standard_normal((planted, 2))
+        b = a @ x if planted else rng.standard_normal((6, 2))
+        tol = 1e-8 * max(1.0, np.linalg.norm(b))
+        # u* = 5 (56 subsets); sizes 1-2 hold 36 and sizes 1-3 hold 92, so
+        # the test comes before size 4
+        covers = [covered for _, covered in residual_covers(a, b, 4, tol)]
+        assert covers[:3] == [None] * 3
+        vouched = self.certified(a, b, 5, tol)
+        # every U holding the planted rows fits B; no other U does
+        assert len(vouched) == 56 - (math.comb(8 - planted, 5 - planted) if planted else 0)
+        for card in range(1, 5):
+            idx = np.concatenate(list(subset_batches(8, card)))
+            want = [any(set(s) <= u for u in vouched) for s in idx.tolist()]
+            assert covers[3](idx).tolist() == want
+
+    def test_nothing_certified_yields_none(self, rng):
+        # every column and B lie on one line: every U fits B
+        a = np.outer(rng.standard_normal(6), rng.standard_normal(8))
+        b = 3.0 * a[:, :1]
+        assert [c for _, c in residual_covers(a, b, 4, 1e-8)] == [None] * 4
+
+    @pytest.mark.parametrize("factor, covered", [(1.05, False), (1.5, True)])
+    def test_rounding_allowance(self, rng, factor, covered):
+        # every column lies in the span of columns 0-3, and B lies *factor*
+        # times the tolerance off that span, so every U leaves that
+        # residual.  1.05 is inside the allowance (0.107 of the tolerance
+        # here), 1.5 beyond it.
+        a = rng.standard_normal((6, 8))
+        a[:, 4:] = a[:, :4] @ rng.standard_normal((4, 4))
+        b = a[:, :4] @ rng.standard_normal((4, 1))
+        off = rng.standard_normal((6, 1))
+        off -= a[:, :4] @ np.linalg.lstsq(a[:, :4], off, rcond=None)[0]
+        tol = 1e-8 * np.linalg.norm(b)
+        b = b + off * (factor * tol / np.linalg.norm(off))
+        last = list(residual_covers(a, b, 4, tol))[-1][1]
+        assert (last is not None) == covered
+        if covered:
+            assert last(np.array([[0, 1, 2, 3]], dtype=np.int8)).tolist() == [True]
+
+    @pytest.mark.parametrize("shape, top", [((4, 6), 2), ((3, 6), 3), ((6, 4), 1)])
+    def test_no_test_without_a_qualifying_size_or_time(self, rng, shape, top, monkeypatch):
+        # u* = top (4x6); m - 1 < top (3x6); u* = 4 has one subset, but
+        # size 1, the only size, comes before any subset is enumerated (6x4)
+        def never(*_args, **_kwargs):
+            raise AssertionError("no residual test expected")
+
+        monkeypatch.setattr(np.linalg, "qr", never)
+        a = rng.standard_normal(shape)
+        b = rng.standard_normal((shape[0], 1))
+        assert [c for _, c in residual_covers(a, b, top, 1e-8)] == [None] * top
 
 
 class TestOneDecompositionPerCall:

@@ -36,7 +36,7 @@ from jointsparse.solvers import (
     solution_to_json,
 )
 
-from oracles import basic_optimum, basic_solutions, exhaustive_l20
+from oracles import basic_optimum, basic_solutions, exhaustive_l20, l20_every_support
 
 
 class TestMmvProblem:
@@ -222,6 +222,100 @@ class TestL20Frozen:
         # by lstsq: {1, 5}, then {1, 5, j} for the six other j
         assert decomposed == [8, 8, 28, 56]
         assert singular == [2] + [3] * 6
+
+
+def l20_population() -> list[tuple[str, MmvProblem, int]]:
+    """320 seeded instances as (kind, problem, k_max): m 2-8, n from m - 2
+    to m + 3 within 2-10, k_max in 1..n or, for half of them, in
+    1..min(m - 1, n).  Columns: plain Gaussian, one column duplicated, one
+    column zero, or rows of rank m - 1.  B: A X for a planted X of
+    1..min(m, n) rows, unstructured, or A_S X plus a residual orthogonal to
+    span(A_S) of 0.5 or 2 times l20_solve's feasibility tolerance, S planted.
+    """
+    rng = np.random.default_rng(2027)
+    cases = []
+    for i in range(320):
+        m, r = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+        n = min(max(2, m + int(rng.integers(-2, 4))), 10)
+        a = rng.standard_normal((m, n))
+        columns = ("plain", "duplicate", "zero", "row-deficient")[i % 4]
+        if columns == "duplicate":
+            src, dst = rng.choice(n, 2, replace=False)
+            a[:, dst] = a[:, src]
+        elif columns == "zero":
+            a[:, rng.integers(n)] = 0.0
+        elif columns == "row-deficient":
+            a[-1] = rng.standard_normal(m - 1) @ a[:-1]
+        rhs = ("planted", "unstructured", "0.5 tol off", "2 tol off")[i // 4 % 4]
+        if rhs == "unstructured":
+            b = rng.standard_normal((m, r))
+        else:
+            k = int(rng.integers(1, min(m, n) + 1))
+            if rhs != "planted":
+                k = min(k, m - 1)
+            support = np.sort(rng.choice(n, k, replace=False))
+            b = a[:, support] @ rng.standard_normal((k, r))
+            if rhs != "planted":
+                off = rng.standard_normal((m, r))
+                off -= a[:, support] @ np.linalg.lstsq(a[:, support], off, rcond=None)[0]
+                scale = float(rhs.split()[0]) * solvers.FEASIBILITY_TOL
+                b = b + off * (scale * max(1.0, float(np.linalg.norm(b))) / np.linalg.norm(off))
+        # half the draws keep k_max below m, where the residual test can run
+        top = n if i // 16 % 2 else max(1, min(m - 1, n))
+        cases.append((f"{columns}, {rhs}", MmvProblem(a=a, b=b), int(rng.integers(1, top + 1))))
+    return cases
+
+
+class TestL20AgainstEverySupport:
+    """Ruling supports out by a superset's residual changes no result."""
+
+    def test_population_matches_the_textbook_loop(self, solved, monkeypatch):
+        lstsq = []
+
+        def spy(mat, *args, _real=np.linalg.lstsq, **kwargs):
+            lstsq.append(np.shape(mat))
+            return _real(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        seen, skipped = set(), 0
+        for kind, prob, k_max in l20_population():
+            answers = l20_every_support(prob.a, prob.b, k_max)
+            solved.clear()
+            lstsq.clear()
+            try:
+                sol = l20_solve(prob, k_max)
+            except Infeasible:
+                assert answers is None, kind
+                card = k_max
+            else:
+                assert answers is not None, kind
+                same = [t for t in answers if t[0] == sol.support.indices]
+                assert same, kind
+                support, unique, objective, x = same[0]
+                assert sol.unique == unique, kind
+                assert sol.objective == objective, kind
+                assert np.allclose(sol.x, x, rtol=0, atol=1e-12), kind
+                card = len(support)
+            tried = sum(solved) + len(lstsq)
+            skipped += tried < sum(math.comb(prob.n, c) for c in range(1, card + 1))
+            seen.add((kind, answers is None, k_max > prob.m))
+        # every column kind meets every kind of B, and Infeasible and
+        # k_max > m each occur with and without the other
+        assert {kind for kind, *_ in seen} == {
+            f"{c}, {b}" for c in ("plain", "duplicate", "zero", "row-deficient")
+            for b in ("planted", "unstructured", "0.5 tol off", "2 tol off")}
+        assert {(infeasible, wide) for _, infeasible, wide in seen} == {
+            (False, False), (False, True), (True, False), (True, True)}
+        assert skipped >= 50
+
+    def test_pinned_solve_count(self, solved):
+        # Before the residual test every support of 1-8 columns was solved
+        # (65 535).  Now the 17 single columns and the 136 pairs are, then
+        # the 136 subsets of 15 columns are tested, and of the larger
+        # supports only the planted one escapes them.
+        prob = gen_problem(GenSpec("gaussian", 16, 17, 4, 8, 1))
+        assert l20_solve(prob, 8).unique is True
+        assert sum(solved) == 154
 
 
 class TestIrls:
