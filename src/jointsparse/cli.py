@@ -31,7 +31,7 @@ import numpy as np
 from .bounds import pstar, pstar_report_to_json, theorem4_bound
 from .errors import DomainError, JointSparseError
 from .generators import gen_problem, genspec_from_json
-from .linalg import eig_summary, matrix_from_csv, matrix_from_json, matrix_to_csv
+from .linalg import gram_spectrum, matrix_from_csv, matrix_from_json, matrix_to_csv
 from .norms import DEFAULT_ZERO_TOL
 from .nsc import NscOptions, estimate_to_json, nsc_curve
 from .solvers import (
@@ -336,8 +336,9 @@ def cmd_nsc(
         raise UsageError(f"--r must be >= 1, got {r}")
     opts = NscOptions(seed=flags.seed, restarts=restarts, zero_tol=_zero_tol(flags))
     t0 = time.perf_counter()
-    curve = nsc_curve(a, r, k, p_grid, opts)
-    lam = eig_summary(a).ratio
+    spec = gram_spectrum(a)                 # one decomposition for both
+    curve = nsc_curve(spec, r, k, p_grid, opts)
+    lam = spec.summary().ratio
     rows = []
     for est in curve:
         try:

@@ -112,16 +112,16 @@ def _check_theta_args(p: float, x: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _contributions(norms: np.ndarray, p: float, zero_tol: float) -> np.ndarray:
-    """Each row's term in theta, for a batch of row-norm profiles (P, n)."""
+def _contributions(norms: np.ndarray, peak, p: float, zero_tol: float) -> np.ndarray:
+    """Each row's term in theta, for one row-norm profile (n,) whose largest
+    norm is ``peak``, or a batch of them (P, n) with ``peak`` (P, 1)."""
     if p == 0.0:
         return (norms > zero_tol).astype(float)
     # Normalize by a power of two before exponentiating: scaling X by 2**j
     # then shifts every row norm exactly, so the ratio is bit-identical
     # under such scalings instead of drifting by per-row rounding in pow.
-    # The scale is 2**floor(log2(max norm)), read exactly off the exponent.
-    scale = np.ldexp(1.0, np.frexp(norms.max(axis=1, keepdims=True))[1] - 1)
-    return (norms / scale) ** p
+    # The scale is 2**floor(log2(peak)), read exactly off the exponent.
+    return (norms / np.ldexp(1.0, np.frexp(peak)[1] - 1)) ** p
 
 
 def theta(p: float, x: np.ndarray, s: RowSupport, zero_tol: float = DEFAULT_ZERO_TOL) -> float:
@@ -136,7 +136,7 @@ def theta(p: float, x: np.ndarray, s: RowSupport, zero_tol: float = DEFAULT_ZERO
     if s.n != norms.size:
         raise DomainError(f"support is over n={s.n} rows but X has {norms.size}")
     mask = s.mask()
-    contrib = _contributions(norms[None, :], p, zero_tol)[0]
+    contrib = _contributions(norms, norms.max(), p, zero_tol)
     num = float(np.add.reduce(contrib[mask]))
     den = float(np.add.reduce(contrib[~mask]))
     if num == 0.0:
@@ -160,15 +160,16 @@ def theta_top_k(
     1 <= k < n, p in [0, 1] and profiles that are not all zero.
     """
     order = (-norms).argsort(axis=1, kind="stable")
-    top, rest = order[:, :k], order[:, k:]
-    top.sort(axis=1)
-    rest.sort(axis=1)
-    contrib = _contributions(norms, p, zero_tol)
     rows = np.arange(norms.shape[0])[:, None]
-    num = np.add.reduce(contrib[rows, top], axis=1)
-    den = np.add.reduce(contrib[rows, rest], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(num == 0.0, 0.0, num / den), top
+    contrib = _contributions(norms, norms[rows, order[:, :1]], p, zero_tol)
+    top = order[:, :k]
+    top.sort(axis=1)                     # both sorts work on views of order
+    order[:, k:].sort(axis=1)
+    terms = contrib[rows, order]
+    num = np.add.reduce(terms[:, :k], axis=1)
+    den = np.add.reduce(terms[:, k:], axis=1)
+    value = np.where(num == 0.0, 0.0, np.inf)           # inf: den vanishes
+    return np.divide(num, den, out=value, where=den != 0.0), top
 
 
 def theta_max_over_S(

@@ -4,7 +4,9 @@ The constant h(p, A, r, k) is the supremum of theta(p, X, S) over nonzero
 X with all r columns in Ker(A) and |S| <= k.  For nullity 1 it reduces to a
 closed form on the single kernel generator and is computed exactly.  For
 larger nullity a multi-start coordinate ascent produces a certified lower
-bound: the certificate (X, S) always reproduces the reported value.
+bound: the certificate (X, S) always reproduces the reported value.  Each
+start moves through the step scales on its own schedule, and every sweep has
+the same steps, so one scoring batch per step holds every live start.
 
 Recovery interpretation: h < 1 certifies that every k-row-sparse solution is
 the unique l_{2,p} minimizer for its own measurements.
@@ -22,8 +24,8 @@ import numpy as np
 
 from .errors import DomainError, TrivialNullspace
 from .generators import PortableRng
-from .linalg import as_matrix, check_enumerable, column_subsets, gram_spectrum, matrix_to_json
-from .linalg import size_cuts
+from .linalg import GramSpectrum, as_matrix, check_enumerable, column_subsets, gram_spectrum
+from .linalg import matrix_to_json, size_cuts
 from .norms import DEFAULT_ZERO_TOL, RowSupport, theta, theta_top_k
 
 #: Most sweeps the ascent makes at one scale.
@@ -94,6 +96,21 @@ def _normalize(x: np.ndarray) -> np.ndarray:
     return x / nrm if nrm > 0 else x
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of x (P, D), bit-identical to
+    ``np.linalg.norm`` of that row: both are the root of one dot product."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def _normalize_rows(x: np.ndarray) -> np.ndarray:
+    """:func:`_normalize` applied to each row of x (P, D)."""
+    nrm = _row_norms(x)
+    pos = nrm > 0
+    out = x.copy()
+    out[pos] /= nrm[pos, None]
+    return out
+
+
 def _better(val: float, top: tuple, best_val: float, best_top: tuple) -> bool:
     """Tie-break order: larger value, then lexicographically smaller support."""
     return val > best_val or (val == best_val and top < best_top)
@@ -124,17 +141,18 @@ def nsc_estimate(
     a = as_matrix(a, name="A")
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"p must lie in [0, 1], got {p}")
-    return _estimate(_kernel(a, r, k), int(r), k, p, opts, warm_starts)
+    return _estimate(_kernel(gram_spectrum(a), r, k), int(r), k, p, opts, warm_starts)
 
 
-def _kernel(a: np.ndarray, r, k) -> np.ndarray:
-    """Ker(A)'s basis, after the checks nsc_estimate and nsc_curve share."""
-    n = a.shape[1]
+def _kernel(spec: GramSpectrum, r, k) -> np.ndarray:
+    """Ker(A)'s basis, read off A's spectrum after the checks nsc_estimate
+    and nsc_curve share."""
+    n = spec.a.shape[1]
     if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 1:
         raise DomainError(f"r must be a positive integer, got {r!r}")
     if not (1 <= k < n):
         raise DomainError(f"k must satisfy 1 <= k < n={n}, got {k}")
-    basis = gram_spectrum(a).kernel
+    basis = spec.kernel
     if basis.shape[1] == 0:
         raise TrivialNullspace("Ker(A) = {0}: the null-space constant is vacuous")
     return basis
@@ -180,14 +198,16 @@ def _estimate(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
 
 def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
             warm_starts: tuple[np.ndarray, ...]):
-    """Coordinate ascent of theta_max over C, run in lockstep for every start.
+    """Coordinate ascent of theta_max over C, every start on its own schedule.
 
-    Each start, on its own, follows the serial order: for each scale, up to
+    Each start follows the serial order: for each scale, up to
     ``MAX_SWEEPS`` sweeps over the entries j of C, each trying the steps in
     ``_STEPS`` from the entry's current value and keeping a probe that beats
-    the start's value.  A start leaves a scale after a sweep that brought no
-    gain and leaves the ascent once its value is +inf; C is renormalized
-    after every sweep.  All probes of one (scale, sweep, j, step) are scored
+    the start's value; C is renormalized after every sweep.  A start moves
+    to its next scale after a sweep that brought no gain (or its
+    ``MAX_SWEEPS``-th), and retires after its last scale or once its value
+    is +inf.  Every sweep has the same d*r*4 (j, step) steps whatever the
+    start's scale, so the probes of one step of every live start are scored
     as one batch.  Returns the best start's (value, 0-based support, C,
     start index, number of C scored); ties go to the smaller support, then
     to the earlier start.
@@ -206,41 +226,51 @@ def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
     def score(cs: np.ndarray):
         return _top_theta(basis @ cs.reshape(-1, d, r), k, p, opts.zero_tol)
 
-    flat = np.array([_normalize(c0).ravel() for c0 in starts])
-    valid = np.flatnonzero([float(np.linalg.norm(c)) > 0.0 for c in flat])
+    flat = _normalize_rows(np.array([c0.ravel() for c0 in starts]))
+    valid = np.flatnonzero(_row_norms(flat) > 0.0)
     val = np.full(len(starts), -np.inf)
     top = np.zeros((len(starts), k), dtype=np.intp)
     val[valid], top[valid] = score(flat[valid])
     probes = valid.size
-    live = valid[val[valid] < np.inf]
-    for scale in _SCALES:
-        act = live
-        for _ in range(MAX_SWEEPS):
-            if act.size == 0:
-                break
-            improved = np.zeros(act.size, dtype=bool)
-            for j in range(flat.shape[1]):
-                old = flat[act, j]
-                for step in _STEPS:
-                    cand = old + scale * step
-                    probe = flat[act]
-                    probe[:, j] = cand
-                    rows = probe.any(axis=1).nonzero()[0]   # C = 0 is invalid
-                    cand_val, cand_top = score(probe[rows])
-                    probes += rows.size
-                    win = cand_val > val[act[rows]]
-                    if win.any():
-                        rows = rows[win]
-                        old[rows] = cand[rows]
-                        val[act[rows]], top[act[rows]] = cand_val[win], cand_top[win]
-                        improved[rows] = True
-                flat[act, j] = old
-            for i in act:                    # theta is scale-invariant;
-                nrm = float(np.linalg.norm(flat[i]))  # renormalize to stop drift
-                if nrm > 0:
-                    flat[i] /= nrm
-            live = live[val[live] < np.inf]
-            act = act[improved & (val[act] < np.inf)]
+    level = np.zeros(len(starts), dtype=np.intp)   # each start's scale index
+    sweeps = np.zeros(len(starts), dtype=np.intp)  # its sweeps at that scale
+    steps = np.multiply.outer(_SCALES, _STEPS)     # (scale, step) offsets
+    act = valid[val[valid] < np.inf]
+    while act.size:
+        work, cur_val, cur_top = flat[act], val[act], top[act]
+        offsets = steps[level[act]]
+        improved = np.zeros(act.size, dtype=bool)
+        for j in range(work.shape[1]):
+            old = work[:, j].copy()
+            cands = old[:, None] + offsets       # redone after a win
+            has_zero = (cands == 0.0).any(axis=0)
+            for s in range(len(_STEPS)):
+                cand = cands[:, s]
+                work[:, j] = cand
+                if has_zero[s]:                  # C = 0 is invalid
+                    rows = work.any(axis=1).nonzero()[0]
+                    cand_val, cand_top = score(work[rows])
+                    win = cand_val > cur_val[rows]
+                    won = rows[win]
+                else:
+                    cand_val, cand_top = score(work)
+                    win = cand_val > cur_val
+                    won = win.nonzero()[0]
+                probes += cand_val.size
+                if won.size:
+                    old[won] = cand[won]
+                    cur_val[won], cur_top[won] = cand_val[win], cand_top[win]
+                    improved[won] = True
+                    cands = old[:, None] + offsets
+                    has_zero = (cands == 0.0).any(axis=0)
+            work[:, j] = old
+        flat[act] = _normalize_rows(work)     # theta is scale-invariant: stop drift
+        val[act], top[act] = cur_val, cur_top
+        sweeps[act] += 1
+        moving = act[~(improved & (sweeps[act] < MAX_SWEEPS))]
+        level[moving] += 1
+        sweeps[moving] = 0
+        act = act[(val[act] < np.inf) & (level[act] < len(_SCALES))]
 
     tops = [tuple(t) for t in top.tolist()]
     best = valid[0]
@@ -251,7 +281,7 @@ def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
 
 
 def nsc_curve(
-    a: np.ndarray,
+    a: np.ndarray | GramSpectrum,
     r: int,
     k: int,
     p_grid,
@@ -263,7 +293,8 @@ def nsc_curve(
     in addition to a fresh estimate, so the reported curve is nondecreasing
     whenever those certificates have no rows in the open interval
     (0, zero_tol] (re-evaluation at a larger p can only grow theta there).
-    One kernel basis of A serves the whole grid.
+    One kernel basis of A serves the whole grid.  *a* may also be A's
+    :func:`linalg.gram_spectrum`, for a caller that reads more from it.
     """
     grid = [float(q) for q in p_grid]
     if not grid:
@@ -272,7 +303,8 @@ def nsc_curve(
         raise DomainError("p_grid must be strictly ascending")
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise DomainError("p_grid values must lie in [0, 1]")
-    basis = _kernel(as_matrix(a, name="A"), r, k)
+    spec = a if isinstance(a, GramSpectrum) else gram_spectrum(a)
+    basis = _kernel(spec, r, k)
     out: list[NscEstimate] = []
     carried: list[np.ndarray] = []          # certificates, as coefficient matrices
     for p in grid:

@@ -37,6 +37,7 @@ from .norms import DEFAULT_ZERO_TOL, RowSupport, mixed_norm_2p, row_support
 
 FEASIBILITY_TOL = 1e-8      # l20_solve's residual bound, times max(1, ||B||_F)
 MATCH_TOL = 1e-4            # check_equivalence's Frobenius match distance
+TIE_RTOL = 1e-12            # l20_solve's Frobenius norms this close (relative) tie
 IRLS_EPS0, IRLS_EPS_MIN, IRLS_TOL = 1.0, 1e-10, 1e-9   # irls_solve's schedule
 DESCENT_DIM_GUARD = 8       # largest nullity * r that nullspace_solve accepts
 DESCENT_MAX_SWEEPS = 200    # per coordinate descent and per polish round
@@ -184,8 +185,11 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
     Supports are tried in order of increasing cardinality (lexicographic
     within a cardinality); the first feasible cardinality wins.  A support S
     is feasible when least squares restricted to S leaves a residual of at
-    most tol = ``FEASIBILITY_TOL * max(1, ||B||_F)``.  Ties at the winning
-    cardinality break by smaller Frobenius norm, then lexicographic support.
+    most tol = ``FEASIBILITY_TOL * max(1, ||B||_F)``.  At the winning
+    cardinality the smallest Frobenius norm wins; norms within ``TIE_RTOL``
+    (relative) of it tie, and the lexicographically first of those supports
+    wins.  Such norms are equal in exact arithmetic (two supports that differ
+    by a duplicated column, say) and differ only by rounding.
 
     ``unique`` is true iff exactly one support of the winning cardinality is
     feasible and A restricted to it has full column rank.
@@ -249,8 +253,9 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
                 frob = float(np.linalg.norm(sols[i]))
                 feasible.append((frob, tuple(idx[i].tolist()), sols[i], bool(full_rank[i])))
         if feasible:
-            feasible.sort(key=lambda t: (t[0], t[1]))
-            frob, supp, y, well_posed = feasible[0]
+            least = min(t[0] for t in feasible)
+            frob, supp, y, well_posed = min(
+                (t for t in feasible if t[0] <= least * (1 + TIE_RTOL)), key=lambda t: t[1])
             x = np.zeros((n, r))
             x[list(supp)] = y
             unique = len(feasible) == 1 and well_posed

@@ -6,6 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from jointsparse import nsc
 from jointsparse.solvers import MmvProblem, problem_from_json
 
 
@@ -58,4 +59,20 @@ def solved(monkeypatch) -> list[int]:
         return _real(mat, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "solve", spy)
+    return batches
+
+
+@pytest.fixture()
+def scored(monkeypatch) -> list[int]:
+    """Row counts of the ``theta_top_k`` calls ``nsc`` makes while the test
+    runs.  An ascent makes one per scoring batch, so their number is the
+    number of batches and their sum the number of C scored; the exact path
+    and each carried certificate add a call of one row."""
+    batches: list[int] = []
+
+    def spy(norms, *args, _real=nsc.theta_top_k, **kwargs):
+        batches.append(np.shape(norms)[0])
+        return _real(norms, *args, **kwargs)
+
+    monkeypatch.setattr(nsc, "theta_top_k", spy)
     return batches

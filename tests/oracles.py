@@ -4,8 +4,10 @@ These deliberately avoid the code paths under test: eigenvalues come from the
 characteristic polynomial (Faddeev-LeVerrier coefficients + bisection),
 linear solves from a plain textbook elimination, sparsest solutions from
 one-support-at-a-time least-squares re-enumerations, spark from a
-one-subset-at-a-time rank test, l_{2,p} optima from the basic solutions, and
-null-space-constant maxima from dense sphere grids in coefficient space.
+one-subset-at-a-time rank test, l_{2,p} optima from the basic solutions,
+null-space-constant maxima from dense sphere grids in coefficient space, and
+the null-space-constant ascent from a one-probe-at-a-time loop that scores
+each probe by the public ``theta_max_over_S``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import itertools
 import math
 
 import numpy as np
+
+from jointsparse.generators import PortableRng
+from jointsparse.norms import theta, theta_max_over_S
 
 
 def charpoly_coefficients(mat: np.ndarray) -> list[float]:
@@ -145,25 +150,22 @@ def l20_every_support(a: np.ndarray, b: np.ndarray, k_max: int):
     Sizes 1..k_max in turn, every support of a size with plain
     ``itertools``; a support is feasible when its least-squares residual is
     at most 1e-8 * max(1, ||B||_F), and the first size with a feasible
-    support wins.  Ties break by smaller Frobenius norm, then lexicographic
-    support.  ``unique`` holds when exactly one support of that size is
-    feasible and its own Gram matrix's smallest eigenvalue (a 2-D
-    ``eigvalsh``) clears 1e-10 * lambda_max(A^T A).
+    support wins.  Of its feasible supports, those whose Frobenius norms
+    agree with the smallest to 1e-12 (relative) tie, and the
+    lexicographically first of them wins.  ``unique`` holds when exactly one
+    support of that size is feasible and its own Gram matrix's smallest
+    eigenvalue (a 2-D ``eigvalsh``) clears 1e-10 * lambda_max(A^T A).
 
     Returns None when no support of up to k_max columns is feasible, else
-    the answers in tie order, each (support, unique, objective, X): the
-    1-based rows of X whose norm exceeds 1e-8, their count as a float, and
-    X.  The first is the winner; the others are the feasible supports whose
-    norms agree with its norm to 1e-12 (relative).  Those tie in exact
-    arithmetic (two supports that differ by a duplicated column, say), so
-    which of them comes first under rounding depends on the solve path.
+    the winner as (support, unique, objective, X): the 1-based rows of X
+    whose norm exceeds 1e-8, their count as a float, and X.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[1]
     tol = 1e-8 * max(1.0, float(np.linalg.norm(b)))
     if float(np.linalg.norm(b)) <= tol:
-        return [((), True, 0.0, np.zeros((n, b.shape[1])))]
+        return (), True, 0.0, np.zeros((n, b.shape[1]))
     cut = 1e-10 * max(float(np.linalg.eigvalsh(a.T @ a)[-1]), 0.0)
     for card in range(1, k_max + 1):
         feas = []
@@ -173,18 +175,15 @@ def l20_every_support(a: np.ndarray, b: np.ndarray, k_max: int):
             if float(np.linalg.norm(sub @ y - b)) <= tol:
                 feas.append((float(np.linalg.norm(y)), sup, y))
         if feas:
-            feas.sort(key=lambda t: (t[0], t[1]))
-            answers = []
-            for frob, sup, y in feas:
-                if frob > feas[0][0] * (1 + 1e-12):
-                    break
-                sub = a[:, sup]
-                x = np.zeros((n, b.shape[1]))
-                x[list(sup)] = y
-                unique = len(feas) == 1 and bool(np.linalg.eigvalsh(sub.T @ sub)[0] > cut)
-                rows = tuple(int(i) + 1 for i in np.flatnonzero(np.linalg.norm(x, axis=1) > 1e-8))
-                answers.append((rows, unique, float(len(rows)), x))
-            return answers
+            least = min(frob for frob, *_ in feas)
+            _, sup, y = min((t for t in feas if t[0] <= least * (1 + 1e-12)),
+                            key=lambda t: t[1])
+            sub = a[:, sup]
+            x = np.zeros((n, b.shape[1]))
+            x[list(sup)] = y
+            unique = len(feas) == 1 and bool(np.linalg.eigvalsh(sub.T @ sub)[0] > cut)
+            rows = tuple(int(i) + 1 for i in np.flatnonzero(np.linalg.norm(x, axis=1) > 1e-8))
+            return rows, unique, float(len(rows)), x
     return None
 
 
@@ -298,3 +297,78 @@ def nsc_sphere_oracle(a: np.ndarray, r: int, k: int, p: float, per_axis: int = 4
         vals = theta_profile_max(p, rn, k)
         best = max(best, float(np.max(vals)))
     return best
+
+
+def nsc_serial_ascent(a: np.ndarray, r: int, k: int, p: float, seed: int, restarts: int,
+                      warm_starts=(), zero_tol: float = 1e-8):
+    """``nsc_estimate``'s ascent, one start and one probe at a time.
+
+    N is Ker(A)'s basis: the eigenvectors of A^T A (``eigh``) whose
+    eigenvalues, clipped at 0, are at or below 1e-10 lambda_max, each sign
+    fixed so the column's first largest-magnitude entry is positive, stored
+    row major (the layout decides which BLAS kernel forms N C).  The
+    starts are the unit matrices e_j e_1^T, the warm starts, then
+    ``restarts`` ``PortableRng(seed)`` draws, each normalized; one that is
+    zero after that is skipped.  A start scores C by ``theta_max_over_S``
+    on N C.  For each scale, up to 40 sweeps over the entries of C (row
+    major) try each step from the entry's current value; a probe that is
+    not C = 0 is scored, and kept when it beats the start's value.  C is
+    renormalized after each sweep; the start leaves the scale after a sweep
+    without a gain and stops once its value is +inf.  The best start has
+    the largest value, then the smaller support, then the lower index.
+
+    Returns (value, 1-based support, certificate X, probes, start) as
+    ``nsc_estimate`` reports them: X is N C of the best start normalized,
+    and the value is ``theta`` of X on the support.
+    """
+    a = np.array(a, dtype=float, order="C")
+    evals, evecs = np.linalg.eigh(a.T @ a)
+    evals = np.maximum(evals, 0.0)
+    basis = np.ascontiguousarray(evecs[:, evals <= 1e-10 * evals[-1]])
+    for j in range(basis.shape[1]):
+        if basis[np.argmax(np.abs(basis[:, j])), j] < 0:
+            basis[:, j] = -basis[:, j]
+    d = basis.shape[1]
+    rng = PortableRng(seed)
+    starts = [np.zeros((d, r)) for _ in range(d)]
+    for j, c in enumerate(starts):
+        c[j, 0] = 1.0
+    starts += [np.asarray(w, dtype=float).reshape(d, r) for w in warm_starts]
+    starts += [rng.normal((d, r)) for _ in range(restarts)]
+
+    def score(c):
+        return theta_max_over_S(p, basis @ c, k, zero_tol)
+
+    best, probes = None, 0
+    for index, c in enumerate(starts):
+        if np.linalg.norm(c) > 0:
+            c = c / np.linalg.norm(c)
+        if not np.linalg.norm(c) > 0:
+            continue
+        val, sup = score(c)
+        probes += 1
+        for scale in (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4):
+            if val == math.inf:
+                break
+            for _ in range(40):
+                improved = False
+                for j in range(c.size):
+                    for step in (-1.0, -0.5, 0.5, 1.0):
+                        probe = c.copy()
+                        probe.flat[j] = c.flat[j] + scale * step
+                        if not probe.any():
+                            continue
+                        probe_val, probe_sup = score(probe)
+                        probes += 1
+                        if probe_val > val:
+                            c, val, sup, improved = probe, probe_val, probe_sup, True
+                if np.linalg.norm(c) > 0:
+                    c = c / np.linalg.norm(c)
+                if not improved or val == math.inf:
+                    break
+        if best is None or val > best[0] or (val == best[0] and sup.indices < best[1].indices):
+            best = val, sup, c, index
+    _, sup, c, index = best
+    x = basis @ c
+    x = x / np.linalg.norm(x)
+    return theta(p, x, sup, zero_tol), sup.indices, x, probes, index

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jointsparse.bounds import pstar
+from jointsparse.cli import main
 from jointsparse.errors import AllZeroMatrix, DomainError, EnumerationTooLarge, RankDeficient
 from jointsparse.generators import GenSpec, gen_problem
 from jointsparse.linalg import (
@@ -376,6 +382,18 @@ class TestResidualCovers:
         assert [c for _, c in residual_covers(a, b, top, 1e-8)] == [None] * top
 
 
+def cli_nsc(a: np.ndarray) -> None:
+    """``jointsparse nsc`` on A, which reads both the kernel basis and the
+    theorem 4 eigenvalue ratio off A's Gram matrix."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.json"
+        path.write_text(json.dumps(matrix_to_json(a)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["nsc", str(path), "--k", "1", "--r", "1",
+                         "--grid", "0.2,0.5,0.8", "--restarts", "1"])
+    assert code == 0
+
+
 class TestOneDecompositionPerCall:
     """Every entry point decomposes A's Gram matrix (a 2-D eigh or eigvalsh
     call) exactly once.  The descent instance has nullity * r = 1, so the
@@ -385,6 +403,7 @@ class TestOneDecompositionPerCall:
         "pstar": lambda ex: pstar(ex.a, ex.b),
         "nsc_curve": lambda ex: nsc_curve(
             ex.a[:3], 1, 1, [0.2, 0.5, 0.8], NscOptions(seed=0, restarts=1)),
+        "cli nsc": lambda ex: cli_nsc(ex.a[:3]),
         "nullspace_solve": lambda ex: nullspace_solve(
             MmvProblem(a=ex.a, b=ex.b[:, [0]]), 0.5, DescentOptions(seed=0, restarts=1)),
         "irls_solve": lambda ex: irls_solve(ex, 0.5, IrlsOptions()),

@@ -19,7 +19,7 @@ from jointsparse.nsc import (
     spark,
 )
 
-from oracles import nsc_sphere_oracle, spark_bottom_up
+from oracles import nsc_serial_ascent, nsc_sphere_oracle, spark_bottom_up
 
 # Frozen values for the bundled 4x5 example (nullity 1, so exact): the
 # constant at k = 2 over kernel columns, independent of r.
@@ -68,6 +68,35 @@ def gaussian_4x7(seed: int) -> np.ndarray:
 
 def digest(x: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()[:16]
+
+
+def ascent_population():
+    """Seeded (name, A, r, k, p, seed, restarts, warm starts) for the ascent.
+
+    40 Gaussian 2x4 and 3x5 matrices (nullity 2) run through every pair of
+    r in 1..3 and p in {0, 0.1, 0.5, 1}, with k 1 or 2, some seeded
+    restarts, and warm starts (a zero one among them, which is skipped).
+    Then a matrix with zero columns whose value is +inf: its unit starts
+    are +inf from the outset, and its warm start reaches +inf in its first
+    sweep.  Last, the third instance of the ``nsc`` benchmark pool (seed
+    3): 4x7, nullity 3, where the winning start makes all 40 sweeps at
+    scale 1.0.
+    """
+    rng = np.random.default_rng(909)
+    for i in range(40):
+        r, p = 1 + (i // 4) % 3, (0.0, 0.1, 0.5, 1.0)[i % 4]
+        m, n = (2, 4) if i % 3 else (3, 5)
+        a = rng.standard_normal((m, n))
+        warm = ()
+        if i % 7 == 3:
+            warm = (rng.standard_normal((n - m, r)),)
+        if i % 14 == 10:
+            warm += (np.zeros((n - m, r)),)
+        yield f"gaussian {i}", a, r, 1 + i % 2, p, i, int(i % 5 == 2), warm
+    half = (np.full((4, 1), 0.5),)      # one step from a C on 3 rows
+    yield "zero columns", np.array([[1.0, 0, 0, 0, 0]]), 1, 3, 0.5, 0, 0, half
+    pool = gen_problem(GenSpec("gaussian", 4, 7, 2, 2, 3064721759105622167)).a
+    yield "nsc pool", pool, 2, 2, 0.1, 0, 64, ()
 
 
 class TestExactPath:
@@ -128,6 +157,30 @@ class TestAscentPath:
         assert est.probes == 5050
         assert est.certificate_support.indices == (1, 6)
         assert digest(est.certificate_x) == "840e708820bbf954"
+
+    def test_every_batch_holds_every_live_start(self, scored):
+        # Each start moves through the scales on its own, so a step scores
+        # every live start at once.  While all starts shared one scale, a
+        # scale lasted until its slowest start left it, and the same 5050
+        # probes took 673 batches.
+        est = nsc_estimate(gaussian_4x7(11), 2, 2, 0.5, NscOptions(seed=0, restarts=8))
+        assert sum(scored) == est.probes == 5050
+        assert len(scored) == 529
+
+    def test_population_matches_the_serial_ascent(self):
+        values, seen = {}, set()
+        for name, a, r, k, p, seed, restarts, warm in ascent_population():
+            value, support, x, probes, start = nsc_serial_ascent(
+                a, r, k, p, seed, restarts, warm)
+            est = nsc_estimate(a, r, k, p, NscOptions(seed=seed, restarts=restarts), warm)
+            assert est.value == value, name
+            assert est.certificate_support.indices == support, name
+            assert digest(est.certificate_x) == digest(x), name
+            assert (est.probes, est.start) == (probes, start), name
+            values[name] = value
+            seen.add((r, p))
+        assert len(values) == 42 and len(seen) == 12
+        assert math.isinf(values["zero columns"])
 
     def test_winning_start_ascends_alone_to_the_same_certificate(self):
         # starts do not interact: the winner, rerun as the only warm start

@@ -279,26 +279,25 @@ class TestL20AgainstEverySupport:
         monkeypatch.setattr(np.linalg, "lstsq", spy)
         seen, skipped = set(), 0
         for kind, prob, k_max in l20_population():
-            answers = l20_every_support(prob.a, prob.b, k_max)
+            want = l20_every_support(prob.a, prob.b, k_max)
             solved.clear()
             lstsq.clear()
             try:
                 sol = l20_solve(prob, k_max)
             except Infeasible:
-                assert answers is None, kind
+                assert want is None, kind
                 card = k_max
             else:
-                assert answers is not None, kind
-                same = [t for t in answers if t[0] == sol.support.indices]
-                assert same, kind
-                support, unique, objective, x = same[0]
+                assert want is not None, kind
+                support, unique, objective, x = want
+                assert sol.support.indices == support, kind
                 assert sol.unique == unique, kind
                 assert sol.objective == objective, kind
                 assert np.allclose(sol.x, x, rtol=0, atol=1e-12), kind
                 card = len(support)
             tried = sum(solved) + len(lstsq)
             skipped += tried < sum(math.comb(prob.n, c) for c in range(1, card + 1))
-            seen.add((kind, answers is None, k_max > prob.m))
+            seen.add((kind, want is None, k_max > prob.m))
         # every column kind meets every kind of B, and Infeasible and
         # k_max > m each occur with and without the other
         assert {kind for kind, *_ in seen} == {
