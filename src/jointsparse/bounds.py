@@ -65,7 +65,7 @@ def corollary1_bounds(m: int, n: int) -> tuple[int, int]:
     return m // 2, int(math.floor((n - 2.5) / 2.0)) + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PstarReport:
     """The equivalence threshold and everything that went into it.
 

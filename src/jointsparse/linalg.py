@@ -7,7 +7,8 @@ the rank rule: an eigenvalue at or below ``REL_EIG_TOL * lambda_max`` is
 zero.  The public spectral functions each read from one such decomposition,
 and the solvers take one per call and read everything from it.
 :func:`subset_batches` enumerates column subsets, and :func:`column_stacks`
-applies the same cut to each.
+applies the same cut to each.  Where the vouchers below rule out all but a
+few subsets, :meth:`ResidualCover.uncovered` lists those few instead.
 
 Two vouchers spare per-subset work where it cannot change the answer.  Each
 tests every subset of one size, the one with the fewest subsets in its
@@ -43,7 +44,10 @@ when its bound clears tol by m * n * eps times it.  A support S skipped
 this way would then be found feasible by a solve of its own only if that
 rounding exceeded the allowance, about 6e-9 * (||B||_F + tol) at m = 16,
 n = 17.  Rank-deficient supports have no such bound: the caller solves
-them.
+them.  The certified Us and every subset of theirs are marked in one table
+over column bit masks, so a caller for whom interlacing vouches for rank
+lists the unmarked supports of each size off it, by bit count, rather than
+enumerating them all and filtering.
 """
 
 from __future__ import annotations
@@ -329,14 +333,16 @@ def residual_covers(a: np.ndarray, b: np.ndarray, top: int, tol: float):
 
     Yields ``(card, covered)`` for each size 1..*top*.  *covered* is None
     until the voucher (module docstring) has run and certified some U; from
-    then on it maps an index batch of :func:`subset_batches` to a boolean
-    array, true for each subset of a certified U.  The voucher is one
-    complete QR of every U of u* columns, u* being the size in [top,
-    min(m - 1, n)] with the fewest subsets, made when :func:`_schedule`
-    says.  U is certified when ``||Q_perp^T B||_F`` exceeds *tol* plus the
-    rounding allowance ``m * n * eps * (||B||_F + tol) / sqrt(REL_EIG_TOL)``.
-    The caller skips only the covered supports that A's rank cut classes
-    full rank; the allowance holds for those alone.
+    then on it is a :class:`ResidualCover`, which maps an index batch of
+    :func:`subset_batches` to a boolean array, true for each subset of a
+    certified U, and lists the supports of one size that no certified U
+    covers.  The voucher is one complete QR of every U of u* columns, u*
+    being the size in [top, min(m - 1, n)] with the fewest subsets, made
+    when :func:`_schedule` says.  U is certified when ``||Q_perp^T B||_F``
+    exceeds *tol* plus the rounding allowance ``m * n * eps * (||B||_F +
+    tol) / sqrt(REL_EIG_TOL)``.  The caller skips only the covered supports
+    that A's rank cut classes full rank; the allowance holds for those
+    alone.
     """
     m, n = a.shape
     covered = None
@@ -346,24 +352,57 @@ def residual_covers(a: np.ndarray, b: np.ndarray, top: int, tol: float):
         yield card, covered
 
 
+class ResidualCover:
+    """The supports a certified voucher rules out, as a table over column bit
+    masks (column j is bit n - 1 - j), true for every subset of a certified
+    U.  In this numbering the masks of one size fall in lexicographic order
+    when read downward, so the supports it leaves are listed straight off
+    the table, without generating the ones it covers.
+    """
+
+    def __init__(self, table: np.ndarray):
+        self._table = table
+        self._n = table.size.bit_length() - 1
+        pop = np.zeros(1, dtype=np.int8)           # bits set in each mask
+        for _ in range(self._n):
+            pop = np.concatenate((pop, pop + 1))
+        self._pop = pop
+
+    def __call__(self, idx: np.ndarray) -> np.ndarray:
+        """For each row of an index batch, whether a certified U holds it."""
+        return self._table[(np.int64(1) << (self._n - 1 - idx)).sum(axis=1)]
+
+    def uncovered(self, card: int):
+        """Every *card*-subset no certified U holds, in lexicographic order,
+        as int8 index arrays of at most ``_CHUNK`` rows; none when there is
+        no such subset."""
+        masks = np.flatnonzero((self._pop == card) & ~self._table)[::-1]
+        rows = np.empty((len(masks), card), dtype=np.int8)
+        for col in range(card - 1, -1, -1):        # lowest bit: last column
+            low = masks & -masks
+            rows[:, col] = self._n - 1 - self._pop[low - 1]
+            masks = masks ^ low
+        for start in range(0, len(rows), _CHUNK):
+            yield rows[start:start + _CHUNK]
+
+
 def _residual_voucher(a: np.ndarray, b: np.ndarray, u: int, tol: float):
-    """The lookup :func:`residual_covers` yields after testing every U of *u*
-    columns, or None when no U is certified."""
+    """The :class:`ResidualCover` :func:`residual_covers` yields after
+    testing every U of *u* columns, or None when no U is certified."""
     m, n = a.shape
     eps = float(np.finfo(float).eps)
     limit = tol + m * n * eps * (float(np.linalg.norm(b)) + tol) / math.sqrt(REL_EIG_TOL)
-    one = np.int64(1)
     table = np.zeros(1 << n, dtype=bool)        # indexed by column bit mask
     for idx in subset_batches(n, u):
         perp = np.linalg.qr(np.moveaxis(a[:, idx], 1, 0), mode="complete").Q[:, :, u:]
         bound = np.linalg.norm(perp.transpose(0, 2, 1) @ b, axis=(1, 2))
-        table[(one << idx[bound > limit]).sum(axis=1)] = True
+        table[(np.int64(1) << (n - 1 - idx[bound > limit])).sum(axis=1)] = True
     if not table.any():
         return None
     for i in range(n):                          # every subset of a certified U
         pairs = table.reshape(-1, 2, 1 << i)
         pairs[:, 0] |= pairs[:, 1]
-    return lambda idx: table[(one << idx).sum(axis=1)]
+    return ResidualCover(table)
 
 
 def gram_eigenvalues(a: np.ndarray) -> np.ndarray:

@@ -180,7 +180,7 @@ def theta_max_over_S(
     The maximum is attained by the k rows of largest 2-norm (lower index
     first on ties); returns the value together with that witnessing support.
     """
-    norms = _check_theta_args(p, as_matrix(x, name="X"))
+    norms = _check_theta_args(p, x)
     n = norms.size
     if not (1 <= k < n):
         raise DomainError(f"k must satisfy 1 <= k < n={n}, got {k}")

@@ -212,10 +212,15 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
       ``lstsq``.  A skipped support would fit B by a solve of its own only
       if rounding exceeded that allowance.
 
+    Once both vouch, the supports of a size are listed, not enumerated and
+    filtered: ``ResidualCover.uncovered`` reads those no certified U holds
+    off its table.  While the rank cut stays, every support is enumerated
+    and looked up in the table.
+
     On ``gen`` Gaussian 16x17 seed 1 with k_max = 8, that is 34 subsets
-    decomposed, 136 QRs of 15 columns, and 154 supports solved (the 17
-    single columns, the 136 pairs and the planted support) instead of
-    65 535.
+    decomposed, 136 QRs of 15 columns, and 154 supports listed and solved
+    (the 17 single columns, the 136 pairs and the planted support) instead
+    of 65 535.
 
     Raises EnumerationTooLarge when n exceeds ``linalg.ENUMERATION_GUARD``,
     and Infeasible when no support of size <= k_max fits.
@@ -232,16 +237,15 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
         return _finish(zero, 0.0, "exact_l20", prob, zero_tol, unique=True)
     for (card, cut), (_, covered) in zip(size_cuts(a, k_max), residual_covers(a, b, k_max, tol)):
         feasible: list[tuple[float, tuple[int, ...], np.ndarray, bool]] = []
-        for idx in subset_batches(n, card):
-            out = np.zeros(len(idx), dtype=bool) if covered is None else covered(idx)
-            if cut is None:                     # all full rank: drop before gathering
-                idx, out = idx[~out], out[~out]
+        listed = covered is not None and cut is None    # all full rank, none covered
+        for idx in covered.uncovered(card) if listed else subset_batches(n, card):
             sub, gram, full_rank = column_stacks(a, idx, cut)
-            out &= full_rank                    # a rank-deficient support is solved
-            if out.any():
-                idx, sub, gram, full_rank = idx[~out], sub[~out], gram[~out], full_rank[~out]
-            if not len(idx):
-                continue
+            if covered is not None and not listed:
+                out = covered(idx) & full_rank  # a rank-deficient support is solved
+                if out.any():
+                    idx, sub, gram, full_rank = idx[~out], sub[~out], gram[~out], full_rank[~out]
+                if not len(idx):
+                    continue
             rhs = sub.transpose(0, 2, 1) @ b                      # (c, card, r)
             sols = np.empty((len(idx), card, r))
             if np.any(full_rank):

@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from jointsparse import nsc
+from jointsparse import nsc, solvers
 from jointsparse.solvers import MmvProblem, problem_from_json
 
 
@@ -59,6 +59,21 @@ def solved(monkeypatch) -> list[int]:
         return _real(mat, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "solve", spy)
+    return batches
+
+
+@pytest.fixture()
+def stacked(monkeypatch) -> list[int]:
+    """Row counts of the index batches ``l20_solve`` passes to
+    ``column_stacks`` while the test runs: their sum is the number of
+    supports it enumerated."""
+    batches: list[int] = []
+
+    def spy(a, idx, *args, _real=solvers.column_stacks, **kwargs):
+        batches.append(len(idx))
+        return _real(a, idx, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "column_stacks", spy)
     return batches
 
 

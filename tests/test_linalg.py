@@ -345,6 +345,32 @@ class TestResidualCovers:
             want = [any(set(s) <= u for u in vouched) for s in idx.tolist()]
             assert covers[3](idx).tolist() == want
 
+    @pytest.mark.parametrize("shape, planted, top", [
+        ((6, 8), 0, 4), ((6, 8), 2, 4), ((6, 8), 5, 4),
+        # u* = 19 (20 subsets), tested before size 2; every subset holding
+        # the planted row escapes, C(19, c - 1) of size c, so sizes 5 and 6
+        # take more than one batch
+        ((ENUMERATION_GUARD, ENUMERATION_GUARD), 1, 6)])
+    def test_listing_equals_the_filter(self, rng, shape, planted, top):
+        m, n = shape
+        a = rng.standard_normal((m, n))
+        x = np.zeros((n, 2))
+        x[:planted] = rng.standard_normal((planted, 2))
+        b = a @ x if planted else rng.standard_normal((m, 2))
+        tol = 1e-8 * max(1.0, np.linalg.norm(b))
+        batch_counts = []
+        for card, covered in residual_covers(a, b, top, tol):
+            if covered is None:
+                continue
+            batches = list(covered.uncovered(card))
+            assert all(idx.dtype == np.int8 and 0 < len(idx) <= 2048 for idx in batches)
+            every = np.array(list(itertools.combinations(range(n), card)), dtype=np.int8)
+            listed = [s for idx in batches for s in idx.tolist()]
+            assert listed == every[~covered(every)].tolist()
+            batch_counts.append(len(batches))
+        assert len(batch_counts) == (1 if n == 8 else top - 1)
+        assert max(batch_counts) == (0 if planted in (0, 5) else 1 if n == 8 else 6)
+
     def test_nothing_certified_yields_none(self, rng):
         # every column and B lie on one line: every U fits B
         a = np.outer(rng.standard_normal(6), rng.standard_normal(8))

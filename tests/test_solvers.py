@@ -316,6 +316,32 @@ class TestL20AgainstEverySupport:
         assert l20_solve(prob, 8).unique is True
         assert sum(solved) == 154
 
+    def test_pinned_enumeration_count(self, stacked):
+        # Before supports were listed, all 65 535 supports of 1-8 columns
+        # were enumerated and the covered ones dropped batch by batch.  Now
+        # the 17 single columns and the 136 pairs are, and from size 3 on
+        # only the supports no certified U covers: the planted one.
+        prob = gen_problem(GenSpec("gaussian", 16, 17, 4, 8, 1))
+        assert l20_solve(prob, 8).unique is True
+        assert stacked == [17, 136, 1]
+
+    def test_a_dependent_c_star_subset_keeps_the_full_enumeration(self, rng, stacked):
+        # Column 9 repeats column 2, so interlacing vouches for no size and
+        # the cut stays: every support of up to the planted 4 columns is
+        # enumerated, the covered full-rank ones are dropped after it, and
+        # the covered ones holding columns 2 and 9 are solved by lstsq.
+        a = rng.standard_normal((16, 17))
+        a[:, 9] = a[:, 2]
+        x = np.zeros((17, 4))
+        x[[0, 5, 11, 14]] = rng.standard_normal((4, 4))
+        prob = MmvProblem(a=a, b=a @ x)
+        sol = l20_solve(prob, 8)
+        assert sum(stacked) == sum(math.comb(17, c) for c in range(1, 5))
+        support, unique, objective, want = l20_every_support(prob.a, prob.b, 8)
+        assert (sol.support.indices, sol.unique, sol.objective) == (support, unique, objective)
+        assert support == (1, 6, 12, 15) and unique is True
+        assert np.allclose(sol.x, want, rtol=0, atol=1e-12)
+
 
 class TestIrls:
     def test_example2_recovery(self, example2):
