@@ -34,20 +34,24 @@ Least Squares Problems*, 1.1 and 2.4): for S a subset of U,
 Q_perp being the trailing m - |U| columns of a complete QR of A_U (an
 orthonormal basis of a space orthogonal to range(A_U), whatever A_U's
 rank).  So one U whose bound clears the caller's tolerance rules out every
-subset of U.  It tests the size u* in [k, min(m - 1, n)].  The rounding
-allowance: a support S that A's cut classes full rank has smallest
-singular value above sqrt(cut) and norm at most sqrt(lambda_max), so any Y
-that fits B to the tolerance tol has ||A_S|| ||Y|| <= (||B||_F + tol) /
-sqrt(REL_EIG_TOL).  The rounding of the QR, and of S's own solve and
-residual, is a small multiple of eps times that, and U is certified only
-when its bound clears tol by m * n * eps times it.  A support S skipped
-this way would then be found feasible by a solve of its own only if that
-rounding exceeded the allowance, about 6e-9 * (||B||_F + tol) at m = 16,
-n = 17.  Rank-deficient supports have no such bound: the caller solves
-them.  The certified Us and every subset of theirs are marked in one table
-over column bit masks, so a caller for whom interlacing vouches for rank
-lists the unmarked supports of each size off it, by bit count, rather than
-enumerating them all and filtering.
+subset of U.  It tests the size u* in [k, min(m - 1, n)], reading the
+bound off the R factor of [A_U | B]: the first u = |U| Householder
+reflections of that QR are those of A_U's complete QR, and the rest act
+on rows u and below only, so ||R[u:, u:]||_F = ||Q_perp^T B||_F and no Q
+is formed.  The rounding allowance: a support S that A's cut classes full
+rank has smallest singular value above sqrt(cut) and norm at most
+sqrt(lambda_max), so any Y that fits B to the tolerance tol has ||A_S||
+||Y|| <= (||B||_F + tol) / sqrt(REL_EIG_TOL).  The rounding of the QR
+(backward stable column by column, as that of A_U and the product
+Q_perp^T B), and of S's own solve and residual, is a small multiple of eps
+times that, and U is certified only when its bound clears tol by m * n *
+eps times it.  A support S skipped this way would then be found feasible
+by a solve of its own only if that rounding exceeded the allowance, about
+6e-9 * (||B||_F + tol) at m = 16, n = 17.  Rank-deficient supports have
+no such bound: the caller solves them.  The certified Us and every subset
+of theirs are marked in one table over column bit masks, so a caller for
+whom interlacing vouches for rank lists the unmarked supports of each size
+off it, by bit count, rather than enumerating them all and filtering.
 """
 
 from __future__ import annotations
@@ -336,13 +340,14 @@ def residual_covers(a: np.ndarray, b: np.ndarray, top: int, tol: float):
     then on it is a :class:`ResidualCover`, which maps an index batch of
     :func:`subset_batches` to a boolean array, true for each subset of a
     certified U, and lists the supports of one size that no certified U
-    covers.  The voucher is one complete QR of every U of u* columns, u*
-    being the size in [top, min(m - 1, n)] with the fewest subsets, made
-    when :func:`_schedule` says.  U is certified when ``||Q_perp^T B||_F``
-    exceeds *tol* plus the rounding allowance ``m * n * eps * (||B||_F +
-    tol) / sqrt(REL_EIG_TOL)``.  The caller skips only the covered supports
-    that A's rank cut classes full rank; the allowance holds for those
-    alone.
+    covers.  The voucher is the R factor of [A_U | B] for every U of u*
+    columns, u* being the size in [top, min(m - 1, n)] with the fewest
+    subsets, made when :func:`_schedule` says.  U is certified when
+    ``||R[u*:, u*:]||_F``, which is ``||Q_perp^T B||_F``, exceeds *tol*
+    plus the rounding allowance ``m * n * eps * (||B||_F + tol) /
+    sqrt(REL_EIG_TOL)``, the same as for the product of a complete QR.
+    The caller skips only the covered supports that A's rank cut classes
+    full rank; the allowance holds for those alone.
     """
     m, n = a.shape
     covered = None
@@ -367,6 +372,9 @@ class ResidualCover:
         for _ in range(self._n):
             pop = np.concatenate((pop, pop + 1))
         self._pop = pop
+        # one scan of the table serves every size uncovered() is asked for
+        self._free = np.flatnonzero(~table)
+        self._free_pop = pop[self._free]
 
     def __call__(self, idx: np.ndarray) -> np.ndarray:
         """For each row of an index batch, whether a certified U holds it."""
@@ -376,7 +384,7 @@ class ResidualCover:
         """Every *card*-subset no certified U holds, in lexicographic order,
         as int8 index arrays of at most ``_CHUNK`` rows; none when there is
         no such subset."""
-        masks = np.flatnonzero((self._pop == card) & ~self._table)[::-1]
+        masks = self._free[self._free_pop == card][::-1]
         rows = np.empty((len(masks), card), dtype=np.int8)
         for col in range(card - 1, -1, -1):        # lowest bit: last column
             low = masks & -masks
@@ -386,22 +394,50 @@ class ResidualCover:
             yield rows[start:start + _CHUNK]
 
 
+#: Bits of a column bit mask that :func:`_close_downward` closes on a
+#: transposed copy, where its inner axis is long.
+_LOW_BITS = 5
+
+
+def _close_downward(table: np.ndarray) -> None:
+    """Mark in place every subset of a marked mask in a table over the
+    2**n column bit masks.
+
+    Closing bit i ORs each mask's entry with that of the mask plus bit i,
+    over runs of 2**i entries.  The low bits' runs are too short to stream,
+    so they are closed on a transposed copy, where bit i < ``_LOW_BITS``
+    runs over 2**(n - _LOW_BITS + i) entries, and copied back.
+    """
+    n = table.size.bit_length() - 1
+    low = min(_LOW_BITS, n)
+    for i in range(low, n):
+        pairs = table.reshape(-1, 2, 1 << i)
+        pairs[:, 0] |= pairs[:, 1]
+    grid = table.reshape(-1, 1 << low)                # (high bits, low bits)
+    flip = np.ascontiguousarray(grid.T)
+    for i in range(low):
+        pairs = flip.reshape(-1, 2, flip.shape[1] << i)
+        pairs[:, 0] |= pairs[:, 1]
+    grid[...] = flip.T
+
+
 def _residual_voucher(a: np.ndarray, b: np.ndarray, u: int, tol: float):
     """The :class:`ResidualCover` :func:`residual_covers` yields after
     testing every U of *u* columns, or None when no U is certified."""
     m, n = a.shape
     eps = float(np.finfo(float).eps)
     limit = tol + m * n * eps * (float(np.linalg.norm(b)) + tol) / math.sqrt(REL_EIG_TOL)
+    ab = np.concatenate((a, b), axis=1)
+    rhs = np.arange(n, ab.shape[1])                 # B's columns in [A | B]
     table = np.zeros(1 << n, dtype=bool)        # indexed by column bit mask
     for idx in subset_batches(n, u):
-        perp = np.linalg.qr(np.moveaxis(a[:, idx], 1, 0), mode="complete").Q[:, :, u:]
-        bound = np.linalg.norm(perp.transpose(0, 2, 1) @ b, axis=(1, 2))
+        cols = np.concatenate((idx, np.broadcast_to(rhs, (len(idx), rhs.size))), axis=1)
+        r = np.linalg.qr(np.moveaxis(ab[:, cols], 1, 0), mode="r")  # R of [A_U | B]
+        bound = np.linalg.norm(r[:, u:, u:], axis=(1, 2))
         table[(np.int64(1) << (n - 1 - idx[bound > limit])).sum(axis=1)] = True
     if not table.any():
         return None
-    for i in range(n):                          # every subset of a certified U
-        pairs = table.reshape(-1, 2, 1 << i)
-        pairs[:, 0] |= pairs[:, 1]
+    _close_downward(table)
     return ResidualCover(table)
 
 

@@ -77,10 +77,16 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
+def check_zero_tol(zero_tol: float) -> None:
+    """Raise DomainError unless *zero_tol* is a number >= 0.  NaN fails too:
+    every comparison with it is false, so it would class every row zero."""
+    if not (zero_tol >= 0):
+        raise DomainError(f"zero_tol must be nonnegative, got {zero_tol}")
+
+
 def row_support(x: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> RowSupport:
     """Indices (1-based) of rows whose 2-norm exceeds zero_tol."""
-    if zero_tol < 0:
-        raise DomainError("zero_tol must be nonnegative")
+    check_zero_tol(zero_tol)
     norms = row_norms(x)
     idx = tuple(int(i) + 1 for i in np.nonzero(norms > zero_tol)[0])
     return RowSupport(indices=idx, n=int(norms.size), zero_tol=float(zero_tol))
@@ -133,6 +139,7 @@ def theta(p: float, x: np.ndarray, s: RowSupport, zero_tol: float = DEFAULT_ZERO
     with a positive numerator, and 0.0 whenever the numerator vanishes.
     """
     norms = _check_theta_args(p, x)
+    check_zero_tol(zero_tol)
     if s.n != norms.size:
         raise DomainError(f"support is over n={s.n} rows but X has {norms.size}")
     mask = s.mask()
@@ -181,6 +188,7 @@ def theta_max_over_S(
     first on ties); returns the value together with that witnessing support.
     """
     norms = _check_theta_args(p, x)
+    check_zero_tol(zero_tol)
     n = norms.size
     if not (1 <= k < n):
         raise DomainError(f"k must satisfy 1 <= k < n={n}, got {k}")

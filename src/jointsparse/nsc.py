@@ -26,7 +26,7 @@ from .errors import DomainError, TrivialNullspace
 from .generators import PortableRng
 from .linalg import GramSpectrum, as_matrix, check_enumerable, column_subsets, gram_spectrum
 from .linalg import matrix_to_json, size_cuts
-from .norms import DEFAULT_ZERO_TOL, RowSupport, theta, theta_top_k
+from .norms import DEFAULT_ZERO_TOL, RowSupport, check_zero_tol, theta, theta_top_k
 
 #: Most sweeps the ascent makes at one scale.
 MAX_SWEEPS = 40
@@ -50,6 +50,7 @@ class NscOptions:
             raise DomainError("seed must be nonnegative")
         if self.restarts < 0:
             raise DomainError("restarts must be nonnegative")
+        check_zero_tol(self.zero_tol)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .generators import PortableRng
 from .linalg import as_matrix, check_enumerable, column_stacks, gram_spectrum, residual_covers
 from .linalg import size_cuts, subset_batches
 from .linalg import matrix_from_json, matrix_to_json
-from .norms import DEFAULT_ZERO_TOL, RowSupport, mixed_norm_2p, row_support
+from .norms import DEFAULT_ZERO_TOL, RowSupport, check_zero_tol, mixed_norm_2p, row_support
 
 FEASIBILITY_TOL = 1e-8      # l20_solve's residual bound, times max(1, ||B||_F)
 MATCH_TOL = 1e-4            # check_equivalence's Frobenius match distance
@@ -204,13 +204,15 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
       its own only if its smallest Gram eigenvalue lies within rounding
       (about 1e-15 lambda_max) of the cut.
     * ``linalg.residual_covers`` rules supports out.  Every U of the size u*
-      in [k_max, min(m - 1, n)] with the fewest subsets gets a complete QR;
-      when ``||Q_perp^T B||_F`` clears tol plus the rounding allowance
-      ``m * n * eps * (||B||_F + tol) / sqrt(REL_EIG_TOL)``, no subset of U
-      fits B.  A full-rank support inside such a U is then skipped before
-      it is gathered or solved; a rank-deficient one still goes to
-      ``lstsq``.  A skipped support would fit B by a solve of its own only
-      if rounding exceeded that allowance.
+      in [k_max, min(m - 1, n)] with the fewest subsets gets the R factor
+      of [A_U | B], whose trailing block has the norm ``||Q_perp^T B||_F``
+      of A_U's complete QR; when that clears tol plus the rounding
+      allowance ``m * n * eps * (||B||_F + tol) / sqrt(REL_EIG_TOL)``, no
+      subset of U fits B.  The allowance is that of the complete QR: the
+      R factor's rounding is of the same order.  A full-rank support
+      inside such a U is then skipped before it is gathered or solved; a
+      rank-deficient one still goes to ``lstsq``.  A skipped support would
+      fit B by a solve of its own only if rounding exceeded that allowance.
 
     Once both vouch, the supports of a size are listed, not enumerated and
     filtered: ``ResidualCover.uncovered`` reads those no certified U holds
@@ -218,18 +220,21 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
     and looked up in the table.
 
     On ``gen`` Gaussian 16x17 seed 1 with k_max = 8, that is 34 subsets
-    decomposed, 136 QRs of 15 columns, and 154 supports listed and solved
-    (the 17 single columns, the 136 pairs and the planted support) instead
-    of 65 535.
+    decomposed, one batched R-only QR of the 136 stacks [A_U | B] with 15
+    columns of A, and 154 supports listed and solved (the 17 single
+    columns, the 136 pairs and the planted support) instead of 65 535.
 
     Raises EnumerationTooLarge when n exceeds ``linalg.ENUMERATION_GUARD``,
-    and Infeasible when no support of size <= k_max fits.
+    DomainError for a k_max outside 1..n or a NaN or negative *zero_tol*
+    (before any support is tried), and Infeasible when no support of size
+    <= k_max fits.
     """
     a, b = prob.a, prob.b
     n, r = prob.n, prob.r
     check_enumerable(a)
     if not (1 <= k_max <= n):
         raise DomainError(f"k_max must lie in 1..{n}, got {k_max}")
+    check_zero_tol(zero_tol)
     bnorm = float(np.linalg.norm(b))
     tol = FEASIBILITY_TOL * max(1.0, bnorm)
     if bnorm <= tol:
@@ -286,6 +291,7 @@ class IrlsOptions:
     def __post_init__(self):
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
+        check_zero_tol(self.zero_tol)
 
 
 def irls_solve(prob: MmvProblem, p: float, opts: IrlsOptions = IrlsOptions()) -> SparseSolution:
@@ -354,8 +360,9 @@ class DescentOptions:
             raise DomainError("restarts must be nonnegative")
         if self.grid_points < 2:
             raise DomainError("grid_points must be >= 2")
-        if self.tol <= 0:
-            raise DomainError("tol must be positive")
+        if not (self.tol > 0):
+            raise DomainError(f"tol must be positive, got {self.tol}")
+        check_zero_tol(self.zero_tol)
 
 
 def _golden_shrink(g, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -600,6 +607,7 @@ class EquivalenceOptions:
     def __post_init__(self):
         if self.seed < 0:
             raise DomainError("seed must be nonnegative")
+        check_zero_tol(self.zero_tol)
 
 
 @dataclass(frozen=True)

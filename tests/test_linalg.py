@@ -371,6 +371,41 @@ class TestResidualCovers:
         assert len(batch_counts) == (1 if n == 8 else top - 1)
         assert max(batch_counts) == (0 if planted in (0, 5) else 1 if n == 8 else 6)
 
+    @pytest.mark.parametrize("shape, top, u", [
+        # n at or below the closure's low-bit split (u* = 3 and 4, tested
+        # before size 2), and above it (u* = 5 before size 4, 7 before 5)
+        ((4, 4), 2, 3), ((5, 5), 3, 4), ((6, 9), 5, 5), ((8, 12), 6, 7)])
+    @pytest.mark.parametrize("kind", ["planted", "hub"])
+    def test_closed_table_equals_brute_force(self, rng, shape, top, u, kind):
+        m, n = shape
+        a = rng.standard_normal((m, n))
+        if kind == "planted":
+            # a U fits B when it holds columns 0 and n - 2, or column n - 1
+            # (which repeats column 0) and n - 2; some Us are rank deficient
+            a[:, n - 1] = a[:, 0]
+            b = a[:, [0, n - 2]] @ rng.standard_normal((2, 2))
+        else:
+            # every column but the hub and B lie in one hyperplane, which
+            # any u = m - 1 of those columns span, so every certified U
+            # holds the hub; its subsets without it are covered only
+            # through closing the hub's bit (n - 1 - hub)
+            hub = {4: 2, 5: 0, 9: 3, 12: 9}[n]
+            plane = np.linalg.qr(rng.standard_normal((m, m - 1)))[0]
+            a = plane @ rng.standard_normal((m - 1, n))
+            a[:, hub] = rng.standard_normal(m)
+            b = plane @ rng.standard_normal((m - 1, 2))
+        tol = 1e-8 * max(1.0, np.linalg.norm(b))
+        covered = [c for _, c in residual_covers(a, b, top, tol)][-1]
+        vouched = np.array([sum(1 << j for j in cols) for cols in self.certified(a, b, u, tol)])
+        assert 0 < len(vouched) < math.comb(n, u)
+        for card in range(1, n + 1):
+            every = np.array(list(itertools.combinations(range(n), card)), dtype=np.int8)
+            masks = (1 << every.astype(np.int64)).sum(axis=1)
+            want = ((masks[:, None] & ~vouched[None, :]) == 0).any(axis=1)
+            assert covered(every).tolist() == want.tolist(), card
+            listed = [s for idx in covered.uncovered(card) for s in idx.tolist()]
+            assert listed == every[~want].tolist(), card
+
     def test_nothing_certified_yields_none(self, rng):
         # every column and B lie on one line: every U fits B
         a = np.outer(rng.standard_normal(6), rng.standard_normal(8))

@@ -72,6 +72,12 @@ class TestCounting:
         assert norm_20(np.zeros((3, 2))) == 0
         assert row_support(np.zeros((3, 2))).indices == ()
 
+    @pytest.mark.parametrize("zero_tol", [math.nan, -1e-8])
+    def test_row_support_rejects_a_nan_or_negative_tolerance(self, zero_tol):
+        # NaN compares false with every norm, so it would class every row zero
+        with pytest.raises(DomainError, match="zero_tol"):
+            row_support(np.eye(2), zero_tol=zero_tol)
+
 
 class TestMixedNorm:
     def test_example_value(self, example2):
@@ -126,6 +132,12 @@ class TestTheta:
     def test_size_mismatch(self):
         with pytest.raises(DomainError):
             theta(0.5, NULLVEC, RowSupport(indices=(1,), n=4))
+
+    @pytest.mark.parametrize("zero_tol", [math.nan, -1e-8])
+    def test_nan_or_negative_tolerance_rejected(self, zero_tol):
+        # at p = 0 a NaN tolerance would count no row and read 0.0
+        with pytest.raises(DomainError, match="zero_tol"):
+            theta(0.0, NULLVEC, RowSupport(indices=(1, 3), n=5), zero_tol=zero_tol)
 
     def test_scale_invariance_bitwise_for_pow2(self, rng):
         for _ in range(200):
@@ -186,6 +198,11 @@ class TestThetaMax:
             theta_max_over_S(0.5, NULLVEC, 5)
         with pytest.raises(DomainError):
             theta_max_over_S(0.5, NULLVEC, 0)
+
+    @pytest.mark.parametrize("zero_tol", [math.nan, -1e-8])
+    def test_nan_or_negative_tolerance_rejected(self, zero_tol):
+        with pytest.raises(DomainError, match="zero_tol"):
+            theta_max_over_S(0.0, NULLVEC, 2, zero_tol=zero_tol)
 
     def test_infinite_when_support_fits_in_k(self):
         x = np.array([[1.0], [0.0], [2.0], [0.0]])

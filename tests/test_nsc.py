@@ -231,6 +231,11 @@ class TestAscentPath:
         with pytest.raises(DomainError):
             NscOptions(seed=-1)
 
+    @pytest.mark.parametrize("zero_tol", [math.nan, -1e-8])
+    def test_nan_or_negative_zero_tol_rejected(self, zero_tol):
+        with pytest.raises(DomainError, match="zero_tol"):
+            NscOptions(seed=0, zero_tol=zero_tol)
+
 
 class TestCurve:
     def test_nondecreasing_on_example(self, example2):

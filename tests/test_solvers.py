@@ -122,6 +122,14 @@ class TestL20:
         with pytest.raises(DomainError):
             l20_solve(example2, 6)
 
+    @pytest.mark.parametrize("zero_tol", [math.nan, -1e-8])
+    def test_nan_or_negative_zero_tol_rejected_before_enumerating(self, example2, stacked,
+                                                                  zero_tol):
+        # a NaN tolerance used to return support () with objective 0.0
+        with pytest.raises(DomainError, match="zero_tol"):
+            l20_solve(example2, 2, zero_tol=zero_tol)
+        assert stacked == []
+
     def test_against_exhaustive_oracle(self):
         for seed in range(40):
             spec = GenSpec(kind="gaussian", m=4, n=8, r=2, k=2, seed=seed)
@@ -316,6 +324,20 @@ class TestL20AgainstEverySupport:
         assert l20_solve(prob, 8).unique is True
         assert sum(solved) == 154
 
+    def test_pinned_voucher_factorization(self, monkeypatch):
+        # Each U of 15 columns is tested by the R factor of [A_U | B]; all
+        # 136 come in one batched QR, which forms no Q.
+        calls = []
+
+        def spy(mat, mode="reduced", _real=np.linalg.qr):
+            calls.append((np.shape(mat), mode))
+            return _real(mat, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        prob = gen_problem(GenSpec("gaussian", 16, 17, 4, 8, 1))
+        assert l20_solve(prob, 8).unique is True
+        assert calls == [((136, 16, 15 + prob.r), "r")]
+
     def test_pinned_enumeration_count(self, stacked):
         # Before supports were listed, all 65 535 supports of 1-8 columns
         # were enumerated and the covered ones dropped batch by batch.  Now
@@ -394,6 +416,11 @@ class TestIrls:
         with pytest.raises(DomainError):
             IrlsOptions(max_iter=0)
 
+    @pytest.mark.parametrize("zero_tol", [math.nan, -1.0])
+    def test_nan_or_negative_zero_tol_rejected(self, zero_tol):
+        with pytest.raises(DomainError, match="zero_tol"):
+            IrlsOptions(zero_tol=zero_tol)
+
 
 class TestNullspaceSolve:
     def test_example2_recovery_all_three_exponents(self, example2):
@@ -445,6 +472,12 @@ class TestNullspaceSolve:
         with pytest.raises(TypeError):
             DescentOptions()
 
+    @pytest.mark.parametrize("field, value", [
+        ("tol", math.nan), ("tol", 0.0), ("zero_tol", math.nan), ("zero_tol", -1e-8)])
+    def test_nan_or_out_of_range_tolerances_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            DescentOptions(seed=0, **{field: value})
+
     def test_rank_deficient_rejected(self, rng):
         a = np.vstack([np.ones((1, 5)), np.ones((1, 5))])
         with pytest.raises(RankDeficient):
@@ -488,6 +521,11 @@ class TestCheckEquivalence:
     def test_bad_p(self, example2):
         with pytest.raises(DomainError):
             check_equivalence(example2, 0.0, EquivalenceOptions(seed=0))
+
+    @pytest.mark.parametrize("zero_tol", [math.nan, -1e-8])
+    def test_nan_or_negative_zero_tol_rejected(self, zero_tol):
+        with pytest.raises(DomainError, match="zero_tol"):
+            EquivalenceOptions(seed=0, zero_tol=zero_tol)
 
     def test_bad_seed_rejected_before_any_solver_runs(self, example2, monkeypatch):
         ran = []
