@@ -7,21 +7,28 @@ the rank rule: an eigenvalue at or below ``REL_EIG_TOL * lambda_max`` is
 zero.  The public spectral functions each read from one such decomposition,
 and the solvers take one per call and read everything from it.
 :func:`subset_batches` enumerates column subsets, and :func:`column_stacks`
-applies the same cut to each.  Where the vouchers below rule out all but a
-few subsets, :meth:`ResidualCover.uncovered` lists those few instead.
+applies the same cut to each one a voucher below does not vouch for.
 
 Two vouchers spare per-subset work where it cannot change the answer.  Each
 tests every subset of one size, the one with the fewest subsets in its
 range, and only once the caller has enumerated at least that many subsets
-(:func:`_schedule`): a test never costs more than the work before it, so it
-at most doubles the one-subset-at-a-time loop, plus one batch.
+(:func:`_covers`): a test never costs more than the work before it, so it
+at most doubles the one-subset-at-a-time loop, plus one batch.  Each
+returns the same kind of answer, a :class:`SubsetCover`: every subset of a
+set it certified, marked in one table over column bit masks and closed
+downward.  A caller lists the subsets of a size the cover leaves, read off
+the table by bit count in lexicographic order, rather than enumerating
+them all and filtering.
 
-:func:`size_cuts` vouches for rank.  By Cauchy interlacing (Horn & Johnson,
-*Matrix Analysis*, 4.3) the Gram matrix of a subset S of T is a principal
-submatrix of T's, so its smallest eigenvalue is at least T's: once every
-subset of c* columns clears the cut, so does every smaller subset.  It tests
-the size c* in [k, min(m, n)] for a caller that needs sizes up to k.  In
-floating point a subset is then classed differently from a test of its own
+:func:`rank_covers` vouches for rank.  By Cauchy interlacing (Horn &
+Johnson, *Matrix Analysis*, 4.3) the Gram matrix of a subset S of T is a
+principal submatrix of T's, so its smallest eigenvalue is at least T's:
+every subset of a set of c* columns that clears the cut clears it too.
+The rule holds set by set, so one dependent set of c* columns takes only
+its own subsets out of the cover, not the whole size.  It tests the size
+c* in [k, min(m, n)] for a caller that needs sizes up to k.  When every
+set of c* columns passes, the cover holds every subset and needs no table.
+In floating point a subset is classed differently from a test of its own
 only if its smallest Gram eigenvalue lies within rounding (about 1e-15 *
 lambda_max) of the cut.
 
@@ -48,10 +55,7 @@ times that, and U is certified only when its bound clears tol by m * n *
 eps times it.  A support S skipped this way would then be found feasible
 by a solve of its own only if that rounding exceeded the allowance, about
 6e-9 * (||B||_F + tol) at m = 16, n = 17.  Rank-deficient supports have
-no such bound: the caller solves them.  The certified Us and every subset
-of theirs are marked in one table over column bit masks, so a caller for
-whom interlacing vouches for rank lists the unmarked supports of each size
-off it, by bit count, rather than enumerating them all and filtering.
+no such bound: the caller solves them.
 """
 
 from __future__ import annotations
@@ -69,7 +73,8 @@ REL_EIG_TOL = 1e-10
 #: Most columns a matrix may have for its column subsets to be enumerated.
 ENUMERATION_GUARD = 20
 
-#: Column subsets decomposed per batch by :func:`column_subsets`.
+#: Most rows in an index batch of :func:`subset_batches` or
+#: :meth:`SubsetCover.uncovered`.
 _CHUNK = 2048
 
 
@@ -89,9 +94,7 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
         raise DomainError(f"{name}: empty dimension in shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DomainError(f"{name}: contains non-finite entries")
-    out = np.array(arr, dtype=float, order="C")
-    out.flags.writeable = False
-    return out
+    return _frozen(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -265,71 +268,60 @@ def subset_batches(n: int, card: int):
         yield table[start:start + _CHUNK]
 
 
-def column_stacks(a: np.ndarray, idx: np.ndarray, cut: float | None):
+def column_stacks(a: np.ndarray, idx: np.ndarray, cut: float, vouched: np.ndarray):
     """``(sub, gram, full_rank)`` for the column subsets in the rows of
     *idx*: the stack A_S of shape (c, m, card), the stack A_S^T A_S of shape
-    (c, card, card), and whether each Gram matrix's smallest eigenvalue
-    clears *cut*, the rank cut of A from :func:`gram_spectrum`.  A *cut* of
-    None, which :func:`size_cuts` gives once interlacing vouches for every
-    subset, marks them all full rank without decomposing any.
+    (c, card, card), and whether each subset is full rank.  That is true
+    where *vouched* is (a :class:`SubsetCover`'s answer for *idx*) and
+    elsewhere whether the Gram matrix's smallest eigenvalue clears *cut*,
+    the rank cut of A from :func:`gram_spectrum`.  Only the Gram matrices
+    not vouched for are decomposed.
     """
     sub = np.moveaxis(a[:, idx], 1, 0)                           # (c, m, card)
     gram = sub.transpose(0, 2, 1) @ sub                          # (c, card, card)
-    if cut is None:
-        full_rank = np.ones(len(idx), dtype=bool)
-    else:
-        full_rank = np.linalg.eigvalsh(gram)[:, 0] > cut
+    n_vouched = np.count_nonzero(vouched)
+    if not n_vouched:
+        return sub, gram, np.linalg.eigvalsh(gram)[:, 0] > cut
+    full_rank = vouched.copy()
+    if n_vouched < len(idx):
+        full_rank[~vouched] = np.linalg.eigvalsh(gram[~vouched])[:, 0] > cut
     return sub, gram, full_rank
 
 
-def column_subsets(a: np.ndarray, card: int, cut: float | None):
-    """Every column subset S of A with |S| = *card*, in batches.
-
-    Each batch of :func:`subset_batches` comes as ``(subsets, sub, gram,
-    full_rank)``: the subsets as 0-based index tuples, then
-    :func:`column_stacks` of them.  The caller checks
-    :func:`check_enumerable`.
-    """
-    for idx in subset_batches(a.shape[1], card):
-        yield list(map(tuple, idx.tolist())), *column_stacks(a, idx, cut)
-
-
-def _schedule(n: int, top: int, sizes: range):
+def _covers(n: int, top: int, most: int, voucher):
     """The cost rule shared by the two vouchers (module docstring).
 
-    Yields ``(card, star)`` for each size 1..*top*.  *star* is the member of
-    *sizes* with the fewest subsets (the smallest on ties), given once:
-    before the first size at which the caller has already enumerated at
-    least as many subsets as size *star* has, unless that size is *star*,
-    whose own enumeration would be the test.  Otherwise *star* is None.
-    The caller resumes the generator only after enumerating a whole size.
+    Yields ``(card, cover)`` for each size 1..*top*: None until the test is
+    due, then ``voucher(star)``.  *star* is the size in [top, *most*] with
+    the fewest subsets (the smallest on ties; there is none when *most* <
+    *top*).  Its test is due before the first size at which the caller has
+    already enumerated at least as many subsets as size *star* has, unless
+    that size is *star*, whose own enumeration would be the test.  The
+    caller resumes the generator only after enumerating a whole size.
     """
-    star = min(sizes, key=lambda c: math.comb(n, c), default=None)
-    done = 0
+    star = min(range(top, most + 1), key=lambda c: math.comb(n, c), default=None)
+    cover, done = None, 0
     for card in range(1, top + 1):
-        due = star is not None and star > card and done >= math.comb(n, star)
-        yield card, (star if due else None)
-        if due:
-            star = None
+        if star is not None and star > card and done >= math.comb(n, star):
+            cover, star = voucher(star), None
+        yield card, cover
         done += math.comb(n, card)
 
 
-def size_cuts(a: np.ndarray, top: int):
-    """The rank cut to give :func:`column_stacks` for each size 1..*top*.
+def rank_covers(a: np.ndarray, cut: float, top: int):
+    """Which supports of up to *top* columns interlacing makes full rank.
 
-    Yields ``(card, cut)``, *cut* being A's from :func:`gram_spectrum`,
-    until interlacing (module docstring) vouches for every subset of up to
-    *top* columns, then ``(card, None)``.  The voucher is one test of every
-    subset of c* columns, c* being the size in [top, min(m, n)] with the
-    fewest subsets, made when :func:`_schedule` says.  If a subset fails,
-    the cut stays and no test is made again.
+    Yields ``(card, ranked)`` for each size 1..*top*.  *ranked* is None
+    until the voucher (module docstring) has run and some subset passed;
+    from then on it is the :class:`SubsetCover` of the passing subsets.
+    The voucher is one rank test, against A's cut *cut*, of every subset
+    of c* columns, c* being the size in [top, min(m, n)] with the fewest
+    subsets, made when :func:`_covers` says.
     """
     m, n = a.shape
-    cut = gram_spectrum(a).cut
-    for card, star in _schedule(n, top, range(top, min(m, n) + 1)):
-        if star is not None and all(ok.all() for *_, ok in column_subsets(a, star, cut)):
-            cut = None
-        yield card, cut
+    return _covers(n, top, min(m, n), lambda c: _cover(n, c, [
+        idx[column_stacks(a, idx, cut, np.zeros(len(idx), dtype=bool))[2]]
+        for idx in subset_batches(n, c)]))
 
 
 def residual_covers(a: np.ndarray, b: np.ndarray, top: int, tol: float):
@@ -337,61 +329,79 @@ def residual_covers(a: np.ndarray, b: np.ndarray, top: int, tol: float):
 
     Yields ``(card, covered)`` for each size 1..*top*.  *covered* is None
     until the voucher (module docstring) has run and certified some U; from
-    then on it is a :class:`ResidualCover`, which maps an index batch of
-    :func:`subset_batches` to a boolean array, true for each subset of a
-    certified U, and lists the supports of one size that no certified U
-    covers.  The voucher is the R factor of [A_U | B] for every U of u*
-    columns, u* being the size in [top, min(m - 1, n)] with the fewest
-    subsets, made when :func:`_schedule` says.  U is certified when
+    then on it is the :class:`SubsetCover` of the certified Us.  The
+    voucher is the R factor of [A_U | B] for every U of u* columns, u*
+    being the size in [top, min(m - 1, n)] with the fewest subsets, made
+    when :func:`_covers` says.  U is certified when
     ``||R[u*:, u*:]||_F``, which is ``||Q_perp^T B||_F``, exceeds *tol*
     plus the rounding allowance ``m * n * eps * (||B||_F + tol) /
     sqrt(REL_EIG_TOL)``, the same as for the product of a complete QR.
-    The caller skips only the covered supports that A's rank cut classes
-    full rank; the allowance holds for those alone.
+    The caller skips only the covered supports that are full rank; the
+    allowance holds for those alone.
     """
     m, n = a.shape
-    covered = None
-    for card, star in _schedule(n, top, range(top, min(m - 1, n) + 1)):
-        if star is not None:
-            covered = _residual_voucher(a, b, star, tol)
-        yield card, covered
+    return _covers(n, top, min(m - 1, n), lambda u: _residual_voucher(a, b, u, tol))
 
 
-class ResidualCover:
-    """The supports a certified voucher rules out, as a table over column bit
-    masks (column j is bit n - 1 - j), true for every subset of a certified
-    U.  In this numbering the masks of one size fall in lexicographic order
-    when read downward, so the supports it leaves are listed straight off
-    the table, without generating the ones it covers.
+class SubsetCover:
+    """The subsets of range(n) that a voucher covers: every subset of a set
+    it certified.  It is a table over column bit masks (column j is bit
+    n - 1 - j), true for every subset of a certified set.  In this
+    numbering the masks of one size fall in lexicographic order when read
+    downward, so the subsets it leaves are listed straight off the table,
+    without generating the ones it covers.  A table of None covers every
+    subset: a voucher that certifies every set of its size builds no
+    table, and its callers ask only about subsets of at most that size.
     """
 
-    def __init__(self, table: np.ndarray):
+    def __init__(self, table: np.ndarray | None):
         self._table = table
-        self._n = table.size.bit_length() - 1
-        pop = np.zeros(1, dtype=np.int8)           # bits set in each mask
-        for _ in range(self._n):
-            pop = np.concatenate((pop, pop + 1))
-        self._pop = pop
-        # one scan of the table serves every size uncovered() is asked for
-        self._free = np.flatnonzero(~table)
-        self._free_pop = pop[self._free]
+        if table is not None:
+            self._n = table.size.bit_length() - 1
+            # one scan of the table serves every size uncovered() is asked for;
+            # _free_pop counts the bits set in each mask it leaves
+            self._free = np.flatnonzero(~table)
+            self._free_pop = sum((self._free >> j) & 1 for j in range(self._n))
 
     def __call__(self, idx: np.ndarray) -> np.ndarray:
-        """For each row of an index batch, whether a certified U holds it."""
+        """For each row of an index batch, whether the cover holds it."""
+        if self._table is None:
+            return np.ones(len(idx), dtype=bool)
         return self._table[(np.int64(1) << (self._n - 1 - idx)).sum(axis=1)]
 
+    def __and__(self, other: SubsetCover) -> SubsetCover:
+        """The subsets both covers hold."""
+        if self._table is None or other._table is None:
+            return other if self._table is None else self
+        return SubsetCover(self._table & other._table)
+
     def uncovered(self, card: int):
-        """Every *card*-subset no certified U holds, in lexicographic order,
-        as int8 index arrays of at most ``_CHUNK`` rows; none when there is
-        no such subset."""
+        """Every *card*-subset the cover does not hold, in lexicographic
+        order, as int8 index arrays of at most ``_CHUNK`` rows; none when
+        there is no such subset."""
+        if self._table is None:
+            return
         masks = self._free[self._free_pop == card][::-1]
-        rows = np.empty((len(masks), card), dtype=np.int8)
-        for col in range(card - 1, -1, -1):        # lowest bit: last column
-            low = masks & -masks
-            rows[:, col] = self._n - 1 - self._pop[low - 1]
-            masks = masks ^ low
+        held = masks[:, None] & (1 << np.arange(self._n - 1, -1, -1)) != 0  # column j: bit n-1-j
+        rows = np.nonzero(held)[1].astype(np.int8).reshape(-1, card)
         for start in range(0, len(rows), _CHUNK):
             yield rows[start:start + _CHUNK]
+
+
+def _cover(n: int, size: int, certified: list[np.ndarray]) -> SubsetCover | None:
+    """The :class:`SubsetCover` of the certified *size*-subsets of range(n),
+    given as index batches; None when none is certified, and no table when
+    all C(n, size) are."""
+    count = sum(map(len, certified))
+    if not count:
+        return None
+    if count == math.comb(n, size):
+        return SubsetCover(None)
+    table = np.zeros(1 << n, dtype=bool)        # indexed by column bit mask
+    for idx in certified:
+        table[(np.int64(1) << (n - 1 - idx)).sum(axis=1)] = True
+    _close_downward(table)
+    return SubsetCover(table)
 
 
 #: Bits of a column bit mask that :func:`_close_downward` closes on a
@@ -422,23 +432,19 @@ def _close_downward(table: np.ndarray) -> None:
 
 
 def _residual_voucher(a: np.ndarray, b: np.ndarray, u: int, tol: float):
-    """The :class:`ResidualCover` :func:`residual_covers` yields after
-    testing every U of *u* columns, or None when no U is certified."""
+    """The cover :func:`residual_covers` yields after testing every U of
+    *u* columns."""
     m, n = a.shape
     eps = float(np.finfo(float).eps)
     limit = tol + m * n * eps * (float(np.linalg.norm(b)) + tol) / math.sqrt(REL_EIG_TOL)
     ab = np.concatenate((a, b), axis=1)
     rhs = np.arange(n, ab.shape[1])                 # B's columns in [A | B]
-    table = np.zeros(1 << n, dtype=bool)        # indexed by column bit mask
+    certified = []
     for idx in subset_batches(n, u):
         cols = np.concatenate((idx, np.broadcast_to(rhs, (len(idx), rhs.size))), axis=1)
         r = np.linalg.qr(np.moveaxis(ab[:, cols], 1, 0), mode="r")  # R of [A_U | B]
-        bound = np.linalg.norm(r[:, u:, u:], axis=(1, 2))
-        table[(np.int64(1) << (n - 1 - idx[bound > limit])).sum(axis=1)] = True
-    if not table.any():
-        return None
-    _close_downward(table)
-    return ResidualCover(table)
+        certified.append(idx[np.linalg.norm(r[:, u:, u:], axis=(1, 2)) > limit])
+    return _cover(n, u, certified)
 
 
 def gram_eigenvalues(a: np.ndarray) -> np.ndarray:

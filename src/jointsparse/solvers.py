@@ -30,8 +30,8 @@ from .errors import (
     RankDeficient,
 )
 from .generators import PortableRng
-from .linalg import as_matrix, check_enumerable, column_stacks, gram_spectrum, residual_covers
-from .linalg import size_cuts, subset_batches
+from .linalg import as_matrix, check_enumerable, column_stacks, gram_spectrum, rank_covers
+from .linalg import residual_covers, subset_batches
 from .linalg import matrix_from_json, matrix_to_json
 from .norms import DEFAULT_ZERO_TOL, RowSupport, check_zero_tol, mixed_norm_2p, row_support
 
@@ -197,12 +197,13 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
     Two vouchers (``linalg`` module docstring) spare per-support work, each
     one test made when the smaller sizes have cost at least as many subsets:
 
-    * Rank comes from ``linalg.size_cuts``.  Once every subset of the size
-      c* in [k_max, min(m, n)] with the fewest subsets clears A's rank cut,
-      interlacing makes every support of up to k_max rows full rank, and
-      none is decomposed.  A support is classed differently from a test of
-      its own only if its smallest Gram eigenvalue lies within rounding
-      (about 1e-15 lambda_max) of the cut.
+    * ``linalg.rank_covers`` vouches for rank.  Every subset of the size
+      c* in [k_max, min(m, n)] with the fewest subsets is tested against
+      A's rank cut, and by interlacing each one that clears it vouches for
+      every subset of its own; a support it vouches for is not decomposed.
+      A support is classed differently from a test of its own only if its
+      smallest Gram eigenvalue lies within rounding (about 1e-15
+      lambda_max) of the cut.
     * ``linalg.residual_covers`` rules supports out.  Every U of the size u*
       in [k_max, min(m - 1, n)] with the fewest subsets gets the R factor
       of [A_U | B], whose trailing block has the norm ``||Q_perp^T B||_F``
@@ -210,19 +211,25 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
       allowance ``m * n * eps * (||B||_F + tol) / sqrt(REL_EIG_TOL)``, no
       subset of U fits B.  The allowance is that of the complete QR: the
       R factor's rounding is of the same order.  A full-rank support
-      inside such a U is then skipped before it is gathered or solved; a
-      rank-deficient one still goes to ``lstsq``.  A skipped support would
-      fit B by a solve of its own only if rounding exceeded that allowance.
+      inside such a U is skipped; a rank-deficient one still goes to
+      ``lstsq``.  A skipped support would fit B by a solve of its own only
+      if rounding exceeded that allowance.
 
-    Once both vouch, the supports of a size are listed, not enumerated and
-    filtered: ``ResidualCover.uncovered`` reads those no certified U holds
-    off its table.  While the rank cut stays, every support is enumerated
-    and looked up in the table.
+    Each voucher answers with a ``linalg.SubsetCover``, and the supports of
+    a size are listed, not enumerated and filtered: those the two covers do
+    not both hold, read off the table of their intersection (every support,
+    while either voucher has certified nothing).  Of those, the ones the
+    rank cover does not hold are rank-tested, the ones the residual cover
+    holds and the test finds full rank are skipped, and the rest are solved.
 
     On ``gen`` Gaussian 16x17 seed 1 with k_max = 8, that is 34 subsets
     decomposed, one batched R-only QR of the 136 stacks [A_U | B] with 15
     columns of A, and 154 supports listed and solved (the 17 single
     columns, the 136 pairs and the planted support) instead of 65 535.
+    On the instance of seed 3226652560831358504, whose one dependent set of
+    16 columns omits column 9 (0-based), the other 16 sets of 16 columns
+    vouch for every support of up to 8 rows: again 34 subsets decomposed,
+    and the planted support found.
 
     Raises EnumerationTooLarge when n exceeds ``linalg.ENUMERATION_GUARD``,
     DomainError for a k_max outside 1..n or a NaN or negative *zero_tol*
@@ -240,17 +247,17 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
     if bnorm <= tol:
         zero = np.zeros((n, r))
         return _finish(zero, 0.0, "exact_l20", prob, zero_tol, unique=True)
-    for (card, cut), (_, covered) in zip(size_cuts(a, k_max), residual_covers(a, b, k_max, tol)):
+    cut = gram_spectrum(a).cut
+    for (card, ranked), (_, ruled_out) in zip(rank_covers(a, cut, k_max),
+                                              residual_covers(a, b, k_max, tol)):
         feasible: list[tuple[float, tuple[int, ...], np.ndarray, bool]] = []
-        listed = covered is not None and cut is None    # all full rank, none covered
-        for idx in covered.uncovered(card) if listed else subset_batches(n, card):
-            sub, gram, full_rank = column_stacks(a, idx, cut)
-            if covered is not None and not listed:
-                out = covered(idx) & full_rank  # a rank-deficient support is solved
-                if out.any():
-                    idx, sub, gram, full_rank = idx[~out], sub[~out], gram[~out], full_rank[~out]
-                if not len(idx):
-                    continue
+        both = ranked & ruled_out if ranked and ruled_out else None
+        for idx in both.uncovered(card) if both else subset_batches(n, card):
+            vouched = ranked(idx) if ranked else np.zeros(len(idx), dtype=bool)
+            sub, gram, full_rank = column_stacks(a, idx, cut, vouched)
+            if ruled_out and not vouched.all():     # some support was rank-tested
+                keep = ~(full_rank & ruled_out(idx))    # a rank-deficient one is solved
+                idx, sub, gram, full_rank = idx[keep], sub[keep], gram[keep], full_rank[keep]
             rhs = sub.transpose(0, 2, 1) @ b                      # (c, card, r)
             sols = np.empty((len(idx), card, r))
             if np.any(full_rank):

@@ -20,7 +20,7 @@ from jointsparse.linalg import (
     REL_EIG_TOL,
     as_matrix,
     check_enumerable,
-    column_subsets,
+    column_stacks,
     eig_summary,
     gram_eigenvalues,
     gram_spectrum,
@@ -30,8 +30,8 @@ from jointsparse.linalg import (
     matrix_to_json,
     min_norm_solution,
     nullspace_basis,
+    rank_covers,
     residual_covers,
-    size_cuts,
     subset_batches,
 )
 from jointsparse.nsc import NscOptions, nsc_curve, spark
@@ -224,22 +224,27 @@ class TestColumnSubsets:
     """3003 subsets of 15 columns taken 5 at a time span two batches."""
 
     @pytest.mark.parametrize("duplicate", [False, True])
-    def test_matches_per_subset_reference(self, rng, duplicate):
+    def test_matches_per_subset_reference(self, rng, duplicate, decomposed):
         a = rng.standard_normal((6, 15))
         if duplicate:
             a[:, 9] = a[:, 2]          # every subset holding columns 2 and 9 is singular
         cut = gram_spectrum(a).cut
-        subsets, batches = [], 0
-        for chunk, sub, gram, full_rank in column_subsets(a, 5, cut):
-            batches += 1
-            for s, a_s, g_s, ok in zip(chunk, sub, gram, full_rank):
-                assert np.array_equal(a_s, a[:, list(s)])
+        subsets, unvouched = [], 0
+        for idx in subset_batches(15, 5):
+            # the subsets holding column 0 are vouched for, rightly or not
+            vouched = (idx == 0).any(axis=1)
+            sub, gram, full_rank = column_stacks(a, idx, cut, vouched)
+            unvouched += int((~vouched).sum())
+            for s, v, a_s, g_s, ok in zip(idx.tolist(), vouched, sub, gram, full_rank):
+                assert np.array_equal(a_s, a[:, s])
                 assert np.allclose(g_s, a_s.T @ a_s, rtol=1e-12, atol=0)
-                assert ok == (np.linalg.eigvalsh(a_s.T @ a_s)[0] > cut)
-                assert ok == (not duplicate or not {2, 9} <= set(s))
-            subsets.extend(chunk)
-        assert batches == 2
+                assert ok == (v or np.linalg.eigvalsh(a_s.T @ a_s)[0] > cut)
+                assert ok == (v or not duplicate or not {2, 9} <= set(s))
+            subsets.extend(map(tuple, idx.tolist()))
         assert subsets == list(itertools.combinations(range(15), 5))
+        # two batches, and only the subsets nothing vouched for decomposed
+        assert len(decomposed) == 2
+        assert sum(decomposed) == unvouched == math.comb(14, 5)
 
     def test_guard(self):
         check_enumerable(np.zeros((1, ENUMERATION_GUARD)))
@@ -247,38 +252,44 @@ class TestColumnSubsets:
             check_enumerable(np.zeros((1, ENUMERATION_GUARD + 1)))
 
 
-class TestSizeCuts:
-    """One test of every subset of size c* spares the rank test of every
-    smaller subset."""
+class TestRankCovers:
+    """One rank test of every subset of size c* vouches for every subset of
+    each one that passes."""
 
     @staticmethod
-    def cuts(a, top):
+    def unvouched(a, top):
+        # per size: None until some c*-subset has passed, then the number
+        # of subsets of that size the cover leaves to a rank test
         cut = gram_spectrum(a).cut
-        return [c if c is None else c == cut for _, c in size_cuts(a, top)]
+        return [None if ranked is None else sum(len(idx) for idx in ranked.uncovered(card))
+                for card, ranked in rank_covers(a, cut, top)]
 
     def test_certified_after_the_first_size(self, rng, decomposed):
         # c* = 16 has 17 subsets, as many as size 1 enumerated before it
         a = rng.standard_normal((16, 17))
-        assert self.cuts(a, 8) == [True] + [None] * 7
+        assert self.unvouched(a, 8) == [None] + [0] * 7
         assert decomposed == [17]
 
     def test_n_at_most_m(self, rng, decomposed):
-        assert self.cuts(rng.standard_normal((6, 5)), 5) == [True] + [None] * 4
+        assert self.unvouched(rng.standard_normal((6, 5)), 5) == [None] + [0] * 4
         assert decomposed == [1]
 
-    def test_failed_check_keeps_the_cut(self, rng, decomposed):
+    def test_a_failed_subset_leaves_the_others_vouched(self, rng, decomposed):
+        # 15 of the 17 subsets of 16 columns hold columns 2 and 9 and fail;
+        # the 2 without column 2 or without column 9 vouch for every subset
+        # but the C(15, c - 2) of size c that hold both
         a = rng.standard_normal((16, 17))
         a[:, 9] = a[:, 2]
-        assert self.cuts(a, 8) == [True] * 8
+        assert self.unvouched(a, 8) == [None] + [math.comb(15, c - 2) for c in range(2, 9)]
         assert decomposed == [17]
 
     def test_no_size_qualifies_above_min_m_n(self, rng, decomposed):
-        assert self.cuts(rng.standard_normal((3, 6)), 4) == [True] * 4
+        assert self.unvouched(rng.standard_normal((3, 6)), 4) == [None] * 4
         assert decomposed == []
 
     def test_no_test_when_c_star_is_the_last_size(self, rng, decomposed):
         # c* = 4 (495 subsets, as many as size 8); sizes 1-3 hold only 298
-        assert self.cuts(rng.standard_normal((8, 12)), 4) == [True] * 4
+        assert self.unvouched(rng.standard_normal((8, 12)), 4) == [None] * 4
         assert decomposed == []
 
     def test_pinned_subset_counts(self, decomposed):
@@ -292,6 +303,24 @@ class TestSizeCuts:
         decomposed.clear()
         assert l20_solve(prob, 8).unique is True
         assert sum(decomposed) == 34
+
+    def test_one_dependent_c_star_subset(self, decomposed):
+        # The exact benchmark pool at seed 1010 holds this instance: of its
+        # 17 subsets of 16 columns only the one without column 9 is
+        # dependent.  The other 16 vouch for every subset but that one and
+        # all 17 columns, so spark decomposes the 17 single columns, the 17
+        # subsets of 16 columns and that one again; l20_solve decomposes no
+        # support above one column.  While one test failing kept the rank
+        # cut for every size, spark decomposed 131 087 subsets here and
+        # l20_solve 65 552 (every support of 1-8 columns and the 17 tested).
+        prob = gen_problem(GenSpec("gaussian", 16, 17, 4, 8, 3226652560831358504))
+        assert spark(prob.a) == 16
+        assert decomposed == [17, 17, 1]
+        decomposed.clear()
+        sol = l20_solve(prob, 8)
+        assert sum(decomposed) == 34
+        planted = tuple(int(j) + 1 for j in np.flatnonzero(np.any(prob.planted != 0, axis=1)))
+        assert sol.support.indices == planted and sol.unique is True
 
 
 class TestSubsetBatches:
@@ -398,13 +427,24 @@ class TestResidualCovers:
         covered = [c for _, c in residual_covers(a, b, top, tol)][-1]
         vouched = np.array([sum(1 << j for j in cols) for cols in self.certified(a, b, u, tol)])
         assert 0 < len(vouched) < math.comb(n, u)
+        # the rank cover of the same matrix: every subset of a c*-subset
+        # whose smallest Gram eigenvalue clears the cut, c* = min(m, n) here
+        cut = gram_spectrum(a).cut
+        ranked = [c for _, c in rank_covers(a, cut, top)][-1]
+        passed = np.array([sum(1 << j for j in cols)
+                           for cols in itertools.combinations(range(n), min(m, n))
+                           if np.linalg.eigvalsh(a[:, cols].T @ a[:, cols])[0] > cut], dtype=int)
+        assert (ranked is None) == (len(passed) == 0)
         for card in range(1, n + 1):
             every = np.array(list(itertools.combinations(range(n), card)), dtype=np.int8)
             masks = (1 << every.astype(np.int64)).sum(axis=1)
-            want = ((masks[:, None] & ~vouched[None, :]) == 0).any(axis=1)
-            assert covered(every).tolist() == want.tolist(), card
-            listed = [s for idx in covered.uncovered(card) for s in idx.tolist()]
-            assert listed == every[~want].tolist(), card
+            for cover, sets in ((covered, vouched), (ranked, passed)):
+                if cover is None:
+                    continue
+                want = ((masks[:, None] & ~sets[None, :]) == 0).any(axis=1)
+                assert cover(every).tolist() == want.tolist(), card
+                listed = [s for idx in cover.uncovered(card) for s in idx.tolist()]
+                assert listed == every[~want].tolist(), card
 
     def test_nothing_certified_yields_none(self, rng):
         # every column and B lie on one line: every U fits B

@@ -288,7 +288,8 @@ def spark_cases() -> dict[str, np.ndarray]:
     """Seeded matrices with n <= m, n = m + 1 and wider, each Gaussian and
     with a dependency of d columns planted in the first or the last
     columns (column d - 1, or n - 1, made a combination of the others), a
-    zero first or last column, and the zero matrix.  The 16x20 matrices are
+    zero first or last column, the zero matrix, and one generated 16x17
+    matrix with a single dependent 16-column subset.  The 16x20 matrices are
     where a test of all 16-column subsets made as soon as the next size has
     as many subsets (4845 each) would cost more than twice the loop."""
     rng = np.random.default_rng(2006)
@@ -307,6 +308,10 @@ def spark_cases() -> dict[str, np.ndarray]:
             a[:, j] = 0.0
             cases[f"{m}x{n} zero {where}"] = a
     cases["zero 3x5"] = np.zeros((3, 5))
+    # from the exact benchmark pool at seed 1010: of the 17 subsets of 16
+    # columns, only the one without column 9 is dependent
+    cases["16x17 one dependent 16"] = gen_problem(
+        GenSpec("gaussian", 16, 17, 4, 8, 3226652560831358504)).a
     return cases
 
 

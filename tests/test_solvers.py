@@ -160,8 +160,9 @@ def l20_cases() -> dict[str, tuple[MmvProblem, int]]:
     check: it passes before the last size (8x10 k4, 16x17 k8), it is never
     made apart from enumerating the last size (4x6, 5x8, 8x12), and n <= m
     (6x5).  "duplicate" copies column 1 into column 5, so the check fails
-    and the rank-deficient supports take the lstsq path; "k_max > m" asks
-    for more rows than A has, where no size qualifies for the check.
+    for the subsets holding both columns, and the supports holding both
+    take the lstsq path; "k_max > m" asks for more rows than A has, where
+    no size qualifies for the check.
     """
     cases = {
         f"gaussian {m}x{n} r{r} k{k} seed {s} k_max {k + extra}":
@@ -225,10 +226,11 @@ class TestL20Frozen:
         monkeypatch.setattr(np.linalg, "lstsq", spy)
         prob, k_max = L20_CASES["duplicate"]
         l20_solve(prob, k_max)
-        # the check of all 8 seven-column subsets fails, so sizes 2 and 3
-        # are rank-tested and their supports holding columns 1 and 5 solved
-        # by lstsq: {1, 5}, then {1, 5, j} for the six other j
-        assert decomposed == [8, 8, 28, 56]
+        # 6 of the 8 seven-column subsets hold columns 1 and 5 and fail the
+        # check; the 2 that pass vouch for every support but those holding
+        # both, so only those are rank-tested and solved by lstsq: {1, 5},
+        # then {1, 5, j} for the six other j
+        assert decomposed == [8, 8, 1, 6]
         assert singular == [2] + [3] * 6
 
 
@@ -347,18 +349,20 @@ class TestL20AgainstEverySupport:
         assert l20_solve(prob, 8).unique is True
         assert stacked == [17, 136, 1]
 
-    def test_a_dependent_c_star_subset_keeps_the_full_enumeration(self, rng, stacked):
-        # Column 9 repeats column 2, so interlacing vouches for no size and
-        # the cut stays: every support of up to the planted 4 columns is
-        # enumerated, the covered full-rank ones are dropped after it, and
-        # the covered ones holding columns 2 and 9 are solved by lstsq.
+    def test_a_dependent_c_star_subset_lists_what_it_leaves(self, rng, stacked):
+        # Column 9 repeats column 2, so of the 17 subsets of 16 columns only
+        # the 2 without one of them pass, and they vouch for every support
+        # but those holding both.  Sizes 1 and 2 come before the residual
+        # test and are enumerated whole; from size 3 on only the supports
+        # holding columns 2 and 9, C(15, c - 2) of size c, which are
+        # rank-tested and solved by lstsq, and the planted one are listed.
         a = rng.standard_normal((16, 17))
         a[:, 9] = a[:, 2]
         x = np.zeros((17, 4))
         x[[0, 5, 11, 14]] = rng.standard_normal((4, 4))
         prob = MmvProblem(a=a, b=a @ x)
         sol = l20_solve(prob, 8)
-        assert sum(stacked) == sum(math.comb(17, c) for c in range(1, 5))
+        assert stacked == [17, 136, 15, 105 + 1]
         support, unique, objective, want = l20_every_support(prob.a, prob.b, 8)
         assert (sol.support.indices, sol.unique, sol.objective) == (support, unique, objective)
         assert support == (1, 6, 12, 15) and unique is True
