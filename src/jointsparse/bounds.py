@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .generators import PortableRng
-from .linalg import as_matrix, eig_summary, gram_spectrum
+from .linalg import as_matrix, eig_summary, gram_spectrum, json_float
 from .norms import DEFAULT_ZERO_TOL, mixed_norm_2p, norm_20, row_support
 
 SQRT2_PLUS_1 = math.sqrt(2.0) + 1.0
@@ -85,15 +85,12 @@ class PstarReport:
 
 
 def pstar_report_to_json(rep: PstarReport) -> dict:
-    def _enc(v: float):
-        return v if math.isfinite(v) else "inf"
-
     return {
         "lam": rep.lam,
         "s_star": rep.s_star,
         "k_bound_m": rep.k_bound_m,
         "k_bound_n": rep.k_bound_n,
-        "f_values": [_enc(v) for v in rep.f_values],
+        "f_values": [json_float(v) for v in rep.f_values],
         "p_star": rep.p_star,
         "clamped": rep.clamped,
         "zero_tol": rep.zero_tol,

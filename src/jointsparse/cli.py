@@ -1,17 +1,24 @@
 """Command-line interface.
 
-Every command prints a RunReport envelope as JSON on stdout:
+Every command prints one JSON envelope on stdout:
 
     {"command": ..., "inputs_digest": ..., "outputs": ..., "runtime_ms": ...,
      "seed": ...}
 
-and is deterministic byte-for-byte apart from runtime_ms.  ``--csv`` switches
-tabular commands (solve, sweep, nsc) to a plain CSV rendering on stdout;
-``--out PATH`` additionally writes the primary payload to a file.  Exit
-codes: 0 success, 1 computational failure (error JSON on stderr), 2 bad
-input or usage, including an option outside its domain (error JSON on
-stderr).  Reports are strict JSON: a non-finite number that reaches one
-fails the run with exit code 1 instead of printing ``NaN`` or ``Infinity``.
+and is deterministic byte-for-byte apart from runtime_ms, which times the
+whole command, input loading included (argument parsing and rendering are
+not timed).  ``--csv`` switches tabular commands (solve, sweep, nsc) to a
+plain CSV rendering on stdout; ``--out PATH`` additionally writes the primary
+payload (the CSV text, or ``outputs`` alone) to a file, before anything is
+printed.  Exit codes: 0 success, 1 computational failure (error JSON on
+stderr), 2 bad input or usage, including an option outside its domain and
+an ``--out`` path that cannot be written (error JSON on stderr).  Reports
+are strict JSON: a non-finite number that reaches one fails the run with
+exit code 1 instead of printing ``NaN`` or ``Infinity``.
+
+Each ``cmd_*`` takes the parsed arguments and returns
+``(outputs, csv_text or None, inputs_digest, seed)``; :func:`main` does the
+rest.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from decimal import Decimal
 from importlib import resources
 
@@ -31,7 +37,7 @@ import numpy as np
 from .bounds import pstar, pstar_report_to_json, theorem4_bound
 from .errors import DomainError, JointSparseError
 from .generators import gen_problem, genspec_from_json
-from .linalg import gram_spectrum, matrix_from_csv, matrix_from_json, matrix_to_csv
+from .linalg import gram_spectrum, json_float, matrix_from_csv, matrix_from_json, matrix_to_csv
 from .norms import DEFAULT_ZERO_TOL
 from .nsc import NscOptions, estimate_to_json, nsc_curve
 from .solvers import (
@@ -55,38 +61,12 @@ EXIT_USAGE = 2
 #: Most points a start:stop:step grid may expand to.
 MAX_GRID_POINTS = 10_000
 
+#: What a command returns: (outputs, csv_text or None, inputs_digest, seed).
+CommandResult = tuple[dict, str | None, str, int | None]
+
 
 class UsageError(Exception):
     """Bad input or usage: maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class Flags:
-    """Global options shared by every command."""
-
-    seed: int
-    tol: float | None
-    out: str | None
-    fmt: str
-
-
-@dataclass(frozen=True)
-class RunReport:
-    command: str
-    inputs_digest: str
-    outputs: dict
-    runtime_ms: int
-    seed: int | None
-
-
-def report_to_json(rep: RunReport) -> dict:
-    return {
-        "command": rep.command,
-        "inputs_digest": rep.inputs_digest,
-        "outputs": rep.outputs,
-        "runtime_ms": rep.runtime_ms,
-        "seed": rep.seed,
-    }
 
 
 def _digest(*parts: bytes) -> str:
@@ -97,11 +77,14 @@ def _digest(*parts: bytes) -> str:
     return h.hexdigest()
 
 
-def _enc(v: float):
-    """Floats for JSON; non-finite values become the string 'inf'/'-inf'."""
-    if isinstance(v, float) and not math.isfinite(v):
-        return "inf" if v > 0 else "-inf"
-    return v
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row of cells; None is an empty
+    cell and a comma inside a cell becomes ';'."""
+    lines = [header] + [
+        ",".join("" if cell is None else str(cell).replace(",", ";") for cell in row)
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _read_file(path: str) -> bytes:
@@ -112,31 +95,40 @@ def _read_file(path: str) -> bytes:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _load_problem(path: str) -> tuple[MmvProblem, bytes]:
-    raw = _read_file(path)
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
+def _parse_problem(raw: bytes, path: str) -> MmvProblem:
     try:
         obj = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"{path}: not valid JSON: {exc}") from None
     try:
-        return problem_from_json(obj), raw
+        return problem_from_json(obj)
     except JointSparseError as exc:
         raise UsageError(f"{path}: {exc}") from None
+
+
+def _load_problem(path: str) -> tuple[MmvProblem, bytes]:
+    raw = _read_file(path)
+    return _parse_problem(raw, path), raw
 
 
 def _load_matrix_source(path: str) -> tuple[np.ndarray, bytes]:
     """A problem JSON (its A), a bare JSON matrix, or a CSV matrix."""
     raw = _read_file(path)
     text = raw.decode("utf-8", errors="replace").lstrip()
+    if text.startswith("{"):
+        return _parse_problem(raw, path).a, raw
     try:
-        if text.startswith("{"):
-            prob, _ = _load_problem(path)
-            return prob.a, raw
         if text.startswith("["):
             return matrix_from_json(json.loads(text), name=path), raw
         return matrix_from_csv(text, name=path), raw
-    except UsageError:
-        raise
     except (json.JSONDecodeError, JointSparseError) as exc:
         raise UsageError(f"{path}: {exc}") from None
 
@@ -189,53 +181,24 @@ def _check_options(args: argparse.Namespace) -> None:
         raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
 
 
-def _zero_tol(flags: Flags) -> float:
-    return flags.tol if flags.tol is not None else DEFAULT_ZERO_TOL
-
-
-def _emit(rep: RunReport, flags: Flags, csv_text: str | None = None) -> None:
-    if flags.fmt == "csv":
-        if csv_text is None:
-            raise UsageError("--csv is not supported for this command")
-        sys.stdout.write(csv_text)
-        if flags.out:
-            with open(flags.out, "w") as fh:
-                fh.write(csv_text)
-        return
-    print(json.dumps(report_to_json(rep), indent=2, allow_nan=False))
-    if flags.out:
-        with open(flags.out, "w") as fh:
-            json.dump(rep.outputs, fh, indent=2)
-            fh.write("\n")
+def _zero_tol(args: argparse.Namespace) -> float:
+    return args.tol if args.tol is not None else DEFAULT_ZERO_TOL
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_pstar(problem_path: str, flags: Flags) -> tuple[RunReport, None]:
-    prob, raw = _load_problem(problem_path)
-    t0 = time.perf_counter()
-    rep = pstar(prob.a, prob.b, zero_tol=_zero_tol(flags))
-    ms = int((time.perf_counter() - t0) * 1000)
-    outputs = pstar_report_to_json(rep)
-    return RunReport(
-        command="pstar",
-        inputs_digest=_digest(raw, f"zero_tol={_zero_tol(flags)}".encode()),
-        outputs=outputs,
-        runtime_ms=ms,
-        seed=None,
-    ), None
+def cmd_pstar(args: argparse.Namespace) -> CommandResult:
+    prob, raw = _load_problem(args.problem)
+    zero_tol = _zero_tol(args)
+    rep = pstar(prob.a, prob.b, zero_tol=zero_tol)
+    return pstar_report_to_json(rep), None, _digest(raw, f"zero_tol={zero_tol}".encode()), None
 
 
-def cmd_solve(
-    problem_path: str,
-    method: str,
-    p: float | None,
-    flags: Flags,
-    k_max: int | None,
-) -> tuple[RunReport, str]:
-    prob, raw = _load_problem(problem_path)
+def cmd_solve(args: argparse.Namespace) -> CommandResult:
+    method, p, k_max = args.method, args.p, args.k_max
+    prob, raw = _load_problem(args.problem)
     if method not in ("l20", "irls", "nullspace"):
         raise UsageError(f"unknown method {method!r}")
     if method in ("irls", "nullspace"):
@@ -247,50 +210,39 @@ def cmd_solve(
             raise UsageError(f"--k-max applies to --method l20 only, not {method}")
     elif k_max is not None and k_max > prob.n:
         raise UsageError(f"--k-max must lie in 1..{prob.n} for this problem, got {k_max}")
-    zero_tol = _zero_tol(flags)
-    t0 = time.perf_counter()
+    zero_tol = _zero_tol(args)
     if method == "l20":
         cap = k_max if k_max is not None else (prob.k or min(prob.m, prob.n))
         sol = l20_solve(prob, cap, zero_tol=zero_tol)
     elif method == "irls":
         sol = irls_solve(prob, p, IrlsOptions(zero_tol=zero_tol))
     else:
-        sol = nullspace_solve(prob, p, DescentOptions(seed=flags.seed, zero_tol=zero_tol))
-    ms = int((time.perf_counter() - t0) * 1000)
-    outputs = solution_to_json(sol)
+        sol = nullspace_solve(prob, p, DescentOptions(seed=args.seed, zero_tol=zero_tol))
     digest = _digest(raw, f"method={method},p={p},k_max={k_max},tol={zero_tol}".encode())
-    rep = RunReport(
-        command="solve", inputs_digest=digest, outputs=outputs, runtime_ms=ms,
-        seed=flags.seed if method == "nullspace" else None,
-    )
-    return rep, matrix_to_csv(sol.x)
+    seed = args.seed if method == "nullspace" else None
+    return solution_to_json(sol), matrix_to_csv(sol.x), digest, seed
 
 
-def cmd_sweep(problem_path: str, p_grid: list[float], flags: Flags) -> tuple[RunReport, str]:
-    prob, raw = _load_problem(problem_path)
+def cmd_sweep(args: argparse.Namespace) -> CommandResult:
+    p_grid = _parse_grid(args.grid)
+    prob, raw = _load_problem(args.problem)
     for q in p_grid:
         if not (0.0 < q <= 1.0):
             raise UsageError(f"grid value {q} outside (0, 1]")
-    zero_tol = _zero_tol(flags)
+    zero_tol = _zero_tol(args)
     rows = []
-    t0 = time.perf_counter()
     for q in p_grid:
         try:
             report = check_equivalence(
-                prob, q, EquivalenceOptions(seed=flags.seed, zero_tol=zero_tol)
+                prob, q, EquivalenceOptions(seed=args.seed, zero_tol=zero_tol)
             )
             best = report.best_method
-            best_obj = None
-            if best == "irls":
-                best_obj = report.irls.objective
-            elif best == "nullspace":
-                best_obj = report.nullspace.objective
             rows.append({
                 "p": q,
                 "equivalent": report.equivalent,
-                "l2p_objective": _enc(best_obj) if best_obj is not None else None,
+                "l2p_objective": json_float(getattr(report, best).objective if best else None),
                 "l20_objective": report.l20.objective,
-                "distance": _enc(report.distance),
+                "distance": json_float(report.distance),
                 "best_method": best,
                 "error": "",
             })
@@ -300,33 +252,16 @@ def cmd_sweep(problem_path: str, p_grid: list[float], flags: Flags) -> tuple[Run
                 "l20_objective": None, "distance": None, "best_method": None,
                 "error": f"{type(exc).__name__}: {exc}",
             })
-    ms = int((time.perf_counter() - t0) * 1000)
-    header = "p,equivalent,l2p_objective,l20_objective,distance,best_method,error"
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(
-            "" if row[c] is None else str(row[c]).replace(",", ";")
-            for c in ("p", "equivalent", "l2p_objective", "l20_objective",
-                      "distance", "best_method", "error")
-        ))
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = _csv("p,equivalent,l2p_objective,l20_objective,distance,best_method,error",
+                    (row.values() for row in rows))
     digest = _digest(raw, json.dumps(p_grid).encode(), f"tol={zero_tol}".encode())
-    rep = RunReport(
-        command="sweep", inputs_digest=digest,
-        outputs={"rows": rows}, runtime_ms=ms, seed=flags.seed,
-    )
-    return rep, csv_text
+    return {"rows": rows}, csv_text, digest, args.seed
 
 
-def cmd_nsc(
-    source_path: str,
-    k: int,
-    flags: Flags,
-    r: int,
-    p_grid: list[float],
-    restarts: int,
-) -> tuple[RunReport, str]:
-    a, raw = _load_matrix_source(source_path)
+def cmd_nsc(args: argparse.Namespace) -> CommandResult:
+    k, r, restarts = args.k, args.r, args.restarts
+    p_grid = _parse_grid(args.grid)
+    a, raw = _load_matrix_source(args.source)
     if any(not (0.0 <= q <= 1.0) for q in p_grid):
         raise UsageError("nsc grid values must lie in [0, 1]")
     n = a.shape[1]
@@ -334,64 +269,43 @@ def cmd_nsc(
         raise UsageError(f"--k must lie in 1..{n - 1} for this matrix, got {k}")
     if r < 1:
         raise UsageError(f"--r must be >= 1, got {r}")
-    opts = NscOptions(seed=flags.seed, restarts=restarts, zero_tol=_zero_tol(flags))
-    t0 = time.perf_counter()
+    opts = NscOptions(seed=args.seed, restarts=restarts, zero_tol=_zero_tol(args))
     spec = gram_spectrum(a)                 # one decomposition for both
     curve = nsc_curve(spec, r, k, p_grid, opts)
     lam = spec.summary().ratio
+    certificates = [estimate_to_json(est) for est in curve]
     rows = []
-    for est in curve:
+    for est, cert in zip(curve, certificates):
         try:
             cap = theorem4_bound(est.p, n, k, lam)
         except DomainError:
             cap = None
-        digest = hashlib.sha256(
-            json.dumps(estimate_to_json(est)["certificate_X"]).encode()
-        ).hexdigest()[:16]
         rows.append({
             "p": est.p,
-            "value": _enc(est.value),
+            "value": json_float(est.value),
             "exact": est.exact,
             "support": list(est.certificate_support.indices),
             "theorem4_bound": cap,
-            "certificate_digest": digest,
+            "certificate_digest": hashlib.sha256(
+                json.dumps(cert["certificate_X"]).encode()
+            ).hexdigest()[:16],
         })
-    ms = int((time.perf_counter() - t0) * 1000)
-    header = "p,value,exact,support,theorem4_bound,certificate_digest"
-    lines = [header]
-    for row in rows:
-        lines.append(",".join([
-            str(row["p"]),
-            str(row["value"]),
-            str(row["exact"]),
-            ";".join(str(i) for i in row["support"]),
-            "" if row["theorem4_bound"] is None else str(row["theorem4_bound"]),
-            row["certificate_digest"],
-        ]))
-    csv_text = "\n".join(lines) + "\n"
-    outputs = {
-        "k": k, "r": r, "lam": lam,
-        "curve": rows,
-        "certificates": [estimate_to_json(est) for est in curve],
-    }
+    csv_text = _csv("p,value,exact,support,theorem4_bound,certificate_digest", (
+        [row["p"], row["value"], row["exact"], ";".join(str(i) for i in row["support"]),
+         row["theorem4_bound"], row["certificate_digest"]]
+        for row in rows
+    ))
+    outputs = {"k": k, "r": r, "lam": lam, "curve": rows, "certificates": certificates}
     digest = _digest(raw, json.dumps([k, r, p_grid, restarts]).encode())
-    rep = RunReport(
-        command="nsc", inputs_digest=digest, outputs=outputs,
-        runtime_ms=ms, seed=flags.seed,
-    )
-    return rep, csv_text
+    return outputs, csv_text, digest, args.seed
 
 
-def _packaged_problem(name: str) -> tuple[MmvProblem, bytes]:
-    ref = resources.files("jointsparse.data").joinpath(f"{name}.json")
-    raw = ref.read_bytes()
-    return problem_from_json(json.loads(raw.decode("utf-8"))), raw
-
-
-def cmd_reproduce(which: str, flags: Flags) -> tuple[RunReport, None]:
+def cmd_reproduce(args: argparse.Namespace) -> CommandResult:
+    which = args.which
     if which not in ("example1", "example2"):
         raise UsageError(f"unknown example {which!r} (choose example1 or example2)")
-    prob, raw = _packaged_problem(which)
+    raw = resources.files("jointsparse.data").joinpath(f"{which}.json").read_bytes()
+    prob = _parse_problem(raw, which)
     checks: list[dict] = []
 
     def record(name: str, expected, actual, tol: float | None = None):
@@ -399,10 +313,9 @@ def cmd_reproduce(which: str, flags: Flags) -> tuple[RunReport, None]:
             ok = expected == actual
         else:
             ok = abs(float(expected) - float(actual)) <= tol
-        checks.append({"name": name, "expected": _enc(expected),
-                       "actual": _enc(actual), "tol": tol, "pass": bool(ok)})
+        checks.append({"name": name, "expected": json_float(expected),
+                       "actual": json_float(actual), "tol": tol, "pass": bool(ok)})
 
-    t0 = time.perf_counter()
     outputs: dict = {"example": which}
     if which == "example1":
         joint = l20_solve(prob, prob.k)
@@ -432,44 +345,32 @@ def cmd_reproduce(which: str, flags: Flags) -> tuple[RunReport, None]:
         outputs["l20"] = solution_to_json(exact)
         recoveries = []
         for q in (0.3, 0.5, 0.8175):
-            sol = nullspace_solve(prob, q, DescentOptions(seed=flags.seed))
+            sol = nullspace_solve(prob, q, DescentOptions(seed=args.seed))
             dist = float(np.linalg.norm(sol.x - prob.planted))
             record(f"nullspace_recovery_p_{q}", 0.0, dist, tol=1e-4)
             recoveries.append({"p": q, "distance": dist,
                                "objective": sol.objective,
                                "support": list(sol.support.indices)})
         outputs["recoveries"] = recoveries
-    ms = int((time.perf_counter() - t0) * 1000)
     outputs["checks"] = checks
     outputs["all_pass"] = all(c["pass"] for c in checks)
-    rep = RunReport(
-        command="reproduce", inputs_digest=_digest(raw, which.encode()),
-        outputs=outputs, runtime_ms=ms,
-        seed=flags.seed if which == "example2" else None,
-    )
-    return rep, None
+    seed = args.seed if which == "example2" else None
+    return outputs, None, _digest(raw, which.encode()), seed
 
 
-def cmd_gen(spec_arg: str, flags: Flags) -> tuple[RunReport, None]:
-    text = spec_arg.strip()
+def cmd_gen(args: argparse.Namespace) -> CommandResult:
+    text = args.spec.strip()
     if not text.startswith("{"):
-        text = _read_file(spec_arg).decode("utf-8", errors="replace")
+        text = _read_file(args.spec).decode("utf-8", errors="replace")
     try:
         spec = genspec_from_json(json.loads(text))
     except json.JSONDecodeError as exc:
         raise UsageError(f"gen spec is not valid JSON: {exc}") from None
     except JointSparseError as exc:
         raise UsageError(f"gen spec invalid: {exc}") from None
-    t0 = time.perf_counter()
     prob = gen_problem(spec)
-    ms = int((time.perf_counter() - t0) * 1000)
-    outputs = problem_to_json(prob)
-    rep = RunReport(
-        command="gen",
-        inputs_digest=_digest(json.dumps(spec.to_json(), sort_keys=True).encode()),
-        outputs=outputs, runtime_ms=ms, seed=spec.seed,
-    )
-    return rep, None
+    digest = _digest(json.dumps(spec.to_json(), sort_keys=True).encode())
+    return problem_to_json(prob), None, digest, spec.seed
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pstar", parents=[common],
                         help="equivalence threshold p*(A, B) for a problem file")
     sp.add_argument("problem", help="problem JSON path")
+    sp.set_defaults(run=cmd_pstar)
 
     sp = sub.add_parser("solve", parents=[common], help="solve one instance")
     sp.add_argument("problem", help="problem JSON path")
@@ -505,12 +407,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, default=None, help="exponent for irls/nullspace")
     sp.add_argument("--k-max", type=int, default=None, dest="k_max",
                     help="enumeration cap for --method l20")
+    sp.set_defaults(run=cmd_solve)
 
     sp = sub.add_parser("sweep", parents=[common],
                         help="equivalence check over a grid of p values")
     sp.add_argument("problem", help="problem JSON path")
     sp.add_argument("--grid", required=True,
                     help="comma list '0.1,0.5,0.9' or range 'start:stop:step'")
+    sp.set_defaults(run=cmd_sweep)
 
     sp = sub.add_parser("nsc", parents=[common],
                         help="null-space constant curve with certificates")
@@ -519,14 +423,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, default=1, help="number of columns (default 1)")
     sp.add_argument("--grid", default="0:1:0.1", help="p grid (default 0:1:0.1)")
     sp.add_argument("--restarts", type=int, default=64)
+    sp.set_defaults(run=cmd_nsc)
 
     sp = sub.add_parser("reproduce", parents=[common],
                         help="re-derive the recorded values for a bundled example")
     sp.add_argument("which", help="example1 or example2")
+    sp.set_defaults(run=cmd_reproduce)
 
     sp = sub.add_parser("gen", parents=[common],
                         help="generate a problem from a GenSpec (inline JSON or path)")
     sp.add_argument("spec", help="GenSpec JSON text or file path")
+    sp.set_defaults(run=cmd_gen)
     return parser
 
 
@@ -537,37 +444,34 @@ def _fail(code: int, kind: str, message: str, **extra) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    flags = Flags(seed=args.seed, tol=args.tol, out=args.out, fmt=args.fmt)
+    args = _build_parser().parse_args(argv)
     try:
         _check_options(args)
-        if args.command == "pstar":
-            rep, csv_text = cmd_pstar(args.problem, flags)
-        elif args.command == "solve":
-            rep, csv_text = cmd_solve(args.problem, args.method, args.p, flags,
-                                      k_max=args.k_max)
-        elif args.command == "sweep":
-            rep, csv_text = cmd_sweep(args.problem, _parse_grid(args.grid), flags)
-        elif args.command == "nsc":
-            rep, csv_text = cmd_nsc(args.source, args.k, flags, r=args.r,
-                                    p_grid=_parse_grid(args.grid), restarts=args.restarts)
-        elif args.command == "reproduce":
-            rep, csv_text = cmd_reproduce(args.which, flags)
+        t0 = time.perf_counter()
+        outputs, csv_text, digest, seed = args.run(args)
+        runtime_ms = int((time.perf_counter() - t0) * 1000)
+        if args.fmt == "csv":
+            if csv_text is None:
+                raise UsageError("--csv is not supported for this command")
+            text = payload = csv_text
         else:
-            rep, csv_text = cmd_gen(args.spec, flags)
+            envelope = {"command": args.command, "inputs_digest": digest,
+                        "outputs": outputs, "runtime_ms": runtime_ms, "seed": seed}
+            try:
+                text = json.dumps(envelope, indent=2, allow_nan=False) + "\n"
+            except ValueError as exc:           # json refuses NaN and Infinity
+                return _fail(EXIT_COMPUTE, "NonFiniteOutput",
+                             f"report is not strict JSON: {exc}")
+            payload = json.dumps(outputs, indent=2) + "\n"
+        if args.out:
+            _write_file(args.out, payload)
     except UsageError as exc:
         return _fail(EXIT_USAGE, "UsageError", str(exc))
     except JointSparseError as exc:
         return _fail(EXIT_COMPUTE, type(exc).__name__, str(exc))
-    try:
-        _emit(rep, flags, csv_text)
-    except UsageError as exc:
-        return _fail(EXIT_USAGE, "UsageError", str(exc))
-    except ValueError as exc:                # json refuses NaN and Infinity
-        return _fail(EXIT_COMPUTE, "NonFiniteOutput", f"report is not strict JSON: {exc}")
-    if args.command == "reproduce" and not rep.outputs["all_pass"]:
-        failures = [c for c in rep.outputs["checks"] if not c["pass"]]
+    sys.stdout.write(text)
+    if args.command == "reproduce" and not outputs["all_pass"]:
+        failures = [c for c in outputs["checks"] if not c["pass"]]
         return _fail(EXIT_COMPUTE, "ReproduceMismatch",
                      f"{len(failures)} check(s) failed", failures=failures)
     return EXIT_OK

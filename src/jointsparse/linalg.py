@@ -101,6 +101,17 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
 # serialization
 
 
+def json_float(v):
+    """v for a JSON report: +-inf become the strings 'inf'/'-inf'.
+
+    Anything else passes through unchanged, NaN included, so a NaN still
+    fails a strict (``allow_nan=False``) dump.
+    """
+    if isinstance(v, float) and math.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return v
+
+
 def matrix_to_json(mat: np.ndarray) -> list[list[float]]:
     """Nested-list form, suitable for json.dump."""
     return [[float(v) for v in row] for row in np.asarray(mat)]

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, TrivialNullspace
 from .generators import PortableRng
 from .linalg import GramSpectrum, as_matrix, check_enumerable, column_stacks, gram_spectrum
-from .linalg import matrix_to_json, rank_covers, subset_batches
+from .linalg import json_float, matrix_to_json, rank_covers, subset_batches
 from .norms import DEFAULT_ZERO_TOL, RowSupport, check_zero_tol, theta, theta_top_k
 
 #: Most sweeps the ascent makes at one scale.
@@ -82,7 +82,7 @@ def estimate_to_json(est: NscEstimate) -> dict:
         "p": est.p,
         "k": est.k,
         "r": est.r,
-        "value": est.value,
+        "value": json_float(est.value),
         "certificate_X": matrix_to_json(est.certificate_x),
         "certificate_support": list(est.certificate_support.indices),
         "restarts": est.restarts,

@@ -632,20 +632,6 @@ class EquivalenceReport:
     equivalent: bool
 
 
-def equivalence_report_to_json(rep: EquivalenceReport) -> dict:
-    return {
-        "p": rep.p,
-        "match_tol": rep.match_tol,
-        "l20": solution_to_json(rep.l20),
-        "irls": solution_to_json(rep.irls) if rep.irls else None,
-        "nullspace": solution_to_json(rep.nullspace) if rep.nullspace else None,
-        "skipped": [list(s) for s in rep.skipped],
-        "best_method": rep.best_method,
-        "distance": rep.distance if math.isfinite(rep.distance) else "inf",
-        "equivalent": rep.equivalent,
-    }
-
-
 def check_equivalence(prob: MmvProblem, p: float, opts: EquivalenceOptions) -> EquivalenceReport:
     """Compare the exact row-sparsest solution against the l_{2,p} relaxations.
 

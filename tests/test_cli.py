@@ -139,6 +139,15 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "--k-max" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_is_usage_error_with_nothing_printed(self, capsys, example2_path,
+                                                                tmp_path, where):
+        dest = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+        code, out, err = run(capsys, "pstar", example2_path, "--out", str(dest))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "UsageError"
+
 
 class TestOutputs:
     def test_out_writes_payload(self, capsys, example2_path, tmp_path):
@@ -147,6 +156,27 @@ class TestOutputs:
                        "--out", str(dest))
         payload = json.loads(dest.read_text())
         assert payload == rep["outputs"]
+
+    @pytest.mark.parametrize("argv, tabular", [
+        (["solve", "EX2", "--method", "l20"], True),
+        (["sweep", "EX2", "--grid", "0.5"], True),
+        (["nsc", "EX2", "--k", "2", "--grid", "0.5"], True),
+        (["pstar", "EX2"], False),
+        (["gen", '{"kind": "gaussian", "m": 4, "n": 6, "r": 2, "k": 2, "seed": 1}'], False),
+        (["reproduce", "example1"], False),
+    ])
+    def test_out_writes_the_printed_csv_or_the_outputs(self, capsys, example2_path,
+                                                       tmp_path, argv, tabular):
+        argv = [example2_path if a == "EX2" else a for a in argv]
+        dest = tmp_path / "payload"
+        code, out, err = run(capsys, *argv, "--csv", "--out", str(dest))
+        if tabular:
+            assert code == EXIT_OK, err
+            assert dest.read_text() == out
+        else:
+            assert (code, out, dest.exists()) == (EXIT_USAGE, "", False)
+        rep = run_json(capsys, *argv, "--out", str(dest))
+        assert json.loads(dest.read_text()) == rep["outputs"]
 
     def test_csv_solve_is_matrix(self, capsys, example2_path):
         code, out, _ = run(capsys, "solve", example2_path, "--method", "l20", "--csv")
@@ -188,6 +218,15 @@ class TestOutputs:
         assert outs["curve"][0]["value"] == pytest.approx(1.9285862938389415, abs=1e-9)
         certs = outs["certificates"]
         assert certs[0]["certificate_support"] == [1, 3]
+
+    def test_nsc_infinite_constant_is_encoded_in_curve_and_certificates(self, capsys,
+                                                                         tmp_path):
+        # columns 1 and 4 are equal, so the constant at p = 0 is +inf
+        path = tmp_path / "dup.csv"
+        path.write_text("1,2,3,1\n0,1,4,0\n2,0,1,2\n")
+        outs = run_json(capsys, "nsc", str(path), "--k", "2", "--grid", "0,0.5")["outputs"]
+        assert outs["curve"][0]["value"] == "inf"
+        assert outs["certificates"][0]["value"] == "inf"
 
     def test_gen_then_solve_chain(self, capsys, tmp_path):
         dest = tmp_path / "gen.json"

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointsparse import cli
-from jointsparse.cli import EXIT_COMPUTE, EXIT_USAGE, RunReport, UsageError, _parse_grid, main
+from jointsparse.cli import EXIT_COMPUTE, EXIT_USAGE, UsageError, _parse_grid, main
 
 EX2 = str(resources.files("jointsparse.data").joinpath("example2.json"))
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
@@ -133,9 +133,8 @@ class TestOptionDomains:
 
 
 def test_non_finite_report_exits_1_without_output(monkeypatch):
-    def cmd(problem_path, flags):
-        return RunReport(command="pstar", inputs_digest="", outputs={"lam": math.nan},
-                         runtime_ms=0, seed=None), None
+    def cmd(args):
+        return {"lam": math.nan}, None, "", None
 
     monkeypatch.setattr(cli, "cmd_pstar", cmd)
     code, out, err = run("pstar", EX2)

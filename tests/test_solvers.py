@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -27,7 +26,6 @@ from jointsparse.solvers import (
     IrlsOptions,
     MmvProblem,
     check_equivalence,
-    equivalence_report_to_json,
     irls_solve,
     l20_solve,
     nullspace_solve,
@@ -514,13 +512,6 @@ class TestCheckEquivalence:
         rep = check_equivalence(example2, 0.5, EquivalenceOptions(seed=0, zero_tol=1e-6))
         for sol in (rep.l20, rep.irls, rep.nullspace):
             assert sol.zero_tol == 1e-6
-
-    def test_report_serializes(self, example2):
-        rep = check_equivalence(example2, 0.8, EquivalenceOptions(seed=0))
-        text = json.dumps(equivalence_report_to_json(rep))
-        parsed = json.loads(text)
-        assert parsed["equivalent"] is True
-        assert parsed["l20"]["support"] == [2, 5]
 
     def test_bad_p(self, example2):
         with pytest.raises(DomainError):
