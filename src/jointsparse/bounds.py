@@ -208,23 +208,6 @@ class CheckReport:
     violations: tuple[dict, ...]
 
 
-def check_report_to_json(rep: CheckReport) -> dict:
-    return {
-        "trials": rep.trials,
-        "seed": rep.seed,
-        "k": rep.k,
-        "r": rep.r,
-        "lambda_min_plus": rep.lambda_min_plus,
-        "lambda_max": rep.lambda_max,
-        "cross_bound": rep.cross_bound,
-        "rayleigh_min": rep.rayleigh_min,
-        "rayleigh_max": rep.rayleigh_max,
-        "cross_max": rep.cross_max,
-        "violation_count": len(rep.violations),
-        "violations": [dict(v) for v in rep.violations],
-    }
-
-
 def lemma2_check(a: np.ndarray, k: int, trials: int, seed: int, r: int = 2) -> CheckReport:
     """Sample two restricted-spectrum claims and report what random data says.
 

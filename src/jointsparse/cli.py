@@ -129,8 +129,10 @@ def _load_matrix_source(path: str) -> tuple[np.ndarray, bytes]:
         if text.startswith("["):
             return matrix_from_json(json.loads(text), name=path), raw
         return matrix_from_csv(text, name=path), raw
-    except (json.JSONDecodeError, JointSparseError) as exc:
+    except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: {exc}") from None
+    except JointSparseError as exc:             # its message starts with the path
+        raise UsageError(str(exc)) from None
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -199,8 +201,6 @@ def cmd_pstar(args: argparse.Namespace) -> CommandResult:
 def cmd_solve(args: argparse.Namespace) -> CommandResult:
     method, p, k_max = args.method, args.p, args.k_max
     prob, raw = _load_problem(args.problem)
-    if method not in ("l20", "irls", "nullspace"):
-        raise UsageError(f"unknown method {method!r}")
     if method in ("irls", "nullspace"):
         if p is None:
             raise UsageError(f"method {method} needs --p")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, DuplicateNodes
-from .linalg import as_matrix, matrix_from_json, matrix_to_json
+from .linalg import as_matrix
 
 _TWO_NEG53 = 2.0 ** -53
 
@@ -236,6 +236,4 @@ __all__ = [
     "gen_vandermonde",
     "default_nodes",
     "gen_problem",
-    "matrix_to_json",
-    "matrix_from_json",
 ]

@@ -14,11 +14,12 @@ tests every subset of one size, the one with the fewest subsets in its
 range, and only once the caller has enumerated at least that many subsets
 (:func:`_covers`): a test never costs more than the work before it, so it
 at most doubles the one-subset-at-a-time loop, plus one batch.  Each
-returns the same kind of answer, a :class:`SubsetCover`: every subset of a
+answers every size with the same kind of cover, a :class:`SubsetCover`:
+a cover that holds nothing until its voucher runs, then every subset of a
 set it certified, marked in one table over column bit masks and closed
 downward.  A caller lists the subsets of a size the cover leaves, read off
-the table by bit count in lexicographic order, rather than enumerating
-them all and filtering.
+the table by bit count in lexicographic order (every subset, while the
+cover holds nothing), rather than enumerating them all and filtering.
 
 :func:`rank_covers` vouches for rank.  By Cauchy interlacing (Horn &
 Johnson, *Matrix Analysis*, 4.3) the Gram matrix of a subset S of T is a
@@ -290,11 +291,8 @@ def column_stacks(a: np.ndarray, idx: np.ndarray, cut: float, vouched: np.ndarra
     """
     sub = np.moveaxis(a[:, idx], 1, 0)                           # (c, m, card)
     gram = sub.transpose(0, 2, 1) @ sub                          # (c, card, card)
-    n_vouched = np.count_nonzero(vouched)
-    if not n_vouched:
-        return sub, gram, np.linalg.eigvalsh(gram)[:, 0] > cut
     full_rank = vouched.copy()
-    if n_vouched < len(idx):
+    if not vouched.all():
         full_rank[~vouched] = np.linalg.eigvalsh(gram[~vouched])[:, 0] > cut
     return sub, gram, full_rank
 
@@ -302,16 +300,17 @@ def column_stacks(a: np.ndarray, idx: np.ndarray, cut: float, vouched: np.ndarra
 def _covers(n: int, top: int, most: int, voucher):
     """The cost rule shared by the two vouchers (module docstring).
 
-    Yields ``(card, cover)`` for each size 1..*top*: None until the test is
-    due, then ``voucher(star)``.  *star* is the size in [top, *most*] with
-    the fewest subsets (the smallest on ties; there is none when *most* <
-    *top*).  Its test is due before the first size at which the caller has
-    already enumerated at least as many subsets as size *star* has, unless
-    that size is *star*, whose own enumeration would be the test.  The
-    caller resumes the generator only after enumerating a whole size.
+    Yields ``(card, cover)`` for each size 1..*top*: a cover that holds
+    nothing until the test is due, then ``voucher(star)``.  *star* is the
+    size in [top, *most*] with the fewest subsets (the smallest on ties;
+    there is none when *most* < *top*).  Its test is due before the first
+    size at which the caller has already enumerated at least as many
+    subsets as size *star* has, unless that size is *star*, whose own
+    enumeration would be the test.  The caller resumes the generator only
+    after enumerating a whole size.
     """
     star = min(range(top, most + 1), key=lambda c: math.comb(n, c), default=None)
-    cover, done = None, 0
+    cover, done = SubsetCover(n, False), 0
     for card in range(1, top + 1):
         if star is not None and star > card and done >= math.comb(n, star):
             cover, star = voucher(star), None
@@ -322,9 +321,9 @@ def _covers(n: int, top: int, most: int, voucher):
 def rank_covers(a: np.ndarray, cut: float, top: int):
     """Which supports of up to *top* columns interlacing makes full rank.
 
-    Yields ``(card, ranked)`` for each size 1..*top*.  *ranked* is None
-    until the voucher (module docstring) has run and some subset passed;
-    from then on it is the :class:`SubsetCover` of the passing subsets.
+    Yields ``(card, ranked)`` for each size 1..*top*.  *ranked* is a
+    :class:`SubsetCover` that holds nothing until the voucher (module
+    docstring) has run, and from then on holds the passing subsets.
     The voucher is one rank test, against A's cut *cut*, of every subset
     of c* columns, c* being the size in [top, min(m, n)] with the fewest
     subsets, made when :func:`_covers` says.
@@ -338,9 +337,9 @@ def rank_covers(a: np.ndarray, cut: float, top: int):
 def residual_covers(a: np.ndarray, b: np.ndarray, top: int, tol: float):
     """Which supports of up to *top* columns least squares cannot fit to *tol*.
 
-    Yields ``(card, covered)`` for each size 1..*top*.  *covered* is None
-    until the voucher (module docstring) has run and certified some U; from
-    then on it is the :class:`SubsetCover` of the certified Us.  The
+    Yields ``(card, covered)`` for each size 1..*top*.  *covered* is a
+    :class:`SubsetCover` that holds nothing until the voucher (module
+    docstring) has run, and from then on holds the certified Us.  The
     voucher is the R factor of [A_U | B] for every U of u* columns, u*
     being the size in [top, min(m - 1, n)] with the fewest subsets, made
     when :func:`_covers` says.  U is certified when
@@ -356,41 +355,46 @@ def residual_covers(a: np.ndarray, b: np.ndarray, top: int, tol: float):
 
 class SubsetCover:
     """The subsets of range(n) that a voucher covers: every subset of a set
-    it certified.  It is a table over column bit masks (column j is bit
-    n - 1 - j), true for every subset of a certified set.  In this
+    it certified.  *table* is a table over column bit masks (column j is
+    bit n - 1 - j), true for every subset of a certified set.  In this
     numbering the masks of one size fall in lexicographic order when read
     downward, so the subsets it leaves are listed straight off the table,
-    without generating the ones it covers.  A table of None covers every
-    subset: a voucher that certifies every set of its size builds no
-    table, and its callers ask only about subsets of at most that size.
+    without generating the ones it covers.  A *table* of True holds every
+    subset (a voucher that certifies every set of its size builds no
+    table, and its callers ask only about subsets of at most that size),
+    and one of False holds none (no voucher has run, or it certified
+    nothing): that cover lists every subset, as :func:`subset_batches`.
     """
 
-    def __init__(self, table: np.ndarray | None):
-        self._table = table
-        if table is not None:
-            self._n = table.size.bit_length() - 1
+    def __init__(self, n: int, table: np.ndarray | bool):
+        self._n, self._table = n, table
+        if not isinstance(table, bool):
             # one scan of the table serves every size uncovered() is asked for;
             # _free_pop counts the bits set in each mask it leaves
             self._free = np.flatnonzero(~table)
-            self._free_pop = sum((self._free >> j) & 1 for j in range(self._n))
+            self._free_pop = sum((self._free >> j) & 1 for j in range(n))
 
     def __call__(self, idx: np.ndarray) -> np.ndarray:
         """For each row of an index batch, whether the cover holds it."""
-        if self._table is None:
-            return np.ones(len(idx), dtype=bool)
+        if isinstance(self._table, bool):
+            return np.full(len(idx), self._table)
         return self._table[(np.int64(1) << (self._n - 1 - idx)).sum(axis=1)]
 
     def __and__(self, other: SubsetCover) -> SubsetCover:
         """The subsets both covers hold."""
-        if self._table is None or other._table is None:
-            return other if self._table is None else self
-        return SubsetCover(self._table & other._table)
+        if self._table is False or other._table is True:
+            return self
+        if self._table is True or other._table is False:
+            return other
+        return SubsetCover(self._n, self._table & other._table)
 
     def uncovered(self, card: int):
         """Every *card*-subset the cover does not hold, in lexicographic
         order, as int8 index arrays of at most ``_CHUNK`` rows; none when
         there is no such subset."""
-        if self._table is None:
+        if isinstance(self._table, bool):
+            if not self._table:
+                yield from subset_batches(self._n, card)
             return
         masks = self._free[self._free_pop == card][::-1]
         held = masks[:, None] & (1 << np.arange(self._n - 1, -1, -1)) != 0  # column j: bit n-1-j
@@ -399,20 +403,19 @@ class SubsetCover:
             yield rows[start:start + _CHUNK]
 
 
-def _cover(n: int, size: int, certified: list[np.ndarray]) -> SubsetCover | None:
+def _cover(n: int, size: int, certified: list[np.ndarray]) -> SubsetCover:
     """The :class:`SubsetCover` of the certified *size*-subsets of range(n),
-    given as index batches; None when none is certified, and no table when
-    all C(n, size) are."""
+    given as index batches; no table when none or all C(n, size) are."""
     count = sum(map(len, certified))
     if not count:
-        return None
+        return SubsetCover(n, False)
     if count == math.comb(n, size):
-        return SubsetCover(None)
+        return SubsetCover(n, True)
     table = np.zeros(1 << n, dtype=bool)        # indexed by column bit mask
     for idx in certified:
         table[(np.int64(1) << (n - 1 - idx)).sum(axis=1)] = True
     _close_downward(table)
-    return SubsetCover(table)
+    return SubsetCover(n, table)
 
 
 #: Bits of a column bit mask that :func:`_close_downward` closes on a

@@ -61,10 +61,6 @@ class RowSupport:
             m[i - 1] = True
         return m
 
-    def complement(self) -> "RowSupport":
-        others = tuple(i for i in range(1, self.n + 1) if i not in self.indices)
-        return RowSupport(indices=others, n=self.n)
-
 
 def support_from_indices(indices: Iterable[int], n: int) -> RowSupport:
     """Build a RowSupport from an arbitrary (unsorted, 1-based) index iterable."""

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, TrivialNullspace
 from .generators import PortableRng
 from .linalg import GramSpectrum, as_matrix, check_enumerable, column_stacks, gram_spectrum
-from .linalg import json_float, matrix_to_json, rank_covers, subset_batches
+from .linalg import json_float, matrix_to_json, rank_covers
 from .norms import DEFAULT_ZERO_TOL, RowSupport, check_zero_tol, theta, theta_top_k
 
 #: Most sweeps the ascent makes at one scale.
@@ -329,7 +329,8 @@ def spark(a: np.ndarray) -> int:
     matrix is zero by A's rank rule (at or below 1e-10 times
     lambda_max(A^T A)); in the zero matrix every column is dependent.
     The answer is the smallest size with a subset that fails the cut among
-    those ``linalg.rank_covers`` lists.  Sizes go up from 1; once the
+    those ``linalg.rank_covers`` lists, whose cover holds nothing until its
+    voucher runs.  Sizes go up from 1, every subset tested; once the
     smaller sizes have cost at least as many subsets, every subset of
     min(m, n) columns is tested (one test), and by interlacing each one that
     passes vouches for every subset of its own, so only the subsets no
@@ -348,7 +349,7 @@ def spark(a: np.ndarray) -> int:
     top = min(a.shape)
     cut = gram_spectrum(a).cut
     for card, ranked in rank_covers(a, cut, top):
-        for idx in ranked.uncovered(card) if ranked else subset_batches(a.shape[1], card):
+        for idx in ranked.uncovered(card):
             if not column_stacks(a, idx, cut, np.zeros(len(idx), dtype=bool))[2].all():
                 return card
     return top + 1

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .generators import PortableRng
 from .linalg import as_matrix, check_enumerable, column_stacks, gram_spectrum, rank_covers
-from .linalg import residual_covers, subset_batches
+from .linalg import residual_covers
 from .linalg import matrix_from_json, matrix_to_json
 from .norms import DEFAULT_ZERO_TOL, RowSupport, check_zero_tol, mixed_norm_2p, row_support
 
@@ -39,6 +39,7 @@ FEASIBILITY_TOL = 1e-8      # l20_solve's residual bound, times max(1, ||B||_F)
 MATCH_TOL = 1e-4            # check_equivalence's Frobenius match distance
 TIE_RTOL = 1e-12            # l20_solve's Frobenius norms this close (relative) tie
 IRLS_EPS0, IRLS_EPS_MIN, IRLS_TOL = 1.0, 1e-10, 1e-9   # irls_solve's schedule
+IRLS_MAX_ITER = 2000        # irls_solve's iteration budget
 DESCENT_DIM_GUARD = 8       # largest nullity * r that nullspace_solve accepts
 DESCENT_MAX_SWEEPS = 200    # per coordinate descent and per polish round
 
@@ -215,12 +216,13 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
       ``lstsq``.  A skipped support would fit B by a solve of its own only
       if rounding exceeded that allowance.
 
-    Each voucher answers with a ``linalg.SubsetCover``, and the supports of
-    a size are listed, not enumerated and filtered: those the two covers do
-    not both hold, read off the table of their intersection (every support,
-    while either voucher has certified nothing).  Of those, the ones the
-    rank cover does not hold are rank-tested, the ones the residual cover
-    holds and the test finds full rank are skipped, and the rest are solved.
+    Each voucher answers every size with a ``linalg.SubsetCover``, a cover
+    that holds nothing until its voucher runs, and the supports of a size
+    are listed, not enumerated and filtered: those the two covers do not
+    both hold, read off their intersection, which is formed again only
+    when a voucher has run.  Of those, the ones the rank cover does not
+    hold are rank-tested, the ones the residual cover holds and the test
+    finds full rank are skipped, and the rest are solved.
 
     On ``gen`` Gaussian 16x17 seed 1 with k_max = 8, that is 34 subsets
     decomposed, one batched R-only QR of the 136 stacks [A_U | B] with 15
@@ -248,15 +250,16 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
         zero = np.zeros((n, r))
         return _finish(zero, 0.0, "exact_l20", prob, zero_tol, unique=True)
     cut = gram_spectrum(a).cut
+    covers = both = None
     for (card, ranked), (_, ruled_out) in zip(rank_covers(a, cut, k_max),
                                               residual_covers(a, b, k_max, tol)):
         feasible: list[tuple[float, tuple[int, ...], np.ndarray, bool]] = []
-        both = ranked & ruled_out if ranked and ruled_out else None
-        for idx in both.uncovered(card) if both else subset_batches(n, card):
-            vouched = ranked(idx) if ranked else np.zeros(len(idx), dtype=bool)
-            sub, gram, full_rank = column_stacks(a, idx, cut, vouched)
-            if ruled_out and not vouched.all():     # some support was rank-tested
-                keep = ~(full_rank & ruled_out(idx))    # a rank-deficient one is solved
+        if covers != (ranked, ruled_out):           # covers compare by identity
+            covers, both = (ranked, ruled_out), ranked & ruled_out
+        for idx in both.uncovered(card):
+            sub, gram, full_rank = column_stacks(a, idx, cut, ranked(idx))
+            keep = ~(full_rank & ruled_out(idx))        # a rank-deficient one is solved
+            if not keep.all():
                 idx, sub, gram, full_rank = idx[keep], sub[keep], gram[keep], full_rank[keep]
             rhs = sub.transpose(0, 2, 1) @ b                      # (c, card, r)
             sols = np.empty((len(idx), card, r))
@@ -291,13 +294,10 @@ class IrlsOptions:
     iteration when provided.
     """
 
-    max_iter: int = 2000
     zero_tol: float = DEFAULT_ZERO_TOL
     callback: Callable[[int, np.ndarray, float, float], None] | None = None
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1")
         check_zero_tol(self.zero_tol)
 
 
@@ -312,14 +312,15 @@ def irls_solve(prob: MmvProblem, p: float, opts: IrlsOptions = IrlsOptions()) ->
     i.e. once the iterate has settled at the current smoothing level; the
     iteration has converged once that change is below 1e-9 at eps = 1e-10.
     Requires A with full row rank.  Raises MaxIterationsExceeded (carrying the
-    last iterate in ``.last``) if the budget runs out.
+    last iterate in ``.last``) if the budget of ``IRLS_MAX_ITER`` iterations
+    runs out.
     """
     if not (0.0 < p <= 1.0):
         raise DomainError(f"p must lie in (0, 1], got {p}")
     a = prob.a
     x = np.array(gram_spectrum(a).min_norm(prob.b))
     eps = IRLS_EPS0
-    for iteration in range(1, opts.max_iter + 1):
+    for iteration in range(1, IRLS_MAX_ITER + 1):
         rowsq = np.sum(x * x, axis=1)
         winv = (rowsq + eps) ** (1.0 - p / 2.0)      # 1/w_i, strictly positive
         try:
@@ -340,7 +341,7 @@ def irls_solve(prob: MmvProblem, p: float, opts: IrlsOptions = IrlsOptions()) ->
                 return _finish(x, p, "irls", prob, opts.zero_tol)
             eps = max(eps / 10.0, IRLS_EPS_MIN)
     raise MaxIterationsExceeded(
-        f"no convergence within {opts.max_iter} iterations",
+        f"no convergence within {IRLS_MAX_ITER} iterations",
         last=_finish(x, p, "irls", prob, opts.zero_tol),
     )
 

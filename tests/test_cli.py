@@ -139,6 +139,17 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "--k-max" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("name, text, problem", [
+        ("ragged.csv", "1.0,2.0\n3.0\n", "ragged rows in CSV"),
+        ("ragged.json", "[[1.0, 2.0], [3.0]]", "ragged rows in JSON matrix"),
+    ])
+    def test_bad_matrix_source_is_named_once(self, capsys, tmp_path, name, text, problem):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "nsc", str(path), "--k", "1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert json.loads(err)["error"]["message"] == f"{path}: {problem}"
+
     @pytest.mark.parametrize("where", ["missing_dir", "directory"])
     def test_unwritable_out_is_usage_error_with_nothing_printed(self, capsys, example2_path,
                                                                 tmp_path, where):
@@ -150,13 +161,6 @@ class TestExitCodes:
 
 
 class TestOutputs:
-    def test_out_writes_payload(self, capsys, example2_path, tmp_path):
-        dest = tmp_path / "sol.json"
-        rep = run_json(capsys, "solve", example2_path, "--method", "l20",
-                       "--out", str(dest))
-        payload = json.loads(dest.read_text())
-        assert payload == rep["outputs"]
-
     @pytest.mark.parametrize("argv, tabular", [
         (["solve", "EX2", "--method", "l20"], True),
         (["sweep", "EX2", "--grid", "0.5"], True),

@@ -18,6 +18,7 @@ from jointsparse.generators import GenSpec, gen_problem
 from jointsparse.linalg import (
     ENUMERATION_GUARD,
     REL_EIG_TOL,
+    SubsetCover,
     as_matrix,
     check_enumerable,
     column_stacks,
@@ -51,6 +52,16 @@ from oracles import charpoly_eigenvalues, min_norm_oracle
 EX2_EVALS = [0.0, 6.466001382025592, 8.457917083567364, 9.598778206961973, 10.173992475576512]
 EX2_RATIO = 1.573459681567424
 EX2_NULLVEC = np.array([0.321784, -0.033230, 0.929099, -0.175329, 0.037215])
+
+
+def listed(batches) -> list[tuple[int, ...]]:
+    return [tuple(s) for idx in batches for s in idx.tolist()]
+
+
+def holds_nothing(cover: SubsetCover, n: int, top: int) -> bool:
+    """Whether *cover* lists every subset of range(n) of each size 1..top."""
+    return all(listed(cover.uncovered(card)) == listed(subset_batches(n, card))
+               for card in range(1, top + 1))
 
 
 class TestValidation:
@@ -258,20 +269,20 @@ class TestRankCovers:
 
     @staticmethod
     def unvouched(a, top):
-        # per size: None until some c*-subset has passed, then the number
-        # of subsets of that size the cover leaves to a rank test
+        # per size, the number of subsets of that size the cover leaves to
+        # a rank test: every one until the voucher has run
         cut = gram_spectrum(a).cut
-        return [None if ranked is None else sum(len(idx) for idx in ranked.uncovered(card))
+        return [sum(len(idx) for idx in ranked.uncovered(card))
                 for card, ranked in rank_covers(a, cut, top)]
 
     def test_certified_after_the_first_size(self, rng, decomposed):
         # c* = 16 has 17 subsets, as many as size 1 enumerated before it
         a = rng.standard_normal((16, 17))
-        assert self.unvouched(a, 8) == [None] + [0] * 7
+        assert self.unvouched(a, 8) == [17] + [0] * 7
         assert decomposed == [17]
 
     def test_n_at_most_m(self, rng, decomposed):
-        assert self.unvouched(rng.standard_normal((6, 5)), 5) == [None] + [0] * 4
+        assert self.unvouched(rng.standard_normal((6, 5)), 5) == [5] + [0] * 4
         assert decomposed == [1]
 
     def test_a_failed_subset_leaves_the_others_vouched(self, rng, decomposed):
@@ -280,16 +291,16 @@ class TestRankCovers:
         # but the C(15, c - 2) of size c that hold both
         a = rng.standard_normal((16, 17))
         a[:, 9] = a[:, 2]
-        assert self.unvouched(a, 8) == [None] + [math.comb(15, c - 2) for c in range(2, 9)]
+        assert self.unvouched(a, 8) == [17] + [math.comb(15, c - 2) for c in range(2, 9)]
         assert decomposed == [17]
 
     def test_no_size_qualifies_above_min_m_n(self, rng, decomposed):
-        assert self.unvouched(rng.standard_normal((3, 6)), 4) == [None] * 4
+        assert self.unvouched(rng.standard_normal((3, 6)), 4) == [6, 15, 20, 15]
         assert decomposed == []
 
     def test_no_test_when_c_star_is_the_last_size(self, rng, decomposed):
         # c* = 4 (495 subsets, as many as size 8); sizes 1-3 hold only 298
-        assert self.unvouched(rng.standard_normal((8, 12)), 4) == [None] * 4
+        assert self.unvouched(rng.standard_normal((8, 12)), 4) == [12, 66, 220, 495]
         assert decomposed == []
 
     def test_pinned_subset_counts(self, decomposed):
@@ -338,6 +349,33 @@ class TestSubsetBatches:
         assert rows == list(itertools.combinations(range(ENUMERATION_GUARD), 17))
 
 
+class TestSubsetCover:
+    """The covers that hold nothing and everything need no table."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 12])
+    def test_the_empty_cover_lists_what_subset_batches_lists(self, n):
+        empty = SubsetCover(n, False)
+        for card in range(n + 1):
+            batches = list(empty.uncovered(card))
+            want = list(subset_batches(n, card))
+            assert [(b.dtype, b.tolist()) for b in batches] == [(b.dtype, b.tolist())
+                                                               for b in want]
+            assert not any(empty(idx).any() for idx in batches)
+
+    def test_intersections_with_the_empty_and_the_full_cover(self):
+        # a table cover: every subset of columns 0-2 (bits n - 1 - j)
+        n = 6
+        x = SubsetCover(n, (np.arange(1 << n) & ~0b111000) == 0)
+        empty, full = SubsetCover(n, False), SubsetCover(n, True)
+        assert (full & x) is x and (x & full) is x
+        for both in (empty & x, x & empty, empty & full, full & empty, empty & empty):
+            assert holds_nothing(both, n, n)
+        every = np.concatenate(list(subset_batches(n, 3)))
+        assert (full & full)(every).all() and listed((full & full).uncovered(3)) == []
+        assert listed(x.uncovered(3)) == [s for s in itertools.combinations(range(n), 3)
+                                          if s != (0, 1, 2)]
+
+
 class TestResidualCovers:
     """One least-squares residual of a superset U rules out every subset of
     U; ``residual_covers`` says which supports that rules out, and when."""
@@ -365,7 +403,7 @@ class TestResidualCovers:
         # u* = 5 (56 subsets); sizes 1-2 hold 36 and sizes 1-3 hold 92, so
         # the test comes before size 4
         covers = [covered for _, covered in residual_covers(a, b, 4, tol)]
-        assert covers[:3] == [None] * 3
+        assert all(holds_nothing(c, 8, 4) for c in covers[:3])
         vouched = self.certified(a, b, 5, tol)
         # every U holding the planted rows fits B; no other U does
         assert len(vouched) == 56 - (math.comb(8 - planted, 5 - planted) if planted else 0)
@@ -389,16 +427,16 @@ class TestResidualCovers:
         tol = 1e-8 * max(1.0, np.linalg.norm(b))
         batch_counts = []
         for card, covered in residual_covers(a, b, top, tol):
-            if covered is None:
-                continue
             batches = list(covered.uncovered(card))
             assert all(idx.dtype == np.int8 and 0 < len(idx) <= 2048 for idx in batches)
             every = np.array(list(itertools.combinations(range(n), card)), dtype=np.int8)
-            listed = [s for idx in batches for s in idx.tolist()]
-            assert listed == every[~covered(every)].tolist()
+            assert listed(batches) == listed([every[~covered(every)]])
             batch_counts.append(len(batches))
-        assert len(batch_counts) == (1 if n == 8 else top - 1)
-        assert max(batch_counts) == (0 if planted in (0, 5) else 1 if n == 8 else 6)
+        # the sizes before the test list every subset, one batch each
+        if n == 8:
+            assert batch_counts == [1, 1, 1, 0 if planted in (0, 5) else 1]
+        else:
+            assert batch_counts == [1, 1, 1, 1, 2, 6]
 
     @pytest.mark.parametrize("shape, top, u", [
         # n at or below the closure's low-bit split (u* = 3 and 4, tested
@@ -434,23 +472,19 @@ class TestResidualCovers:
         passed = np.array([sum(1 << j for j in cols)
                            for cols in itertools.combinations(range(n), min(m, n))
                            if np.linalg.eigvalsh(a[:, cols].T @ a[:, cols])[0] > cut], dtype=int)
-        assert (ranked is None) == (len(passed) == 0)
         for card in range(1, n + 1):
             every = np.array(list(itertools.combinations(range(n), card)), dtype=np.int8)
             masks = (1 << every.astype(np.int64)).sum(axis=1)
             for cover, sets in ((covered, vouched), (ranked, passed)):
-                if cover is None:
-                    continue
                 want = ((masks[:, None] & ~sets[None, :]) == 0).any(axis=1)
                 assert cover(every).tolist() == want.tolist(), card
-                listed = [s for idx in cover.uncovered(card) for s in idx.tolist()]
-                assert listed == every[~want].tolist(), card
+                assert listed(cover.uncovered(card)) == listed([every[~want]]), card
 
-    def test_nothing_certified_yields_none(self, rng):
+    def test_nothing_certified_yields_the_empty_cover(self, rng):
         # every column and B lie on one line: every U fits B
         a = np.outer(rng.standard_normal(6), rng.standard_normal(8))
         b = 3.0 * a[:, :1]
-        assert [c for _, c in residual_covers(a, b, 4, 1e-8)] == [None] * 4
+        assert all(holds_nothing(c, 8, 4) for _, c in residual_covers(a, b, 4, 1e-8))
 
     @pytest.mark.parametrize("factor, covered", [(1.05, False), (1.5, True)])
     def test_rounding_allowance(self, rng, factor, covered):
@@ -466,9 +500,9 @@ class TestResidualCovers:
         tol = 1e-8 * np.linalg.norm(b)
         b = b + off * (factor * tol / np.linalg.norm(off))
         last = list(residual_covers(a, b, 4, tol))[-1][1]
-        assert (last is not None) == covered
-        if covered:
-            assert last(np.array([[0, 1, 2, 3]], dtype=np.int8)).tolist() == [True]
+        # every U is certified, or none is
+        assert last(np.array([[0, 1, 2, 3]], dtype=np.int8)).tolist() == [covered]
+        assert holds_nothing(last, 8, 4) != covered
 
     @pytest.mark.parametrize("shape, top", [((4, 6), 2), ((3, 6), 3), ((6, 4), 1)])
     def test_no_test_without_a_qualifying_size_or_time(self, rng, shape, top, monkeypatch):
@@ -480,7 +514,7 @@ class TestResidualCovers:
         monkeypatch.setattr(np.linalg, "qr", never)
         a = rng.standard_normal(shape)
         b = rng.standard_normal((shape[0], 1))
-        assert [c for _, c in residual_covers(a, b, top, 1e-8)] == [None] * top
+        assert all(holds_nothing(c, shape[1], top) for _, c in residual_covers(a, b, top, 1e-8))
 
 
 def cli_nsc(a: np.ndarray) -> None:

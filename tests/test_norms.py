@@ -51,10 +51,9 @@ class TestRowSupport:
         with pytest.raises(DomainError):
             RowSupport(indices=(1.5, 2), n=4)
 
-    def test_mask_and_complement(self):
+    def test_mask(self):
         s = RowSupport(indices=(2, 4), n=5)
         assert list(s.mask()) == [False, True, False, True, False]
-        assert s.complement().indices == (1, 3, 5)
 
     def test_support_from_indices_sorts(self):
         s = support_from_indices([4, 1, 4], n=5)
