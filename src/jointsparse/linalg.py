@@ -20,6 +20,9 @@ set it certified, marked in one table over column bit masks and closed
 downward.  A caller lists the subsets of a size the cover leaves, read off
 the table by bit count in lexicographic order (every subset, while the
 cover holds nothing), rather than enumerating them all and filtering.
+The table is closed on its packed form (:func:`_close_downward`): 64 masks
+to a little-endian word, the six low bits closed inside each word by a
+shift and a mask, the others by ORing runs of words.
 
 :func:`rank_covers` vouches for rank.  By Cauchy interlacing (Horn &
 Johnson, *Matrix Analysis*, 4.3) the Gram matrix of a subset S of T is a
@@ -46,23 +49,56 @@ subset of U.  It tests the size u* in [k, min(m - 1, n)], reading the
 bound off the R factor of [A_U | B]: the first u = |U| Householder
 reflections of that QR are those of A_U's complete QR, and the rest act
 on rows u and below only, so ||R[u:, u:]||_F = ||Q_perp^T B||_F and no Q
-is formed.  The rounding allowance: a support S that A's cut classes full
-rank has smallest singular value above sqrt(cut) and norm at most
-sqrt(lambda_max), so any Y that fits B to the tolerance tol has ||A_S||
-||Y|| <= (||B||_F + tol) / sqrt(REL_EIG_TOL).  The rounding of the QR
-(backward stable column by column, as that of A_U and the product
-Q_perp^T B), and of S's own solve and residual, is a small multiple of eps
-times that, and U is certified only when its bound clears tol by m * n *
-eps times it.  A support S skipped this way would then be found feasible
-by a solve of its own only if that rounding exceeded the allowance, about
-6e-9 * (||B||_F + tol) at m = 16, n = 17.  Rank-deficient supports have
-no such bound: the caller solves them.
+is formed.  R comes from ``numpy.linalg.qr``'s raw factor, whose upper
+part holds R transposed: only the trailing block is transposed and zeroed
+below its diagonal, the same numbers mode "r" gives after zeroing below
+the diagonal of the whole factor.  The rounding allowance: a support S
+that A's cut classes full rank has smallest singular value above sqrt(cut)
+and norm at most sqrt(lambda_max), so any Y that fits B to the tolerance
+tol, or to its own least-squares residual, has ||A_S|| ||Y|| <= (||B||_F +
+tol) / sqrt(REL_EIG_TOL).  The rounding of the QR (backward stable column
+by column, as that of A_U and the product Q_perp^T B), and of S's own
+solve and residual, is a small multiple of eps times that, and U is
+certified only when its bound clears tol by m * n * eps times it.  A
+support S skipped this way would then be found feasible by a solve of its
+own only if that rounding exceeded the allowance, about 6e-9 * (||B||_F +
+tol) at m = 16, n = 17.  Rank-deficient supports have no such bound: the
+caller solves them.
+
+:func:`min_support_size` rules out sizes from the singular values
+sigma_1 >= sigma_2 >= ... of B alone, before any subset is listed.  A_S Y
+has rank at most |S|, so by Eckart & Young (*Psychometrika* 1936) and
+Mirsky, for c = |S|,
+
+    min_Y ||A_S Y - B||_F >= tail_c = ||(sigma_{c+1}, sigma_{c+2}, ...)||.
+
+Every size whose tail exceeds tol plus the allowance above is ruled out
+whole; those are the sizes below the first one left.  The allowance
+covers a full-rank support's own solve and residual, as for the residual
+voucher, and the SVD of B is backward stable, so its singular values are
+exact for B moved by a small multiple of eps ||B||_F, far inside the
+allowance.
+
+Rank-deficient supports of a size ruled out are skipped as well, with no
+rank test.  In exact arithmetic that is sound: rank(A_S Y) <= rank(A_S)
+<= |S| for every Y, so whatever Y ``lstsq`` gives such a support, the
+residual clears the bound.  Its computed residual could still fall to tol
+if the rounding of the product A_S Y cancelled a residual above tol plus
+the allowance to within tol, and nothing here bounds that rounding: when
+A_S's smallest singular value sits just above ``lstsq``'s cutoff, Y is
+huge and so is the rounding.  That such rounding is noise far above tol,
+never a fit, is an empirical margin, not a proven one: over 3 989 such
+supports of sizes ruled out, on matrices with duplicated columns and
+columns perturbed by 1e-7 to 1e-12 or to just above ``lstsq``'s cutoff,
+``lstsq``'s residual was at least 2.18 tol, and above 1e7 tol on the 334
+whose smallest singular value lay within ten times that cutoff.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -193,14 +229,20 @@ class GramSpectrum:
     lambda_max`` counts as zero; ``rank`` counts the others.  ``kernel`` is
     the orthonormal basis of Ker(A) made of the zero eigenvalues'
     eigenvectors, shape (n, nullity), each column's sign fixed so its
-    largest-magnitude entry (first such entry on ties) is positive.
+    largest-magnitude entry (first such entry on ties) is positive.  It is
+    built on first read, so a caller that needs only the cut pays for
+    ``eigh``'s eigenvectors but not for the sign fix and the copy.
     """
 
     a: np.ndarray
     evals: np.ndarray
     cut: float
     rank: int
-    kernel: np.ndarray
+    evecs: np.ndarray = field(repr=False)
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        return _frozen(_fix_column_signs(self.evecs[:, self.evals <= self.cut]))
 
     def summary(self) -> EigSummary:
         """The extreme eigenvalues; AllZeroMatrix if none clears the cut."""
@@ -236,15 +278,10 @@ def gram_spectrum(a: np.ndarray) -> GramSpectrum:
     evals, evecs = np.linalg.eigh(a.T @ a)
     evals = np.maximum(evals, 0.0)
     cut = REL_EIG_TOL * float(evals[-1])
-    zero = evals <= cut
     evals.flags.writeable = False
-    return GramSpectrum(
-        a=a,
-        evals=evals,
-        cut=cut,
-        rank=int(evals.size - zero.sum()),
-        kernel=_frozen(_fix_column_signs(evecs[:, zero])),
-    )
+    evecs.flags.writeable = False
+    return GramSpectrum(a=a, evals=evals, cut=cut,
+                        rank=int(np.count_nonzero(evals > cut)), evecs=evecs)
 
 
 def check_enumerable(a: np.ndarray) -> None:
@@ -353,6 +390,16 @@ def residual_covers(a: np.ndarray, b: np.ndarray, top: int, tol: float):
     return _covers(n, top, min(m - 1, n), lambda u: _residual_voucher(a, b, u, tol))
 
 
+def min_support_size(a: np.ndarray, b: np.ndarray, tol: float) -> int:
+    """The smallest size c whose tail ``||sigma_{c+1:}(B)||`` is at most
+    *tol* plus the rounding allowance: no support of fewer columns fits B
+    to *tol* (module docstring)."""
+    m, n = a.shape
+    sigma = np.linalg.svd(b, compute_uv=False)
+    tails = np.sqrt(np.cumsum(sigma[::-1] ** 2)[::-1])     # tails[c] = ||sigma[c:]||
+    return 1 + int(np.count_nonzero(tails[1:] > tol + _allowance(m, n, b, tol)))
+
+
 class SubsetCover:
     """The subsets of range(n) that a voucher covers: every subset of a set
     it certified.  *table* is a table over column bit masks (column j is
@@ -414,50 +461,60 @@ def _cover(n: int, size: int, certified: list[np.ndarray]) -> SubsetCover:
     table = np.zeros(1 << n, dtype=bool)        # indexed by column bit mask
     for idx in certified:
         table[(np.int64(1) << (n - 1 - idx)).sum(axis=1)] = True
-    _close_downward(table)
-    return SubsetCover(n, table)
+    return SubsetCover(n, _close_downward(table))
 
 
-#: Bits of a column bit mask that :func:`_close_downward` closes on a
-#: transposed copy, where its inner axis is long.
-_LOW_BITS = 5
+#: For bit i < 6 of a column bit mask, the bits of a 64-bit word of the
+#: packed table whose position has bit i clear.
+_IN_WORD = tuple(map(np.uint64, (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+                                 0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)))
 
 
-def _close_downward(table: np.ndarray) -> None:
-    """Mark in place every subset of a marked mask in a table over the
-    2**n column bit masks.
+def _close_downward(table: np.ndarray) -> np.ndarray:
+    """The table over the 2**n column bit masks with every subset of a
+    marked mask marked.
 
-    Closing bit i ORs each mask's entry with that of the mask plus bit i,
-    over runs of 2**i entries.  The low bits' runs are too short to stream,
-    so they are closed on a transposed copy, where bit i < ``_LOW_BITS``
-    runs over 2**(n - _LOW_BITS + i) entries, and copied back.
+    Closing bit i ORs each mask's entry with that of the mask plus bit i.
+    The table is packed into little-endian 64-bit words (padded to one
+    word), entry t at bit t % 64 of word t // 64, so bits 0-5 are closed
+    inside each word by a shift and a mask, and bits 6 and up by ORing
+    runs of 2**(i - 6) words, then the words are unpacked once.
     """
     n = table.size.bit_length() - 1
-    low = min(_LOW_BITS, n)
-    for i in range(low, n):
-        pairs = table.reshape(-1, 2, 1 << i)
+    packed = np.packbits(table, bitorder="little")
+    words = np.zeros(max(1, packed.size // 8), dtype="<u8")
+    words.view(np.uint8)[:packed.size] = packed
+    for i in range(min(6, n)):
+        words |= (words >> np.uint64(1 << i)) & _IN_WORD[i]
+    for i in range(6, n):
+        pairs = words.reshape(-1, 2, 1 << (i - 6))
         pairs[:, 0] |= pairs[:, 1]
-    grid = table.reshape(-1, 1 << low)                # (high bits, low bits)
-    flip = np.ascontiguousarray(grid.T)
-    for i in range(low):
-        pairs = flip.reshape(-1, 2, flip.shape[1] << i)
-        pairs[:, 0] |= pairs[:, 1]
-    grid[...] = flip.T
+    return np.unpackbits(words.view(np.uint8), count=table.size,
+                         bitorder="little").view(bool)
+
+
+def _allowance(m: int, n: int, b: np.ndarray, tol: float) -> float:
+    """The rounding allowance of :func:`residual_covers` and
+    :func:`min_support_size`: ``m * n * eps * (||B||_F + tol) / sqrt(REL_EIG_TOL)``."""
+    eps = float(np.finfo(float).eps)
+    return m * n * eps * (float(np.linalg.norm(b)) + tol) / math.sqrt(REL_EIG_TOL)
 
 
 def _residual_voucher(a: np.ndarray, b: np.ndarray, u: int, tol: float):
     """The cover :func:`residual_covers` yields after testing every U of
     *u* columns."""
     m, n = a.shape
-    eps = float(np.finfo(float).eps)
-    limit = tol + m * n * eps * (float(np.linalg.norm(b)) + tol) / math.sqrt(REL_EIG_TOL)
+    limit = tol + _allowance(m, n, b, tol)
     ab = np.concatenate((a, b), axis=1)
     rhs = np.arange(n, ab.shape[1])                 # B's columns in [A | B]
+    rows = min(m, ab.shape[1])                      # R's rows
     certified = []
     for idx in subset_batches(n, u):
         cols = np.concatenate((idx, np.broadcast_to(rhs, (len(idx), rhs.size))), axis=1)
-        r = np.linalg.qr(np.moveaxis(ab[:, cols], 1, 0), mode="r")  # R of [A_U | B]
-        certified.append(idx[np.linalg.norm(r[:, u:, u:], axis=(1, 2)) > limit])
+        # the raw factor of [A_U | B] holds R transposed in its upper part
+        h = np.linalg.qr(np.moveaxis(ab[:, cols], 1, 0), mode="raw")[0]
+        tail = np.triu(h[:, u:, u:rows].transpose(0, 2, 1))    # R[u:, u:]
+        certified.append(idx[np.linalg.norm(tail, axis=(1, 2)) > limit])
     return _cover(n, u, certified)
 
 

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .generators import PortableRng
 from .linalg import as_matrix, check_enumerable, column_stacks, gram_spectrum, rank_covers
-from .linalg import residual_covers
+from .linalg import min_support_size, residual_covers
 from .linalg import matrix_from_json, matrix_to_json
 from .norms import DEFAULT_ZERO_TOL, RowSupport, check_zero_tol, mixed_norm_2p, row_support
 
@@ -195,8 +195,21 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
     ``unique`` is true iff exactly one support of the winning cardinality is
     feasible and A restricted to it has full column rank.
 
+    First, B's singular values rule out sizes
+    (``linalg.min_support_size``).  A_S Y has rank at most |S|, so no
+    support of a size c fits B closer than B's tail beyond its c-th
+    singular value, and every size whose tail exceeds tol plus the
+    allowance below is skipped: nothing of it is listed, decomposed or
+    solved.  That skips rank-deficient supports too, which ``lstsq`` would
+    have solved: their A_S Y has rank at most |S| as well, so only rounding
+    that cancels the residual down to tol could have found one feasible,
+    and that it does not is an empirical margin (``linalg`` module
+    docstring).
+
     Two vouchers (``linalg`` module docstring) spare per-support work, each
-    one test made when the smaller sizes have cost at least as many subsets:
+    one test made when the smaller sizes have cost at least as many subsets;
+    the sizes the cut skips count towards that too, so a voucher runs at
+    the same size with or without the cut:
 
     * ``linalg.rank_covers`` vouches for rank.  Every subset of the size
       c* in [k_max, min(m, n)] with the fewest subsets is tested against
@@ -207,14 +220,14 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
       lambda_max) of the cut.
     * ``linalg.residual_covers`` rules supports out.  Every U of the size u*
       in [k_max, min(m - 1, n)] with the fewest subsets gets the R factor
-      of [A_U | B], whose trailing block has the norm ``||Q_perp^T B||_F``
-      of A_U's complete QR; when that clears tol plus the rounding
-      allowance ``m * n * eps * (||B||_F + tol) / sqrt(REL_EIG_TOL)``, no
-      subset of U fits B.  The allowance is that of the complete QR: the
-      R factor's rounding is of the same order.  A full-rank support
-      inside such a U is skipped; a rank-deficient one still goes to
-      ``lstsq``.  A skipped support would fit B by a solve of its own only
-      if rounding exceeded that allowance.
+      of [A_U | B], read off QR's raw factor, whose trailing block has the
+      norm ``||Q_perp^T B||_F`` of A_U's complete QR; when that clears tol
+      plus the rounding allowance ``m * n * eps * (||B||_F + tol) /
+      sqrt(REL_EIG_TOL)``, no subset of U fits B.  The allowance is that
+      of the complete QR: the R factor's rounding is of the same order.  A
+      full-rank support inside such a U is skipped; a rank-deficient one
+      still goes to ``lstsq``.  A skipped support would fit B by a solve of
+      its own only if rounding exceeded that allowance.
 
     Each voucher answers every size with a ``linalg.SubsetCover``, a cover
     that holds nothing until its voucher runs, and the supports of a size
@@ -224,14 +237,19 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
     hold are rank-tested, the ones the residual cover holds and the test
     finds full rank are skipped, and the rest are solved.
 
-    On ``gen`` Gaussian 16x17 seed 1 with k_max = 8, that is 34 subsets
-    decomposed, one batched R-only QR of the 136 stacks [A_U | B] with 15
-    columns of A, and 154 supports listed and solved (the 17 single
-    columns, the 136 pairs and the planted support) instead of 65 535.
-    On the instance of seed 3226652560831358504, whose one dependent set of
-    16 columns omits column 9 (0-based), the other 16 sets of 16 columns
-    vouch for every support of up to 8 rows: again 34 subsets decomposed,
-    and the planted support found.
+    On ``gen`` Gaussian 16x17 r4 seed 1 with k_max = 8, B's rank rules out
+    sizes 1-3; the 17 subsets of 16 columns are decomposed, one batched QR
+    of the 136 stacks [A_U | B] with 15 columns of A rules out sizes 4-7,
+    and one support, the planted one, is listed and solved (154 before the
+    size cut: the 17 single columns, the 136 pairs and the planted support;
+    65 535 with no voucher).  On the instance of seed 3226652560831358504,
+    whose one dependent set of 16 columns omits column 9 (0-based), the
+    other 16 sets of 16 columns vouch for every support of up to 8 rows:
+    again 17 subsets decomposed, and the planted support found.  On ``gen``
+    Gaussian 12x20 r6 k6 seed 1 with k_max = 6, sizes 1-5 are ruled out,
+    where their 21 699 supports were solved before the cut, and the 38 760
+    supports of 6 columns are still listed and solved: no voucher is due
+    before size 6.
 
     Raises EnumerationTooLarge when n exceeds ``linalg.ENUMERATION_GUARD``,
     DomainError for a k_max outside 1..n or a NaN or negative *zero_tol*
@@ -250,9 +268,14 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
         zero = np.zeros((n, r))
         return _finish(zero, 0.0, "exact_l20", prob, zero_tol, unique=True)
     cut = gram_spectrum(a).cut
+    first = min_support_size(a, b, tol)
+    if first > k_max:
+        raise Infeasible(f"no feasible support of cardinality <= {k_max}")
     covers = both = None
     for (card, ranked), (_, ruled_out) in zip(rank_covers(a, cut, k_max),
                                               residual_covers(a, b, k_max, tol)):
+        if card < first:                    # the covers advance, so vouchers keep their sizes
+            continue
         feasible: list[tuple[float, tuple[int, ...], np.ndarray, bool]] = []
         if covers != (ranked, ruled_out):           # covers compare by identity
             covers, both = (ranked, ruled_out), ranked & ruled_out

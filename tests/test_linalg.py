@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jointsparse import linalg
 from jointsparse.bounds import pstar
 from jointsparse.cli import main
 from jointsparse.errors import AllZeroMatrix, DomainError, EnumerationTooLarge, RankDeficient
@@ -199,6 +200,29 @@ class TestNullspace:
         assert ns.basis.shape == (3, 0)
 
 
+class TestGramSpectrum:
+    def test_kernel_is_built_on_first_read(self, rng, monkeypatch):
+        fixed = []
+
+        def spy(basis, _real=linalg._fix_column_signs):
+            fixed.append(basis.shape)
+            return _real(basis)
+
+        monkeypatch.setattr(linalg, "_fix_column_signs", spy)
+        a = rng.standard_normal((3, 7))
+        prob = MmvProblem(a=a, b=a[:, :2] @ rng.standard_normal((2, 2)))
+        # the routes that read only the cut or the min-norm solve
+        l20_solve(prob, 2)
+        spark(a)
+        pstar(a, prob.b)
+        irls_solve(prob, 0.5, IrlsOptions())
+        assert fixed == []
+        spec = gram_spectrum(a)
+        assert spec.kernel is spec.kernel and fixed == [(7, 4)]
+        assert np.array_equal(spec.kernel, nullspace_basis(a).basis)
+        assert not spec.kernel.flags.writeable
+
+
 class TestMinNorm:
     def test_against_elimination_oracle(self, rng):
         for _ in range(10):
@@ -306,30 +330,34 @@ class TestRankCovers:
     def test_pinned_subset_counts(self, decomposed):
         # Before the interlacing test: spark decomposed all 2^17 - 2 subsets
         # of 1-16 columns and one of 17 (131 071), l20_solve every subset of
-        # 1-8 columns (65 535).  Now each decomposes the 17 single columns,
-        # then the 17 subsets of 16 columns, and nothing more.
+        # 1-8 columns (65 535).  Now spark decomposes the 17 single columns,
+        # then the 17 subsets of 16 columns, and nothing more.  l20_solve
+        # decomposed the same 34 until B's rank (4) ruled out size 1; now it
+        # decomposes only the 17 subsets of 16 columns.
         prob = gen_problem(GenSpec("gaussian", 16, 17, 4, 8, 1))
         assert spark(prob.a) == 17
         assert sum(decomposed) == 34
         decomposed.clear()
         assert l20_solve(prob, 8).unique is True
-        assert sum(decomposed) == 34
+        assert decomposed == [17]
 
     def test_one_dependent_c_star_subset(self, decomposed):
         # The exact benchmark pool at seed 1010 holds this instance: of its
         # 17 subsets of 16 columns only the one without column 9 is
         # dependent.  The other 16 vouch for every subset but that one and
         # all 17 columns, so spark decomposes the 17 single columns, the 17
-        # subsets of 16 columns and that one again; l20_solve decomposes no
-        # support above one column.  While one test failing kept the rank
-        # cut for every size, spark decomposed 131 087 subsets here and
-        # l20_solve 65 552 (every support of 1-8 columns and the 17 tested).
+        # subsets of 16 columns and that one again; l20_solve decomposes the
+        # 17 subsets of 16 columns and no support (the 17 single columns
+        # too, until B's rank ruled out size 1).  While one test failing
+        # kept the rank cut for every size, spark decomposed 131 087 subsets
+        # here and l20_solve 65 552 (every support of 1-8 columns and the 17
+        # tested).
         prob = gen_problem(GenSpec("gaussian", 16, 17, 4, 8, 3226652560831358504))
         assert spark(prob.a) == 16
         assert decomposed == [17, 17, 1]
         decomposed.clear()
         sol = l20_solve(prob, 8)
-        assert sum(decomposed) == 34
+        assert decomposed == [17]
         planted = tuple(int(j) + 1 for j in np.flatnonzero(np.any(prob.planted != 0, axis=1)))
         assert sol.support.indices == planted and sol.unique is True
 
@@ -347,6 +375,20 @@ class TestSubsetBatches:
         # sizes above n/2 come from the complements of the smaller size
         rows = [tuple(r) for b in subset_batches(ENUMERATION_GUARD, 17) for r in b.tolist()]
         assert rows == list(itertools.combinations(range(ENUMERATION_GUARD), 17))
+
+
+class TestCloseDownward:
+    @pytest.mark.parametrize("n", range(11))
+    def test_equals_brute_force(self, rng, n):
+        # a few marked masks, so that most subsets stay unmarked
+        table = rng.random(1 << n) < 2.0 / (1 << n) + 0.01
+        masks = np.arange(1 << n)
+        superset = (masks[None, :] & masks[:, None]) == masks[:, None]
+        want = (superset & table[None, :]).any(axis=1)
+        before = table.copy()
+        got = linalg._close_downward(table)
+        assert got.dtype == bool and got.tolist() == want.tolist()
+        assert np.array_equal(table, before)
 
 
 class TestSubsetCover:
@@ -439,8 +481,9 @@ class TestResidualCovers:
             assert batch_counts == [1, 1, 1, 1, 2, 6]
 
     @pytest.mark.parametrize("shape, top, u", [
-        # n at or below the closure's low-bit split (u* = 3 and 4, tested
-        # before size 2), and above it (u* = 5 before size 4, 7 before 5)
+        # n within one word of the packed closure, whose table is padded
+        # (u* = 3 and 4, tested before size 2), and beyond it (u* = 5
+        # before size 4, 7 before 5)
         ((4, 4), 2, 3), ((5, 5), 3, 4), ((6, 9), 5, 5), ((8, 12), 6, 7)])
     @pytest.mark.parametrize("kind", ["planted", "hub"])
     def test_closed_table_equals_brute_force(self, rng, shape, top, u, kind):
@@ -502,6 +545,21 @@ class TestResidualCovers:
         last = list(residual_covers(a, b, 4, tol))[-1][1]
         # every U is certified, or none is
         assert last(np.array([[0, 1, 2, 3]], dtype=np.int8)).tolist() == [covered]
+        assert holds_nothing(last, 8, 4) != covered
+
+    @pytest.mark.parametrize("factor, covered", [(1.05, False), (1.5, True)])
+    def test_rounding_allowance_with_rows_below_the_block(self, rng, factor, covered):
+        # n < m - 1, so u* = n = 8, tested before size 2, and R[u:, u:] has
+        # a row below its first, where the raw QR factor keeps a Householder
+        # vector that the bound must leave out.  B lies *factor* tolerances
+        # off range(A); the allowance is 0.178 of the tolerance here.
+        a = rng.standard_normal((10, 8))
+        b = a @ rng.standard_normal((8, 2))
+        off = rng.standard_normal((10, 2))
+        off -= a @ np.linalg.lstsq(a, off, rcond=None)[0]
+        tol = 1e-8 * np.linalg.norm(b)
+        b = b + off * (factor * tol / np.linalg.norm(off))
+        last = list(residual_covers(a, b, 4, tol))[-1][1]
         assert holds_nothing(last, 8, 4) != covered
 
     @pytest.mark.parametrize("shape, top", [((4, 6), 2), ((3, 6), 3), ((6, 4), 1)])

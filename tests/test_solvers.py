@@ -17,7 +17,7 @@ from jointsparse.errors import (
 from jointsparse import solvers
 from jointsparse.generators import GenSpec, gen_problem
 from jointsparse.norms import mixed_norm_2p
-from jointsparse.linalg import SubsetCover, min_norm_solution, nullspace_basis
+from jointsparse.linalg import SubsetCover, min_norm_solution, min_support_size, nullspace_basis
 from jointsparse.solvers import (
     IRLS_EPS0,
     IRLS_EPS_MIN,
@@ -224,11 +224,14 @@ class TestL20Frozen:
         monkeypatch.setattr(np.linalg, "lstsq", spy)
         prob, k_max = L20_CASES["duplicate"]
         l20_solve(prob, k_max)
-        # 6 of the 8 seven-column subsets hold columns 1 and 5 and fail the
-        # check; the 2 that pass vouch for every support but those holding
-        # both, so only those are rank-tested and solved by lstsq: {1, 5},
-        # then {1, 5, j} for the six other j
-        assert decomposed == [8, 8, 1, 6]
+        # B has rank 2, so its singular values rule out size 1.  The rank
+        # test of the 8 seven-column subsets still runs before size 2: 6 of
+        # them hold columns 1 and 5 and fail the check, and the 2 that pass
+        # vouch for every support but those holding both, so only those are
+        # rank-tested and solved by lstsq: {1, 5}, then {1, 5, j} for the
+        # six other j.  Before the size cut the 8 single columns were
+        # decomposed first.
+        assert decomposed == [8, 1, 6]
         assert singular == [2] + [3] * 6
 
 
@@ -317,16 +320,18 @@ class TestL20AgainstEverySupport:
 
     def test_pinned_solve_count(self, solved):
         # Before the residual test every support of 1-8 columns was solved
-        # (65 535).  Now the 17 single columns and the 136 pairs are, then
-        # the 136 subsets of 15 columns are tested, and of the larger
-        # supports only the planted one escapes them.
+        # (65 535), and before B's singular values ruled sizes out, 154: the
+        # 17 single columns, the 136 pairs and the planted support.  Now B's
+        # rank (4) rules out sizes 1-3, the 136 subsets of 15 columns rule
+        # out sizes 4-7, and of size 8 only the planted support escapes them.
         prob = gen_problem(GenSpec("gaussian", 16, 17, 4, 8, 1))
         assert l20_solve(prob, 8).unique is True
-        assert sum(solved) == 154
+        assert sum(solved) == 1
 
     def test_pinned_voucher_factorization(self, monkeypatch):
         # Each U of 15 columns is tested by the R factor of [A_U | B]; all
-        # 136 come in one batched QR, which forms no Q.
+        # 136 come in one batched QR, whose raw factor holds R transposed,
+        # so neither Q nor the whole of R is formed.
         calls = []
 
         def spy(mat, mode="reduced", _real=np.linalg.qr):
@@ -336,23 +341,27 @@ class TestL20AgainstEverySupport:
         monkeypatch.setattr(np.linalg, "qr", spy)
         prob = gen_problem(GenSpec("gaussian", 16, 17, 4, 8, 1))
         assert l20_solve(prob, 8).unique is True
-        assert calls == [((136, 16, 15 + prob.r), "r")]
+        assert calls == [((136, 16, 15 + prob.r), "raw")]
 
     def test_pinned_enumeration_count(self, stacked):
         # Before supports were listed, all 65 535 supports of 1-8 columns
-        # were enumerated and the covered ones dropped batch by batch.  Now
-        # the 17 single columns and the 136 pairs are, and from size 3 on
-        # only the supports no certified U covers: the planted one.
+        # were enumerated and the covered ones dropped batch by batch, and
+        # before B's singular values ruled sizes out, the 17 single columns,
+        # the 136 pairs and the planted support were listed.  Now sizes 1-3
+        # are ruled out, and from size 4 on only the supports no certified U
+        # covers are listed: the planted one.
         prob = gen_problem(GenSpec("gaussian", 16, 17, 4, 8, 1))
         assert l20_solve(prob, 8).unique is True
-        assert stacked == [17, 136, 1]
+        assert stacked == [1]
 
     def test_the_intersection_is_formed_once_per_voucher(self, monkeypatch):
         # The rank voucher runs before size 2 and leaves a table (its one
         # dependent set of 16 columns omits column 9), the residual voucher
-        # before size 3.  The two tables are intersected once, not again at
-        # each of sizes 3-8; the two earlier calls, with a cover that holds
-        # nothing, return one of their operands.
+        # before size 3.  B's rank (4) rules out sizes 1-3, so nothing is
+        # listed before size 4, and the two tables are intersected once
+        # there, not again at each of sizes 5-8.  While sizes 1 and 2 were
+        # listed, each formed an intersection with a cover that holds
+        # nothing, which returned one of its operands.
         built = []
 
         def spy(self, other, _real=SubsetCover.__and__):
@@ -363,26 +372,161 @@ class TestL20AgainstEverySupport:
         monkeypatch.setattr(SubsetCover, "__and__", spy)
         prob = gen_problem(GenSpec("gaussian", 16, 17, 4, 8, 3226652560831358504))
         assert l20_solve(prob, 8).unique is True
-        assert built == [False, False, True]
+        assert built == [True]
 
     def test_a_dependent_c_star_subset_lists_what_it_leaves(self, rng, stacked):
         # Column 9 repeats column 2, so of the 17 subsets of 16 columns only
         # the 2 without one of them pass, and they vouch for every support
-        # but those holding both.  Sizes 1 and 2 come before the residual
-        # test and are enumerated whole; from size 3 on only the supports
-        # holding columns 2 and 9, C(15, c - 2) of size c, which are
-        # rank-tested and solved by lstsq, and the planted one are listed.
+        # but those holding both.  B's rank (4) rules out sizes 1-3, where
+        # before the size cut sizes 1 and 2 were listed whole and size 3
+        # listed the 15 supports holding columns 2 and 9.  From size 4 on
+        # only those, C(15, c - 2) of size c, which are rank-tested and
+        # solved by lstsq, and the planted one are listed.
         a = rng.standard_normal((16, 17))
         a[:, 9] = a[:, 2]
         x = np.zeros((17, 4))
         x[[0, 5, 11, 14]] = rng.standard_normal((4, 4))
         prob = MmvProblem(a=a, b=a @ x)
         sol = l20_solve(prob, 8)
-        assert stacked == [17, 136, 15, 105 + 1]
+        assert stacked == [105 + 1]
         support, unique, objective, want = l20_every_support(prob.a, prob.b, 8)
         assert (sol.support.indices, sol.unique, sol.objective) == (support, unique, objective)
         assert support == (1, 6, 12, 15) and unique is True
         assert np.allclose(sol.x, want, rtol=0, atol=1e-12)
+
+
+def assert_matches_textbook_loop(prob: MmvProblem, k_max: int) -> None:
+    want = l20_every_support(prob.a, prob.b, k_max)
+    if want is None:
+        with pytest.raises(Infeasible):
+            l20_solve(prob, k_max)
+        return
+    sol = l20_solve(prob, k_max)
+    support, unique, objective, x = want
+    assert (sol.support.indices, sol.unique, sol.objective) == (support, unique, objective)
+    assert np.allclose(sol.x, x, rtol=0, atol=1e-12)
+
+
+def feasibility_tol(b: np.ndarray) -> float:
+    return solvers.FEASIBILITY_TOL * max(1.0, float(np.linalg.norm(b)))
+
+
+@pytest.fixture()
+def widths(monkeypatch) -> list[int]:
+    """Column counts of the index batches ``l20_solve`` passes to
+    ``column_stacks`` while the test runs: the sizes it listed supports of."""
+    batches: list[int] = []
+
+    def spy(a, idx, *args, _real=solvers.column_stacks):
+        batches.append(idx.shape[1])
+        return _real(a, idx, *args)
+
+    monkeypatch.setattr(solvers, "column_stacks", spy)
+    return batches
+
+
+class TestL20SizeCut:
+    """B's singular values rule out whole sizes: a support of c columns fits
+    B no closer than B's tail beyond its c-th singular value.  No result
+    changes."""
+
+    @pytest.mark.parametrize("m, n, r, k, seed", [
+        *[(6, 10, 3, 3, s) for s in range(6)], *[(8, 12, 4, 4, s) for s in range(6)],
+        (12, 20, 6, 6, 1), (12, 20, 8, 6, 2), (16, 17, 8, 8, 3)])
+    def test_r_at_least_k_matches_the_textbook_loop(self, m, n, r, k, seed, widths):
+        prob = gen_problem(GenSpec("gaussian", m, n, r, k, seed))
+        assert_matches_textbook_loop(prob, k)
+        # B has rank k, so no support of fewer columns is listed
+        assert set(widths) == {k}
+
+    def test_nothing_below_six_columns_is_listed(self, stacked, widths):
+        # Every size below 6 is ruled out, where before all 21 699 supports
+        # of 1-5 columns were solved.  All 38 760 of 6 columns are still
+        # listed: neither voucher is due before size 6.
+        prob = gen_problem(GenSpec("gaussian", 12, 20, 6, 6, 1))
+        sol = l20_solve(prob, 6)
+        assert set(widths) == {6} and sum(stacked) == 38_760
+        assert sol.support.indices == (1, 5, 7, 12, 19, 20) and sol.unique is True
+
+    @staticmethod
+    def tailed(rng, factor: float) -> MmvProblem:
+        """8x12, B of rank 4 whose tail beyond its 3rd singular value is
+        *factor* times the feasibility tolerance; columns 2, 5 and 9 span
+        its top 3 left singular vectors, so they fit B to exactly that."""
+        q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        v = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        big = np.array([3.0, 2.0, 1.0])
+        # ||B||_F >= 1, so the tolerance is 1e-8 ||B||_F, tail included
+        t = factor * solvers.FEASIBILITY_TOL
+        tail = t * math.sqrt(big @ big / (1 - t * t))
+        b = q[:, :4] @ np.diag([*big, tail]) @ v.T
+        a = rng.standard_normal((8, 12))
+        a[:, [2, 5, 9]] = q[:, :3] @ rng.standard_normal((3, 3))
+        return MmvProblem(a=a, b=b)
+
+    @pytest.mark.parametrize("factor, first", [(0.95, 3), (1.05, 3), (1.5, 4)])
+    def test_tail_near_the_tolerance(self, rng, factor, first, widths):
+        # The allowance is 0.213 of the tolerance at 8x12: a tail of 1.05
+        # tolerances leaves size 3 to the solves, 1.5 rules it out.
+        prob = self.tailed(rng, factor)
+        tol = feasibility_tol(prob.b)
+        sigma = np.linalg.svd(prob.b, compute_uv=False)
+        assert sigma[3] / tol == pytest.approx(factor, rel=1e-9)
+        assert min_support_size(prob.a, prob.b, tol) == first
+        assert_matches_textbook_loop(prob, 3)
+        assert set(widths) == ({3} if first == 3 else set())
+        assert_matches_textbook_loop(prob, 4)
+        assert min(widths) == first
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-9, 1e-12])
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_duplicated_columns(self, rng, gap, r):
+        # column 8 repeats planted column 4, exactly or up to a perturbation
+        a = rng.standard_normal((8, 12))
+        a[:, 8] = a[:, 4] + gap * rng.standard_normal(8)
+        b = a[:, [1, 4, 10]] @ rng.standard_normal((3, r))
+        prob = MmvProblem(a=a, b=b)
+        for k_max in (3, 4):
+            assert_matches_textbook_loop(prob, k_max)
+
+    @pytest.mark.parametrize("factor", [1.01, 1.5, 4.0])
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_pair_just_above_the_lstsq_cutoff(self, rng, factor, r, widths):
+        # Column 8 is column 4 moved so that the pair's smallest singular
+        # value is *factor* times lstsq's cutoff (eps * 8 times the largest):
+        # lstsq solves it as full rank with a huge Y, the Gram test as
+        # rank-deficient.  B has rank 3, so the cut skips size 2, the pair
+        # included, with no solve; the textbook loop solves it and finds it
+        # infeasible too.
+        a = rng.standard_normal((8, 12))
+        w = rng.standard_normal(8)
+        w -= a[:, 4] * (a[:, 4] @ w) / (a[:, 4] @ a[:, 4])
+        w /= np.linalg.norm(w)
+        cutoff = np.finfo(float).eps * 8
+        delta = factor * cutoff * math.sqrt(2) * np.linalg.norm(a[:, 4])
+        for _ in range(3):          # the ratio is linear in delta this small
+            a[:, 8] = a[:, 4] + delta * w
+            sv = np.linalg.svd(a[:, [4, 8]], compute_uv=False)
+            delta *= factor * cutoff / (sv[1] / sv[0])
+        a[:, 8] = a[:, 4] + delta * w
+        sv = np.linalg.svd(a[:, [4, 8]], compute_uv=False)
+        assert sv[1] / sv[0] == pytest.approx(factor * cutoff, rel=1e-3)
+        b = a[:, [1, 4, 10]] @ rng.standard_normal((3, r))
+        prob = MmvProblem(a=a, b=b)
+        assert min_support_size(a, b, feasibility_tol(b)) == 3
+        assert np.linalg.lstsq(a[:, [4, 8]], b, rcond=None)[2] == 2
+        assert_matches_textbook_loop(prob, 2)
+        assert widths == []
+        assert_matches_textbook_loop(prob, 3)
+
+    def test_b_of_rank_below_r(self, rng, widths):
+        a = rng.standard_normal((8, 12))
+        b = a[:, [2, 7]] @ rng.standard_normal((2, 1)) @ rng.standard_normal((1, 4))
+        b += a[:, [2, 7]] @ rng.standard_normal((2, 1)) @ rng.standard_normal((1, 4))
+        assert np.linalg.matrix_rank(b) == 2
+        assert min_support_size(a, b, feasibility_tol(b)) == 2
+        assert_matches_textbook_loop(MmvProblem(a=a, b=b), 4)
+        assert set(widths) == {2}
 
 
 class TestIrls:
