@@ -7,7 +7,7 @@ the rank rule: an eigenvalue at or below ``REL_EIG_TOL * lambda_max`` is
 zero.  The public spectral functions each read from one such decomposition,
 and the solvers take one per call and read everything from it.
 :func:`subset_batches` enumerates column subsets, and :func:`column_stacks`
-applies the same cut to each one a voucher below does not vouch for.
+applies the same cut to each one.
 
 Two vouchers spare per-subset work where it cannot change the answer.  Each
 tests every subset of one size, the one with the fewest subsets in its
@@ -24,10 +24,11 @@ The table is closed on its packed form (:func:`_close_downward`): 64 masks
 to a little-endian word, the six low bits closed inside each word by a
 shift and a mask, the others by ORing runs of words.
 
-:func:`rank_covers` vouches for rank.  By Cauchy interlacing (Horn &
-Johnson, *Matrix Analysis*, 4.3) the Gram matrix of a subset S of T is a
-principal submatrix of T's, so its smallest eigenvalue is at least T's:
-every subset of a set of c* columns that clears the cut clears it too.
+:func:`rank_covers` vouches for rank, for ``nsc.spark`` alone.  By Cauchy
+interlacing (Horn & Johnson, *Matrix Analysis*, 4.3) the Gram matrix of a
+subset S of T is a principal submatrix of T's, so its smallest eigenvalue
+is at least T's: every subset of a set of c* columns that clears the cut
+clears it too.
 The rule holds set by set, so one dependent set of c* columns takes only
 its own subsets out of the cover, not the whole size.  It tests the size
 c* in [k, min(m, n)] for a caller that needs sizes up to k.  When every
@@ -60,10 +61,9 @@ tol) / sqrt(REL_EIG_TOL).  The rounding of the QR (backward stable column
 by column, as that of A_U and the product Q_perp^T B), and of S's own
 solve and residual, is a small multiple of eps times that, and U is
 certified only when its bound clears tol by m * n * eps times it.  A
-support S skipped this way would then be found feasible by a solve of its
-own only if that rounding exceeded the allowance, about 6e-9 * (||B||_F +
-tol) at m = 16, n = 17.  Rank-deficient supports have no such bound: the
-caller solves them.
+full-rank support S skipped this way would then be found feasible by a
+solve of its own only if that rounding exceeded the allowance, about 6e-9
+* (||B||_F + tol) at m = 16, n = 17.
 
 :func:`min_support_size` rules out sizes from the singular values
 sigma_1 >= sigma_2 >= ... of B alone, before any subset is listed.  A_S Y
@@ -79,19 +79,26 @@ voucher, and the SVD of B is backward stable, so its singular values are
 exact for B moved by a small multiple of eps ||B||_F, far inside the
 allowance.
 
-Rank-deficient supports of a size ruled out are skipped as well, with no
-rank test.  In exact arithmetic that is sound: rank(A_S Y) <= rank(A_S)
-<= |S| for every Y, so whatever Y ``lstsq`` gives such a support, the
-residual clears the bound.  Its computed residual could still fall to tol
-if the rounding of the product A_S Y cancelled a residual above tol plus
-the allowance to within tol, and nothing here bounds that rounding: when
-A_S's smallest singular value sits just above ``lstsq``'s cutoff, Y is
-huge and so is the rounding.  That such rounding is noise far above tol,
-never a fit, is an empirical margin, not a proven one: over 3 989 such
-supports of sizes ruled out, on matrices with duplicated columns and
-columns perturbed by 1e-7 to 1e-12 or to just above ``lstsq``'s cutoff,
-``lstsq``'s residual was at least 2.18 tol, and above 1e7 tol on the 334
-whose smallest singular value lay within ten times that cutoff.
+The caller skips what either cut rules out at any rank, with no rank
+test: a support of a size :func:`min_support_size` rules out, and a support
+inside a U :func:`residual_covers` certified.  For a rank-deficient support
+the allowance bounds nothing.  In exact arithmetic the skip is sound, since
+its residual is at least the tail, or U's bound, whatever Y ``lstsq``
+gives it.  Its computed residual could still fall to tol if the rounding of
+the product A_S Y cancelled a residual above tol plus the allowance to
+within tol.  Nothing here bounds that rounding: when A_S's smallest
+singular value sits just above ``lstsq``'s cutoff, Y is huge and so is the
+rounding.  That such rounding is noise far above tol, never a fit, is an
+empirical margin, not a proven one.  The matrices had duplicated, scaled or
+near-duplicated columns (moved by 1e-7 to 1e-12), or a pair of columns just
+above ``lstsq``'s cutoff.  Over 3 989 supports of sizes ruled out,
+``lstsq``'s residual was at least 2.18 tol (above 1e7 tol on the 334 whose
+smallest singular value lay within ten times that cutoff).  Over 2 841
+supports inside a certified U, at sizes the size cut leaves, it was at
+least 6e6 tol where B lay in range(A) or far off it, and at least 1.25 tol
+where B was built 1.25 to 4 tol off the span of a planted support: there
+about what exact arithmetic gives, never more than 6e-9 (relative) below
+the certified U's bound.
 """
 
 from __future__ import annotations
@@ -317,21 +324,16 @@ def subset_batches(n: int, card: int):
         yield table[start:start + _CHUNK]
 
 
-def column_stacks(a: np.ndarray, idx: np.ndarray, cut: float, vouched: np.ndarray):
+def column_stacks(a: np.ndarray, idx: np.ndarray, cut: float):
     """``(sub, gram, full_rank)`` for the column subsets in the rows of
     *idx*: the stack A_S of shape (c, m, card), the stack A_S^T A_S of shape
-    (c, card, card), and whether each subset is full rank.  That is true
-    where *vouched* is (a :class:`SubsetCover`'s answer for *idx*) and
-    elsewhere whether the Gram matrix's smallest eigenvalue clears *cut*,
-    the rank cut of A from :func:`gram_spectrum`.  Only the Gram matrices
-    not vouched for are decomposed.
+    (c, card, card), and whether each subset is full rank, that is whether
+    its Gram matrix's smallest eigenvalue clears *cut*, the rank cut of A
+    from :func:`gram_spectrum`.
     """
     sub = np.moveaxis(a[:, idx], 1, 0)                           # (c, m, card)
     gram = sub.transpose(0, 2, 1) @ sub                          # (c, card, card)
-    full_rank = vouched.copy()
-    if not vouched.all():
-        full_rank[~vouched] = np.linalg.eigvalsh(gram[~vouched])[:, 0] > cut
-    return sub, gram, full_rank
+    return sub, gram, np.linalg.eigvalsh(gram)[:, 0] > cut
 
 
 def _covers(n: int, top: int, most: int, voucher):
@@ -367,8 +369,7 @@ def rank_covers(a: np.ndarray, cut: float, top: int):
     """
     m, n = a.shape
     return _covers(n, top, min(m, n), lambda c: _cover(n, c, [
-        idx[column_stacks(a, idx, cut, np.zeros(len(idx), dtype=bool))[2]]
-        for idx in subset_batches(n, c)]))
+        idx[column_stacks(a, idx, cut)[2]] for idx in subset_batches(n, c)]))
 
 
 def residual_covers(a: np.ndarray, b: np.ndarray, top: int, tol: float):
@@ -383,8 +384,9 @@ def residual_covers(a: np.ndarray, b: np.ndarray, top: int, tol: float):
     ``||R[u*:, u*:]||_F``, which is ``||Q_perp^T B||_F``, exceeds *tol*
     plus the rounding allowance ``m * n * eps * (||B||_F + tol) /
     sqrt(REL_EIG_TOL)``, the same as for the product of a complete QR.
-    The caller skips only the covered supports that are full rank; the
-    allowance holds for those alone.
+    The caller skips every covered support, at any rank; the allowance
+    holds for the full-rank ones, an empirical margin for the others
+    (module docstring).
     """
     m, n = a.shape
     return _covers(n, top, min(m - 1, n), lambda u: _residual_voucher(a, b, u, tol))
@@ -420,20 +422,6 @@ class SubsetCover:
             # _free_pop counts the bits set in each mask it leaves
             self._free = np.flatnonzero(~table)
             self._free_pop = sum((self._free >> j) & 1 for j in range(n))
-
-    def __call__(self, idx: np.ndarray) -> np.ndarray:
-        """For each row of an index batch, whether the cover holds it."""
-        if isinstance(self._table, bool):
-            return np.full(len(idx), self._table)
-        return self._table[(np.int64(1) << (self._n - 1 - idx)).sum(axis=1)]
-
-    def __and__(self, other: SubsetCover) -> SubsetCover:
-        """The subsets both covers hold."""
-        if self._table is False or other._table is True:
-            return self
-        if self._table is True or other._table is False:
-            return other
-        return SubsetCover(self._n, self._table & other._table)
 
     def uncovered(self, card: int):
         """Every *card*-subset the cover does not hold, in lexicographic

@@ -8,7 +8,6 @@ theta(p, X, S) comparing mass inside an index set S against mass outside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -62,11 +61,6 @@ class RowSupport:
         return m
 
 
-def support_from_indices(indices: Iterable[int], n: int) -> RowSupport:
-    """Build a RowSupport from an arbitrary (unsorted, 1-based) index iterable."""
-    return RowSupport(indices=tuple(sorted(set(int(i) for i in indices))), n=n)
-
-
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row."""
     x = as_matrix(x, name="X")
@@ -78,6 +72,16 @@ def check_zero_tol(zero_tol: float) -> None:
     every comparison with it is false, so it would class every row zero."""
     if not (zero_tol >= 0):
         raise DomainError(f"zero_tol must be nonnegative, got {zero_tol}")
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise DomainError unless *value* is an integer of at least *least*.
+    A bool is refused (``True`` would count as 1), and so is a float, even
+    a whole one: ``range`` and :class:`PortableRng` reject floats."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
 
 
 def row_support(x: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> RowSupport:

@@ -26,7 +26,8 @@ from .errors import DomainError, TrivialNullspace
 from .generators import PortableRng
 from .linalg import GramSpectrum, as_matrix, check_enumerable, column_stacks, gram_spectrum
 from .linalg import json_float, matrix_to_json, rank_covers
-from .norms import DEFAULT_ZERO_TOL, RowSupport, check_zero_tol, theta, theta_top_k
+from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_zero_tol, theta
+from .norms import theta_top_k
 
 #: Most sweeps the ascent makes at one scale.
 MAX_SWEEPS = 40
@@ -46,10 +47,8 @@ class NscOptions:
     zero_tol: float = DEFAULT_ZERO_TOL
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise DomainError("seed must be nonnegative")
-        if self.restarts < 0:
-            raise DomainError("restarts must be nonnegative")
+        check_count("seed", self.seed, 0)
+        check_count("restarts", self.restarts, 0)
         check_zero_tol(self.zero_tol)
 
 
@@ -300,10 +299,10 @@ def nsc_curve(
     grid = [float(q) for q in p_grid]
     if not grid:
         raise DomainError("p_grid must be non-empty")
+    if not all(0.0 <= q <= 1.0 for q in grid):              # NaN fails too
+        raise DomainError(f"p_grid values must lie in [0, 1], got {grid}")
     if any(b <= a_ for a_, b in zip(grid, grid[1:])):
         raise DomainError("p_grid must be strictly ascending")
-    if grid[0] < 0.0 or grid[-1] > 1.0:
-        raise DomainError("p_grid values must lie in [0, 1]")
     spec = a if isinstance(a, GramSpectrum) else gram_spectrum(a)
     basis = _kernel(spec, r, k)
     out: list[NscEstimate] = []
@@ -350,7 +349,7 @@ def spark(a: np.ndarray) -> int:
     cut = gram_spectrum(a).cut
     for card, ranked in rank_covers(a, cut, top):
         for idx in ranked.uncovered(card):
-            if not column_stacks(a, idx, cut, np.zeros(len(idx), dtype=bool))[2].all():
+            if not column_stacks(a, idx, cut)[2].all():
                 return card
     return top + 1
 

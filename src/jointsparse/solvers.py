@@ -30,10 +30,11 @@ from .errors import (
     RankDeficient,
 )
 from .generators import PortableRng
-from .linalg import as_matrix, check_enumerable, column_stacks, gram_spectrum, rank_covers
+from .linalg import as_matrix, check_enumerable, column_stacks, gram_spectrum
 from .linalg import min_support_size, residual_covers
 from .linalg import matrix_from_json, matrix_to_json
-from .norms import DEFAULT_ZERO_TOL, RowSupport, check_zero_tol, mixed_norm_2p, row_support
+from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_zero_tol, mixed_norm_2p
+from .norms import row_support
 
 FEASIBILITY_TOL = 1e-8      # l20_solve's residual bound, times max(1, ||B||_F)
 MATCH_TOL = 1e-4            # check_equivalence's Frobenius match distance
@@ -73,7 +74,7 @@ class MmvProblem:
                 )
             resid = float(np.linalg.norm(self.a @ planted - self.b))
             ref = max(1.0, float(np.linalg.norm(self.b)))
-            if resid > 1e-8 * ref:
+            if resid > FEASIBILITY_TOL * ref:
                 raise DomainError(f"planted solution violates A X = B: residual {resid:.3e}")
         if self.k is not None:
             if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool):
@@ -195,61 +196,44 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
     ``unique`` is true iff exactly one support of the winning cardinality is
     feasible and A restricted to it has full column rank.
 
-    First, B's singular values rule out sizes
-    (``linalg.min_support_size``).  A_S Y has rank at most |S|, so no
-    support of a size c fits B closer than B's tail beyond its c-th
-    singular value, and every size whose tail exceeds tol plus the
-    allowance below is skipped: nothing of it is listed, decomposed or
-    solved.  That skips rank-deficient supports too, which ``lstsq`` would
-    have solved: their A_S Y has rank at most |S| as well, so only rounding
-    that cancels the residual down to tol could have found one feasible,
-    and that it does not is an empirical margin (``linalg`` module
-    docstring).
+    Two cuts skip supports, each at any rank, with no rank test and no
+    solve (``linalg`` module docstring):
 
-    Two vouchers (``linalg`` module docstring) spare per-support work, each
-    one test made when the smaller sizes have cost at least as many subsets;
-    the sizes the cut skips count towards that too, so a voucher runs at
-    the same size with or without the cut:
-
-    * ``linalg.rank_covers`` vouches for rank.  Every subset of the size
-      c* in [k_max, min(m, n)] with the fewest subsets is tested against
-      A's rank cut, and by interlacing each one that clears it vouches for
-      every subset of its own; a support it vouches for is not decomposed.
-      A support is classed differently from a test of its own only if its
-      smallest Gram eigenvalue lies within rounding (about 1e-15
-      lambda_max) of the cut.
+    * B's singular values rule out sizes (``linalg.min_support_size``).
+      A_S Y has rank at most |S|, so no support of a size c fits B closer
+      than B's tail beyond its c-th singular value, and every size whose
+      tail exceeds tol plus the rounding allowance ``m * n * eps *
+      (||B||_F + tol) / sqrt(REL_EIG_TOL)`` is skipped: nothing of it is
+      listed.
     * ``linalg.residual_covers`` rules supports out.  Every U of the size u*
       in [k_max, min(m - 1, n)] with the fewest subsets gets the R factor
       of [A_U | B], read off QR's raw factor, whose trailing block has the
       norm ``||Q_perp^T B||_F`` of A_U's complete QR; when that clears tol
-      plus the rounding allowance ``m * n * eps * (||B||_F + tol) /
-      sqrt(REL_EIG_TOL)``, no subset of U fits B.  The allowance is that
-      of the complete QR: the R factor's rounding is of the same order.  A
-      full-rank support inside such a U is skipped; a rank-deficient one
-      still goes to ``lstsq``.  A skipped support would fit B by a solve of
-      its own only if rounding exceeded that allowance.
+      plus the allowance, no subset of U fits B.  The test is made once the
+      smaller sizes have cost at least as many subsets (the sizes the cut
+      skips count towards that too, so it runs at the same size with or
+      without the cut), and answers every size with a ``linalg.SubsetCover``
+      that holds nothing until then.
 
-    Each voucher answers every size with a ``linalg.SubsetCover``, a cover
-    that holds nothing until its voucher runs, and the supports of a size
-    are listed, not enumerated and filtered: those the two covers do not
-    both hold, read off their intersection, which is formed again only
-    when a voucher has run.  Of those, the ones the rank cover does not
-    hold are rank-tested, the ones the residual cover holds and the test
-    finds full rank are skipped, and the rest are solved.
+    A full-rank support skipped by either cut would fit B by a solve of its
+    own only if rounding exceeded the allowance.  A rank-deficient one is
+    skipped too, as ``lstsq`` would have found it infeasible: that is an
+    empirical margin, not a proof.  The supports of a size the cut leaves
+    are listed off the cover, not enumerated and filtered; each is
+    rank-tested against A's rank cut and solved, by its normal equations
+    when full rank and by ``lstsq`` otherwise.
 
     On ``gen`` Gaussian 16x17 r4 seed 1 with k_max = 8, B's rank rules out
-    sizes 1-3; the 17 subsets of 16 columns are decomposed, one batched QR
-    of the 136 stacks [A_U | B] with 15 columns of A rules out sizes 4-7,
-    and one support, the planted one, is listed and solved (154 before the
-    size cut: the 17 single columns, the 136 pairs and the planted support;
-    65 535 with no voucher).  On the instance of seed 3226652560831358504,
-    whose one dependent set of 16 columns omits column 9 (0-based), the
-    other 16 sets of 16 columns vouch for every support of up to 8 rows:
-    again 17 subsets decomposed, and the planted support found.  On ``gen``
-    Gaussian 12x20 r6 k6 seed 1 with k_max = 6, sizes 1-5 are ruled out,
-    where their 21 699 supports were solved before the cut, and the 38 760
-    supports of 6 columns are still listed and solved: no voucher is due
-    before size 6.
+    sizes 1-3, one batched QR of the 136 stacks [A_U | B] with 15 columns
+    of A rules out sizes 4-7, and one support, the planted one, is listed,
+    rank-tested and solved (154 before the size cut: the 17 single columns,
+    the 136 pairs and the planted support; 65 535 with no cover).  On the
+    instance of seed 3226652560831358504, whose one dependent set of 16
+    columns omits column 9 (0-based), again 1 subset is rank-tested and the
+    planted support found.  On ``gen`` Gaussian 12x20 r6 k6 seed 1 with
+    k_max = 6, sizes 1-5 are ruled out, where their 21 699 supports were
+    solved before the cut, and the 38 760 supports of 6 columns are still
+    listed and solved: the residual test is not due before size 6.
 
     Raises EnumerationTooLarge when n exceeds ``linalg.ENUMERATION_GUARD``,
     DomainError for a k_max outside 1..n or a NaN or negative *zero_tol*
@@ -271,19 +255,12 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
     first = min_support_size(a, b, tol)
     if first > k_max:
         raise Infeasible(f"no feasible support of cardinality <= {k_max}")
-    covers = both = None
-    for (card, ranked), (_, ruled_out) in zip(rank_covers(a, cut, k_max),
-                                              residual_covers(a, b, k_max, tol)):
-        if card < first:                    # the covers advance, so vouchers keep their sizes
+    for card, ruled_out in residual_covers(a, b, k_max, tol):
+        if card < first:                    # the cover advances, so the voucher keeps its size
             continue
         feasible: list[tuple[float, tuple[int, ...], np.ndarray, bool]] = []
-        if covers != (ranked, ruled_out):           # covers compare by identity
-            covers, both = (ranked, ruled_out), ranked & ruled_out
-        for idx in both.uncovered(card):
-            sub, gram, full_rank = column_stacks(a, idx, cut, ranked(idx))
-            keep = ~(full_rank & ruled_out(idx))        # a rank-deficient one is solved
-            if not keep.all():
-                idx, sub, gram, full_rank = idx[keep], sub[keep], gram[keep], full_rank[keep]
+        for idx in ruled_out.uncovered(card):
+            sub, gram, full_rank = column_stacks(a, idx, cut)
             rhs = sub.transpose(0, 2, 1) @ b                      # (c, card, r)
             sols = np.empty((len(idx), card, r))
             if np.any(full_rank):
@@ -385,12 +362,9 @@ class DescentOptions:
     zero_tol: float = DEFAULT_ZERO_TOL
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise DomainError("seed must be nonnegative")
-        if self.restarts < 0:
-            raise DomainError("restarts must be nonnegative")
-        if self.grid_points < 2:
-            raise DomainError("grid_points must be >= 2")
+        check_count("seed", self.seed, 0)
+        check_count("restarts", self.restarts, 0)
+        check_count("grid_points", self.grid_points, 2)
         if not (self.tol > 0):
             raise DomainError(f"tol must be positive, got {self.tol}")
         check_zero_tol(self.zero_tol)
@@ -636,8 +610,7 @@ class EquivalenceOptions:
     zero_tol: float = DEFAULT_ZERO_TOL
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise DomainError("seed must be nonnegative")
+        check_count("seed", self.seed, 0)
         check_zero_tol(self.zero_tol)
 
 

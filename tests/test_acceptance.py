@@ -31,8 +31,8 @@ from jointsparse.errors import MaxIterationsExceeded
 from jointsparse.generators import PortableRng
 from jointsparse.linalg import matrix_from_json
 from jointsparse.norms import (
+    RowSupport,
     mixed_norm_2p,
-    support_from_indices,
     theta,
     theta_max_over_S,
 )
@@ -213,8 +213,7 @@ def test_criterion_5_property_suite():
     for _ in range(n_cases):
         n = 2 + rng.integer_below(11)
         x = rng.normal((n, 1 + rng.integer_below(4)))
-        s = support_from_indices(
-            [i + 1 for i in rng.subset(n, 1 + rng.integer_below(n - 1))], n)
+        s = RowSupport(tuple(i + 1 for i in rng.subset(n, 1 + rng.integer_below(n - 1))), n)
         p = 0.05 + 0.95 * float(rng.uniform(1)[0])
         j = rng.integer_below(17) - 8
         if theta(p, x, s) != theta(p, (2.0 ** j) * x, s):
@@ -415,7 +414,7 @@ def test_criterion_7_honesty_table(capsys, example_paths):
     cert_errs = []
     for row, cert in zip(curve, certs):
         x = matrix_from_json(cert["certificate_X"])
-        s = support_from_indices(cert["certificate_support"], n)
+        s = RowSupport(tuple(cert["certificate_support"]), n)
         again = theta(cert["p"], x, s)
         cert_errs.append(abs(again - row["value"]) / max(1.0, abs(row["value"])))
     consistent = all(e <= 1e-9 for e in cert_errs)

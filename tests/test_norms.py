@@ -16,7 +16,6 @@ from jointsparse.norms import (
     norm_20,
     row_norms,
     row_support,
-    support_from_indices,
     theta,
     theta_max_over_S,
     theta_top_k,
@@ -54,10 +53,6 @@ class TestRowSupport:
     def test_mask(self):
         s = RowSupport(indices=(2, 4), n=5)
         assert list(s.mask()) == [False, True, False, True, False]
-
-    def test_support_from_indices_sorts(self):
-        s = support_from_indices([4, 1, 4], n=5)
-        assert s.indices == (1, 4)
 
 
 class TestCounting:
@@ -142,9 +137,8 @@ class TestTheta:
         for _ in range(200):
             n = int(rng.integers(2, 9))
             x = rng.standard_normal((n, int(rng.integers(1, 4))))
-            s = support_from_indices(
-                rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n)), replace=False), n
-            )
+            s = RowSupport(tuple(sorted(
+                rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n)), replace=False))), n)
             p = float(rng.uniform(0.05, 1.0))
             j = int(rng.integers(-8, 9))
             assert theta(p, x, s) == theta(p, (2.0 ** j) * x, s)

@@ -236,6 +236,14 @@ class TestAscentPath:
         with pytest.raises(DomainError, match="zero_tol"):
             NscOptions(seed=0, zero_tol=zero_tol)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", True), ("restarts", 2.5), ("restarts", True), ("restarts", -1)])
+    def test_counts_must_be_integers_in_range(self, field, value):
+        # 2.5 restarts used to escape as a bare TypeError from range
+        opts = {"seed": 0, field: value}
+        with pytest.raises(DomainError, match=field):
+            NscOptions(**opts)
+
 
 class TestCurve:
     def test_nondecreasing_on_example(self, example2):
@@ -261,6 +269,14 @@ class TestCurve:
             nsc_curve(example2.a, 1, 2, [0.5, 0.5], opts)
         with pytest.raises(DomainError):
             nsc_curve(example2.a, 1, 2, [0.5, 1.2], opts)
+
+    @pytest.mark.parametrize("grid", [[0.2, math.nan], [math.nan], [0.2, 0.5, 1.2]])
+    def test_every_p_checked_before_any_estimate(self, example2, grid, scored):
+        # [0.2, nan] used to run the whole p = 0.2 estimate and only then
+        # fail inside theta
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            nsc_curve(example2.a, 1, 2, grid, NscOptions(seed=0))
+        assert scored == []
 
     def test_estimate_serializes(self, example2):
         est = nsc_estimate(example2.a, 2, 2, 0.5, NscOptions(seed=0))

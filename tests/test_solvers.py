@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,8 @@ from jointsparse.errors import (
 from jointsparse import solvers
 from jointsparse.generators import GenSpec, gen_problem
 from jointsparse.norms import mixed_norm_2p
-from jointsparse.linalg import SubsetCover, min_norm_solution, min_support_size, nullspace_basis
+from jointsparse.linalg import gram_spectrum, min_norm_solution, min_support_size, nullspace_basis
+from jointsparse.linalg import residual_covers
 from jointsparse.solvers import (
     IRLS_EPS0,
     IRLS_EPS_MIN,
@@ -224,15 +226,15 @@ class TestL20Frozen:
         monkeypatch.setattr(np.linalg, "lstsq", spy)
         prob, k_max = L20_CASES["duplicate"]
         l20_solve(prob, k_max)
-        # B has rank 2, so its singular values rule out size 1.  The rank
-        # test of the 8 seven-column subsets still runs before size 2: 6 of
-        # them hold columns 1 and 5 and fail the check, and the 2 that pass
-        # vouch for every support but those holding both, so only those are
-        # rank-tested and solved by lstsq: {1, 5}, then {1, 5, j} for the
-        # six other j.  Before the size cut the 8 single columns were
-        # decomposed first.
-        assert decomposed == [8, 1, 6]
-        assert singular == [2] + [3] * 6
+        # B has rank 2, so its singular values rule out size 1.  The residual
+        # test of the 28 six-column subsets runs before size 3, so all 28
+        # pairs are rank-tested and solved, {1, 5} by lstsq, and of size 3
+        # only the 2 supports no certified subset holds: the planted one and
+        # {3, 5, 6}.  The six supports {1, 5, j} lie inside certified subsets
+        # and are skipped with no rank test and no solve, where lstsq solved
+        # them while the rank voucher decided which covered supports to skip.
+        assert decomposed == [28, 2]
+        assert singular == [2]
 
 
 def l20_population() -> list[tuple[str, MmvProblem, int]]:
@@ -354,41 +356,22 @@ class TestL20AgainstEverySupport:
         assert l20_solve(prob, 8).unique is True
         assert stacked == [1]
 
-    def test_the_intersection_is_formed_once_per_voucher(self, monkeypatch):
-        # The rank voucher runs before size 2 and leaves a table (its one
-        # dependent set of 16 columns omits column 9), the residual voucher
-        # before size 3.  B's rank (4) rules out sizes 1-3, so nothing is
-        # listed before size 4, and the two tables are intersected once
-        # there, not again at each of sizes 5-8.  While sizes 1 and 2 were
-        # listed, each formed an intersection with a cover that holds
-        # nothing, which returned one of its operands.
-        built = []
-
-        def spy(self, other, _real=SubsetCover.__and__):
-            both = _real(self, other)
-            built.append(both is not self and both is not other)
-            return both
-
-        monkeypatch.setattr(SubsetCover, "__and__", spy)
-        prob = gen_problem(GenSpec("gaussian", 16, 17, 4, 8, 3226652560831358504))
-        assert l20_solve(prob, 8).unique is True
-        assert built == [True]
-
     def test_a_dependent_c_star_subset_lists_what_it_leaves(self, rng, stacked):
-        # Column 9 repeats column 2, so of the 17 subsets of 16 columns only
-        # the 2 without one of them pass, and they vouch for every support
-        # but those holding both.  B's rank (4) rules out sizes 1-3, where
-        # before the size cut sizes 1 and 2 were listed whole and size 3
-        # listed the 15 supports holding columns 2 and 9.  From size 4 on
-        # only those, C(15, c - 2) of size c, which are rank-tested and
-        # solved by lstsq, and the planted one are listed.
+        # Column 9 repeats column 2.  B's rank (4) rules out sizes 1-3, and
+        # of size 4 only the planted support escapes the subsets of 15
+        # columns the residual test certifies.  The 105 supports of size 4
+        # holding columns 2 and 9 are rank deficient and lie inside certified
+        # subsets, so they are skipped unsolved; while the rank voucher
+        # decided which covered supports to skip, they were listed,
+        # rank-tested and solved by lstsq, and before the size cut sizes 1-3
+        # were listed too.
         a = rng.standard_normal((16, 17))
         a[:, 9] = a[:, 2]
         x = np.zeros((17, 4))
         x[[0, 5, 11, 14]] = rng.standard_normal((4, 4))
         prob = MmvProblem(a=a, b=a @ x)
         sol = l20_solve(prob, 8)
-        assert stacked == [105 + 1]
+        assert stacked == [1]
         support, unique, objective, want = l20_every_support(prob.a, prob.b, 8)
         assert (sol.support.indices, sol.unique, sol.objective) == (support, unique, objective)
         assert support == (1, 6, 12, 15) and unique is True
@@ -529,6 +512,84 @@ class TestL20SizeCut:
         assert set(widths) == {2}
 
 
+def paired(rng, m: int, n: int, kind: str) -> np.ndarray:
+    """A Gaussian m x n matrix whose last column is made from column 0:
+    equal to it ("duplicate"), 2.5 times it ("scaled"), moved by 1e-9 or
+    1e-12 times a Gaussian ("near 1e-9"), or moved so that the pair's
+    smallest singular value is 1.01 or 4 times lstsq's cutoff, eps * m times
+    the largest ("cutoff 1.01").  The Gram test classes every support
+    holding the pair rank deficient."""
+    a = rng.standard_normal((m, n))
+    name, _, value = kind.partition(" ")
+    if name in ("duplicate", "scaled"):
+        a[:, -1] = (2.5 if name == "scaled" else 1.0) * a[:, 0]
+    elif name == "near":
+        a[:, -1] = a[:, 0] + float(value) * rng.standard_normal(m)
+    else:
+        w = rng.standard_normal(m)
+        w -= a[:, 0] * (a[:, 0] @ w) / (a[:, 0] @ a[:, 0])
+        w /= np.linalg.norm(w)
+        target = float(value) * np.finfo(float).eps * m
+        delta = target * math.sqrt(2) * np.linalg.norm(a[:, 0])
+        for _ in range(3):          # the ratio is linear in delta this small
+            a[:, -1] = a[:, 0] + delta * w
+            sv = np.linalg.svd(a[:, [0, -1]], compute_uv=False)
+            delta *= target / (sv[1] / sv[0])
+        a[:, -1] = a[:, 0] + delta * w
+    return a
+
+
+def skipped_rank_deficient(prob: MmvProblem, k_max: int) -> list[tuple[int, ...]]:
+    """The rank-deficient supports of the sizes from min_support_size to
+    k_max that lie inside a U the residual test certifies: those l20_solve
+    skips unsolved, where before it solved them by lstsq."""
+    a, b = prob.a, prob.b
+    tol = feasibility_tol(b)
+    cut = gram_spectrum(a).cut
+    first = min_support_size(a, b, tol)
+    out = []
+    for card, covered in residual_covers(a, b, k_max, tol):
+        left = {tuple(s) for idx in covered.uncovered(card) for s in idx.tolist()}
+        out += [s for s in itertools.combinations(range(prob.n), card)
+                if card >= first and s not in left
+                and np.linalg.eigvalsh(a[:, s].T @ a[:, s])[0] <= cut]
+    return out
+
+
+class TestL20SkipsInsideCertifiedU:
+    """A support inside a U the residual test certifies is skipped at any
+    rank, as a support of a size the cut rules out is; the rank-deficient
+    ones were solved by lstsq while the residual cover skipped only
+    full-rank supports.  No result changes."""
+
+    KINDS = ["duplicate", "scaled", "near 1e-9", "near 1e-12", "cutoff 1.01", "cutoff 4"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_b_in_range(self, rng, kind):
+        # 8x8, u* = 7 tested before size 2: every U of 7 columns without a
+        # planted one is certified, and every support holding the pair lies
+        # in one of them
+        a = paired(rng, 8, 8, kind)
+        prob = MmvProblem(a=a, b=a[:, [2, 4, 5]] @ rng.standard_normal((3, 2)))
+        assert len(skipped_rank_deficient(prob, 3)) == 7        # {0, 7} and {0, j, 7}
+        assert_matches_textbook_loop(prob, 3)
+
+    @pytest.mark.parametrize("factor, r", [(1.25, 1), (2.0, 3)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_b_off_range(self, rng, kind, factor, r):
+        # 10x8: B lies *factor* tolerances off range(A), so the one U of 8
+        # columns, tested before size 2, is certified, and every support of
+        # up to 4 columns holding the pair {0, 7} is skipped; {0, 2, 4, 7}
+        # leaves exactly that residual
+        a = paired(rng, 10, 8, kind)
+        b = a[:, [2, 4]] @ rng.standard_normal((2, r))
+        off = np.linalg.qr(a, mode="complete")[0][:, 8:] @ rng.standard_normal((2, r))
+        b = b + off * (factor * feasibility_tol(b) / np.linalg.norm(off))
+        prob = MmvProblem(a=a, b=b)
+        assert skipped_rank_deficient(prob, 4)
+        assert_matches_textbook_loop(prob, 4)
+
+
 class TestIrls:
     def test_example2_recovery(self, example2):
         # the iterate lands within ~1e-7 of the planted matrix, so read the
@@ -639,6 +700,21 @@ class TestNullspaceSolve:
         with pytest.raises(DomainError, match=field):
             DescentOptions(seed=0, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", True), ("seed", -1), ("restarts", 1.5), ("restarts", True),
+        ("restarts", 2.0), ("restarts", -1), ("grid_points", 51.5), ("grid_points", 1)])
+    def test_counts_must_be_integers_in_range(self, field, value):
+        # 1.5 restarts or 51.5 grid points used to escape as a bare
+        # TypeError from range or linspace, a seed of 1.5 went unchecked on
+        # nullity-0 problems, and True counted as 1
+        opts = {"seed": 0, field: value}
+        with pytest.raises(DomainError, match=field):
+            DescentOptions(**opts)
+
+    def test_numpy_integer_counts_accepted(self, example2):
+        opts = DescentOptions(seed=np.int64(5), restarts=np.int32(2), grid_points=np.int64(51))
+        assert nullspace_solve(example2, 0.5, opts).support.indices == (2, 5)
+
     def test_rank_deficient_rejected(self, rng):
         a = np.vstack([np.ones((1, 5)), np.ones((1, 5))])
         with pytest.raises(RankDeficient):
@@ -680,6 +756,14 @@ class TestCheckEquivalence:
     def test_nan_or_negative_zero_tol_rejected(self, zero_tol):
         with pytest.raises(DomainError, match="zero_tol"):
             EquivalenceOptions(seed=0, zero_tol=zero_tol)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "1"])
+    def test_non_integer_seed_rejected(self, seed):
+        # a seed of 1.5 used to reach PortableRng inside nullspace_solve,
+        # which check_equivalence recorded in skipped, reporting a verdict
+        # from IRLS alone
+        with pytest.raises(DomainError, match="seed"):
+            EquivalenceOptions(seed=seed)
 
     def test_bad_seed_rejected_before_any_solver_runs(self, example2, monkeypatch):
         ran = []
