@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError
 from .generators import PortableRng
 from .linalg import as_matrix, eig_summary, gram_spectrum, json_float
-from .norms import DEFAULT_ZERO_TOL, mixed_norm_2p, norm_20, row_support
+from .norms import DEFAULT_ZERO_TOL, check_count, mixed_norm_2p, norm_20, row_support
 
 SQRT2_PLUS_1 = math.sqrt(2.0) + 1.0
 
@@ -46,8 +46,7 @@ def f_threshold(x: float, lam: float, n: int) -> float:
     if not math.isfinite(x) or x < 1.0:
         raise DomainError(f"x must be a finite real >= 1, got {x}")
     lam = _check_lam(lam)
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 3:
-        raise DomainError(f"n must be an integer >= 3, got {n!r}")
+    check_count("n", n, 3)
     arg = lam * n - n - 2.0 * lam + 3.0
     if arg <= 0.0:
         raise DomainError(f"lam*n - n - 2*lam + 3 = {arg} is not positive")
@@ -59,9 +58,8 @@ def f_threshold(x: float, lam: float, n: int) -> float:
 
 def corollary1_bounds(m: int, n: int) -> tuple[int, int]:
     """The two dimension-derived sparsity caps: (floor(m/2), floor((n-2.5)/2)+1)."""
-    for label, v, lo in (("m", m, 2), ("n", n, 3)):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < lo:
-            raise DomainError(f"{label} must be an integer >= {lo}, got {v!r}")
+    check_count("m", m, 2)
+    check_count("n", n, 3)
     return m // 2, int(math.floor((n - 2.5) / 2.0)) + 1
 
 
@@ -140,13 +138,8 @@ def theorem4_bound(p: float, n: int, k: int, lam: float) -> float:
     """
     if not (0.0 < p <= 1.0):
         raise DomainError(f"p must lie in (0, 1], got {p}")
-    for label, v in (("n", n), ("k", k)):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-            raise DomainError(f"{label} must be an integer, got {v!r}")
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if n <= k + 2:
-        raise DomainError(f"need n > k + 2, got n={n}, k={k}")
+    check_count("k", k, 1)
+    check_count("n", n, k + 3)                  # the bound needs n > k + 2
     lam = _check_lam(lam)
     inner = (SQRT2_PLUS_1 / 2.0) * (
         (lam - 1.0) * (n - 2.0 - k) / (2.0 * k)
@@ -224,12 +217,9 @@ def lemma2_check(a: np.ndarray, k: int, trials: int, seed: int, r: int = 2) -> C
     """
     a = as_matrix(a, name="A")
     m, n = a.shape
-    if not (1 <= k <= n // 2):
-        raise DomainError(f"k must satisfy 1 <= k <= n//2 = {n // 2}, got {k}")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    if r < 1:
-        raise DomainError("r must be >= 1")
+    check_count("k", k, 1, n // 2)
+    check_count("trials", trials, 1)
+    check_count("r", r, 1)
     summary = eig_summary(a)
     lo, hi = summary.lambda_min_plus, summary.lambda_max
     cross_bound = (hi - lo) / 2.0

@@ -30,6 +30,7 @@ import math
 import sys
 import time
 from decimal import Decimal
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -38,7 +39,7 @@ from .bounds import pstar, pstar_report_to_json, theorem4_bound
 from .errors import DomainError, JointSparseError
 from .generators import gen_problem, genspec_from_json
 from .linalg import gram_spectrum, json_float, matrix_from_csv, matrix_from_json, matrix_to_csv
-from .norms import DEFAULT_ZERO_TOL
+from .norms import DEFAULT_ZERO_TOL, check_count, check_seed, check_zero_tol
 from .nsc import NscOptions, estimate_to_json, nsc_curve
 from .solvers import (
     DescentOptions,
@@ -169,18 +170,26 @@ def _parse_grid(spec: str) -> list[float]:
     return grid
 
 
-#: Domains [lo, hi) of the integer options; a seed keys a 64-bit Philox stream.
-_INT_OPTIONS = {"seed": (0, 2 ** 64), "k_max": (1, math.inf), "restarts": (0, math.inf)}
+#: The library's rule for each option that has one.
+_OPTION_RULES = {
+    "seed": partial(check_seed, "seed"),
+    "tol": check_zero_tol,
+    "k_max": partial(check_count, "k_max", least=1),
+    "restarts": partial(check_count, "restarts", least=0),
+    "r": partial(check_count, "r", least=1),
+}
 
 
 def _check_options(args: argparse.Namespace) -> None:
-    """Reject option values outside their domain, once, right after parsing."""
-    for name, (lo, hi) in _INT_OPTIONS.items():
-        value = getattr(args, name, None)       # only some commands take k_max, restarts
-        if value is not None and not lo <= value < hi:
-            raise UsageError(f"--{name.replace('_', '-')} must lie in [{lo}, {hi}), got {value}")
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
+    """Reject option values outside their domain, once, right after parsing,
+    by the rule the library applies to the same value."""
+    for name, rule in _OPTION_RULES.items():
+        value = getattr(args, name, None)       # only some commands take k_max, restarts, r
+        if value is not None:
+            try:
+                rule(value)
+            except DomainError as exc:
+                raise UsageError(f"--{name.replace('_', '-')}: {exc}") from None
 
 
 def _zero_tol(args: argparse.Namespace) -> float:
@@ -267,8 +276,6 @@ def cmd_nsc(args: argparse.Namespace) -> CommandResult:
     n = a.shape[1]
     if not (1 <= k < n):
         raise UsageError(f"--k must lie in 1..{n - 1} for this matrix, got {k}")
-    if r < 1:
-        raise UsageError(f"--r must be >= 1, got {r}")
     opts = NscOptions(seed=args.seed, restarts=restarts, zero_tol=_zero_tol(args))
     spec = gram_spectrum(a)                 # one decomposition for both
     curve = nsc_curve(spec, r, k, p_grid, opts)
@@ -364,11 +371,11 @@ def cmd_gen(args: argparse.Namespace) -> CommandResult:
         text = _read_file(args.spec).decode("utf-8", errors="replace")
     try:
         spec = genspec_from_json(json.loads(text))
+        prob = gen_problem(spec)
     except json.JSONDecodeError as exc:
         raise UsageError(f"gen spec is not valid JSON: {exc}") from None
     except JointSparseError as exc:
         raise UsageError(f"gen spec invalid: {exc}") from None
-    prob = gen_problem(spec)
     digest = _digest(json.dumps(spec.to_json(), sort_keys=True).encode())
     return problem_to_json(prob), None, digest, spec.seed
 

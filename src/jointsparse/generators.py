@@ -22,12 +22,13 @@ of Philox 4x64-10 reproduces every draw bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import DomainError, DuplicateNodes
 from .linalg import as_matrix
+from .norms import check_count, check_seed
 
 _TWO_NEG53 = 2.0 ** -53
 
@@ -36,10 +37,8 @@ class PortableRng:
     """Counter-based random stream: Philox 4x64 keyed by (seed, stream)."""
 
     def __init__(self, seed: int, stream: int = 0):
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-            raise DomainError(f"seed must be an integer, got {seed!r}")
-        if seed < 0 or stream < 0:
-            raise DomainError("seed and stream must be nonnegative")
+        check_seed("seed", seed)
+        check_seed("stream", stream)
         self.seed = int(seed)
         self.stream = int(stream)
         key = np.array([self.seed, self.stream], dtype=np.uint64)
@@ -101,7 +100,8 @@ class GenSpec:
     """Recipe for a reproducible MMV instance.
 
     kind is "gaussian" (i.i.d. normal A) or "vandermonde" (nodes**row powers);
-    k = 0 is allowed and plants the zero solution.
+    k = 0 is allowed and plants the zero solution.  Every field is checked
+    when the spec is built.
     """
 
     kind: str
@@ -116,78 +116,63 @@ class GenSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "vandermonde"):
             raise DomainError(f"kind must be 'gaussian' or 'vandermonde', got {self.kind!r}")
-        for label, v in (("m", self.m), ("n", self.n), ("r", self.r)):
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
-                raise DomainError(f"{label} must be a positive integer, got {v!r}")
-        if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool) or self.k < 0:
-            raise DomainError(f"k must be a nonnegative integer, got {self.k!r}")
-        if self.k > min(self.m // 2, self.n):
-            raise DomainError(
-                f"k={self.k} exceeds min(floor(m/2), n) = {min(self.m // 2, self.n)}"
-            )
-        if self.seed < 0:
-            raise DomainError("seed must be nonnegative")
-        if self.amplitude <= 0:
-            raise DomainError("amplitude must be positive")
+        for label in ("m", "n", "r"):
+            check_count(label, getattr(self, label), 1)
+        check_count("k", self.k, 0, min(self.m // 2, self.n))
+        check_seed("seed", self.seed)
+        if not (_finite_real(self.amplitude) and self.amplitude > 0):
+            raise DomainError(f"amplitude must be a positive finite real, got {self.amplitude!r}")
         if self.nodes is not None:
-            object.__setattr__(self, "nodes", tuple(float(t) for t in self.nodes))
+            object.__setattr__(self, "nodes", _check_nodes(self.nodes))
             if len(self.nodes) != self.n:
                 raise DomainError(f"nodes length {len(self.nodes)} != n = {self.n}")
-            if len(set(self.nodes)) != len(self.nodes):
-                raise DuplicateNodes("nodes must be pairwise distinct")
 
     def to_json(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "m": self.m,
-            "n": self.n,
-            "r": self.r,
-            "k": self.k,
-            "seed": self.seed,
-            "amplitude": self.amplitude,
-        }
-        if self.nodes is not None:
-            out["nodes"] = list(self.nodes)
+        out = asdict(self)
+        if self.nodes is None:
+            del out["nodes"]
         return out
 
 
+def _finite_real(value) -> bool:
+    """A finite int or float; a bool (``True`` would pass as 1.0) and a
+    numeric string are not."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value))
+
+
+def _check_nodes(nodes) -> tuple[float, ...]:
+    """Vandermonde nodes as floats: DomainError unless *nodes* is a
+    non-empty sequence of finite reals, DuplicateNodes unless they are
+    pairwise distinct."""
+    values = tuple(nodes) if np.iterable(nodes) else ()
+    if not values or not all(map(_finite_real, values)):
+        raise DomainError(f"nodes must be a non-empty sequence of finite reals, got {nodes!r}")
+    values = tuple(float(t) for t in values)
+    if len(set(values)) != len(values):
+        raise DuplicateNodes("nodes must be pairwise distinct")
+    return values
+
+
 def genspec_from_json(obj) -> GenSpec:
+    """The GenSpec a JSON object spells out field by field; an omitted
+    field takes its default, and the fields without one are required."""
     if not isinstance(obj, dict):
         raise DomainError("GenSpec JSON must be an object")
-    known = {"kind", "m", "n", "r", "k", "seed", "nodes", "amplitude"}
-    unknown = set(obj) - known
+    spec_fields = fields(GenSpec)
+    unknown = set(obj) - {f.name for f in spec_fields}
     if unknown:
         raise DomainError(f"GenSpec JSON has unknown fields: {sorted(unknown)}")
-    missing = {"kind", "m", "n", "r", "k", "seed"} - set(obj)
+    missing = {f.name for f in spec_fields if f.default is MISSING} - set(obj)
     if missing:
         raise DomainError(f"GenSpec JSON is missing fields: {sorted(missing)}")
-    nodes = obj.get("nodes")
-    return GenSpec(
-        kind=obj["kind"],
-        m=obj["m"],
-        n=obj["n"],
-        r=obj["r"],
-        k=obj["k"],
-        seed=obj["seed"],
-        nodes=tuple(nodes) if nodes is not None else None,
-        amplitude=obj.get("amplitude", 1.0),
-    )
+    return GenSpec(**obj)
 
 
 def gen_vandermonde(nodes, m: int) -> np.ndarray:
     """The m x len(nodes) matrix with entries nodes[j] ** i, i = 0..m-1."""
-    try:
-        t = np.asarray(list(nodes), dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError("nodes must be a sequence of numbers") from None
-    if t.ndim != 1 or t.size == 0:
-        raise DomainError("nodes must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(t)):
-        raise DomainError("nodes must be finite")
-    if len(set(t.tolist())) != t.size:
-        raise DuplicateNodes("nodes must be pairwise distinct")
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    t = np.array(_check_nodes(nodes))
+    check_count("m", m, 1)
     powers = np.arange(m).reshape(-1, 1)
     return as_matrix(t.reshape(1, -1) ** powers, name="vandermonde")
 

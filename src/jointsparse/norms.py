@@ -7,6 +7,7 @@ theta(p, X, S) comparing mass inside an index set S against mass outside it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,20 +69,30 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def check_zero_tol(zero_tol: float) -> None:
-    """Raise DomainError unless *zero_tol* is a number >= 0.  NaN fails too:
-    every comparison with it is false, so it would class every row zero."""
-    if not (zero_tol >= 0):
-        raise DomainError(f"zero_tol must be nonnegative, got {zero_tol}")
+    """Raise DomainError unless *zero_tol* is finite and >= 0.  NaN and +inf
+    fail: every comparison with NaN is false and +inf exceeds every row
+    norm, so either would class every row zero."""
+    if not (zero_tol >= 0 and math.isfinite(zero_tol)):
+        raise DomainError(f"zero_tol must be finite and >= 0, got {zero_tol}")
 
 
-def check_count(name: str, value, least: int) -> None:
-    """Raise DomainError unless *value* is an integer of at least *least*.
-    A bool is refused (``True`` would count as 1), and so is a float, even
-    a whole one: ``range`` and :class:`PortableRng` reject floats."""
+def check_count(name: str, value, least: int, most: int | None = None) -> None:
+    """Raise DomainError unless *value* is an integer in least..most (no
+    upper bound when *most* is None).  A bool is refused (``True`` would
+    count as 1), and so is a float, even a whole one: ``range`` and
+    :class:`PortableRng` reject floats."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < least:
+    if most is None and value < least:
         raise DomainError(f"{name} must be >= {least}, got {value}")
+    if most is not None and not least <= value <= most:
+        raise DomainError(f"{name} must lie in {least}..{most}, got {value}")
+
+
+def check_seed(name: str, value) -> None:
+    """Raise DomainError unless *value* can key a 64-bit Philox stream: an
+    integer in 0..2**64 - 1.  Seeds and stream numbers both key one."""
+    check_count(name, value, 0, 2 ** 64 - 1)
 
 
 def row_support(x: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> RowSupport:
@@ -190,7 +201,6 @@ def theta_max_over_S(
     norms = _check_theta_args(p, x)
     check_zero_tol(zero_tol)
     n = norms.size
-    if not (1 <= k < n):
-        raise DomainError(f"k must satisfy 1 <= k < n={n}, got {k}")
+    check_count("k", k, 1, n - 1)
     values, top = theta_top_k(norms[None, :], k, p, zero_tol)
     return float(values[0]), RowSupport(indices=tuple(int(i) + 1 for i in top[0]), n=n)

@@ -26,7 +26,7 @@ from .errors import DomainError, TrivialNullspace
 from .generators import PortableRng
 from .linalg import GramSpectrum, as_matrix, check_enumerable, column_stacks, gram_spectrum
 from .linalg import json_float, matrix_to_json, rank_covers
-from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_zero_tol, theta
+from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_seed, check_zero_tol, theta
 from .norms import theta_top_k
 
 #: Most sweeps the ascent makes at one scale.
@@ -47,7 +47,7 @@ class NscOptions:
     zero_tol: float = DEFAULT_ZERO_TOL
 
     def __post_init__(self):
-        check_count("seed", self.seed, 0)
+        check_seed("seed", self.seed)
         check_count("restarts", self.restarts, 0)
         check_zero_tol(self.zero_tol)
 
@@ -148,10 +148,8 @@ def _kernel(spec: GramSpectrum, r, k) -> np.ndarray:
     """Ker(A)'s basis, read off A's spectrum after the checks nsc_estimate
     and nsc_curve share."""
     n = spec.a.shape[1]
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 1:
-        raise DomainError(f"r must be a positive integer, got {r!r}")
-    if not (1 <= k < n):
-        raise DomainError(f"k must satisfy 1 <= k < n={n}, got {k}")
+    check_count("r", r, 1)
+    check_count("k", k, 1, n - 1)
     basis = spec.kernel
     if basis.shape[1] == 0:
         raise TrivialNullspace("Ker(A) = {0}: the null-space constant is vacuous")

@@ -34,7 +34,7 @@ from .linalg import as_matrix, check_enumerable, column_stacks, gram_spectrum
 from .linalg import min_support_size, residual_covers
 from .linalg import matrix_from_json, matrix_to_json
 from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_zero_tol, mixed_norm_2p
-from .norms import row_support
+from .norms import check_seed, row_support
 
 FEASIBILITY_TOL = 1e-8      # l20_solve's residual bound, times max(1, ||B||_F)
 MATCH_TOL = 1e-4            # check_equivalence's Frobenius match distance
@@ -77,11 +77,8 @@ class MmvProblem:
             if resid > FEASIBILITY_TOL * ref:
                 raise DomainError(f"planted solution violates A X = B: residual {resid:.3e}")
         if self.k is not None:
-            if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool):
-                raise DomainError("k must be an integer")
+            check_count("k", self.k, 1, self.a.shape[1])
             object.__setattr__(self, "k", int(self.k))
-            if self.k < 1 or self.k > self.a.shape[1]:
-                raise DomainError(f"k must lie in 1..{self.a.shape[1]}, got {self.k}")
 
     @property
     def m(self) -> int:
@@ -236,15 +233,14 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
     listed and solved: the residual test is not due before size 6.
 
     Raises EnumerationTooLarge when n exceeds ``linalg.ENUMERATION_GUARD``,
-    DomainError for a k_max outside 1..n or a NaN or negative *zero_tol*
-    (before any support is tried), and Infeasible when no support of size
-    <= k_max fits.
+    DomainError for a k_max that is not an integer in 1..n or a *zero_tol*
+    that is not finite and >= 0 (before any support is tried), and
+    Infeasible when no support of size <= k_max fits.
     """
     a, b = prob.a, prob.b
     n, r = prob.n, prob.r
     check_enumerable(a)
-    if not (1 <= k_max <= n):
-        raise DomainError(f"k_max must lie in 1..{n}, got {k_max}")
+    check_count("k_max", k_max, 1, n)
     check_zero_tol(zero_tol)
     bnorm = float(np.linalg.norm(b))
     tol = FEASIBILITY_TOL * max(1.0, bnorm)
@@ -362,7 +358,7 @@ class DescentOptions:
     zero_tol: float = DEFAULT_ZERO_TOL
 
     def __post_init__(self):
-        check_count("seed", self.seed, 0)
+        check_seed("seed", self.seed)
         check_count("restarts", self.restarts, 0)
         check_count("grid_points", self.grid_points, 2)
         if not (self.tol > 0):
@@ -610,7 +606,7 @@ class EquivalenceOptions:
     zero_tol: float = DEFAULT_ZERO_TOL
 
     def __post_init__(self):
-        check_count("seed", self.seed, 0)
+        check_seed("seed", self.seed)
         check_zero_tol(self.zero_tol)
 
 

@@ -139,6 +139,41 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "--k-max" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("argv, named", [
+        (["solve", "--method", "irls", "--p", "1.5"], "p must lie in (0, 1]"),
+        (["nsc", "--k", "2", "--grid", "0.5,1.5"], "grid values must lie in [0, 1]"),
+        (["nsc", "--k", "5"], "--k must lie in 1..4"),       # example2 has n = 5
+        (["nsc", "--k", "2", "--r", "0"], "--r: r must be >= 1"),
+        (["pstar", "--seed", str(2 ** 64)], "--seed: seed must lie in"),
+        (["pstar", "--tol", "inf"], "--tol: zero_tol must be finite"),
+        (["solve", "--method", "l20", "--k-max", "0"], "--k-max: k_max must be >= 1"),
+        (["nsc", "--k", "2", "--restarts", "-1"], "--restarts: restarts must be >= 0"),
+    ])
+    def test_option_outside_its_domain_is_named(self, capsys, example2_path, argv, named):
+        code, out, err = run(capsys, argv[0], example2_path, *argv[1:])
+        assert (code, out) == (EXIT_USAGE, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "UsageError" and named in error["message"]
+
+    @pytest.mark.parametrize("spec", [
+        '{"kind": "gaussian", "m": 4, "n": 6, "r": 1, "k": 2, "seed": "7"}',
+        '{"kind": "gaussian", "m": 4, "n": 6, "r": 1, "k": 2, "seed": 1.5}',
+        '{"kind": "gaussian", "m": 4, "n": 6, "r": 1, "k": 2, "seed": true}',
+        '{"kind": "gaussian", "m": 4, "n": 6, "r": 1, "k": 2, "seed": 18446744073709551616}',
+        '{"kind": "gaussian", "m": 4, "n": 6, "r": 1, "k": 2, "seed": 1, "amplitude": NaN}',
+        '{"kind": "gaussian", "m": 4, "n": 6, "r": 1, "k": 2, "seed": 1, "amplitude": Infinity}',
+        '{"kind": "vandermonde", "m": 4, "n": 3, "r": 1, "k": 1, "seed": 0, "nodes": [1, "a", 2]}',
+        '{"kind": "vandermonde", "m": 4, "n": 3, "r": 1, "k": 1, "seed": 0, "nodes": 5}',
+        '{"kind": "gaussian", "m": 0, "n": 6, "r": 1, "k": 0, "seed": 1}',
+    ])
+    def test_bad_gen_spec_exits_2_with_one_usage_error(self, capsys, spec):
+        code, out, err = run(capsys, "gen", spec)
+        assert (code, out) == (EXIT_USAGE, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "UsageError" and error["message"].startswith("gen spec invalid: ")
+
     @pytest.mark.parametrize("name, text, problem", [
         ("ragged.csv", "1.0,2.0\n3.0\n", "ragged rows in CSV"),
         ("ragged.json", "[[1.0, 2.0], [3.0]]", "ragged rows in JSON matrix"),

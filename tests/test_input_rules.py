@@ -1,0 +1,128 @@
+"""One rule per kind of input: counts, seeds and tolerances outside their
+domain raise DomainError wherever they enter the library, never TypeError,
+ValueError or OverflowError from deeper down, and the edge values inside
+the domain are still accepted."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from jointsparse.bounds import corollary1_bounds, f_threshold, lemma2_check, theorem4_bound
+from jointsparse.errors import DomainError
+from jointsparse.generators import (
+    GenSpec,
+    PortableRng,
+    gen_problem,
+    gen_vandermonde,
+    genspec_from_json,
+)
+from jointsparse.norms import check_count, theta_max_over_S
+from jointsparse.nsc import NscOptions, nsc_estimate
+from jointsparse.solvers import (
+    DescentOptions,
+    EquivalenceOptions,
+    IrlsOptions,
+    MmvProblem,
+    l20_solve,
+    nullspace_solve,
+)
+
+SEED_END = 2 ** 64                      # one past the largest seed
+
+
+def spec(**change) -> dict:
+    base = {"kind": "gaussian", "m": 4, "n": 6, "r": 1, "k": 2, "seed": 1}
+    return {**base, **change}
+
+
+def vandermonde(**change) -> dict:
+    return spec(kind="vandermonde", n=3, k=1, **change)
+
+
+REFUSED = {
+    # seeds and stream numbers key a 64-bit Philox stream
+    "descent_seed_2**64": lambda ex: DescentOptions(seed=SEED_END),
+    "nsc_seed_2**64": lambda ex: NscOptions(seed=SEED_END),
+    "equivalence_seed_2**64": lambda ex: EquivalenceOptions(seed=SEED_END),
+    "lemma2_seed_2**64": lambda ex: lemma2_check(ex.a, 2, trials=3, seed=SEED_END),
+    "rng_stream_float": lambda ex: PortableRng(1, stream=1.5),
+    "rng_stream_2**64": lambda ex: PortableRng(1, stream=SEED_END),
+    "genspec_seed_bool": lambda ex: GenSpec(**spec(seed=True)),
+    "genspec_seed_float": lambda ex: GenSpec(**spec(seed=1.5)),
+    "genspec_seed_str": lambda ex: GenSpec(**spec(seed="7")),
+    "genspec_seed_negative": lambda ex: GenSpec(**spec(seed=-1)),
+    # counts
+    "lemma2_trials_float": lambda ex: lemma2_check(ex.a, 2, trials=1.5, seed=0),
+    "lemma2_r_float": lambda ex: lemma2_check(ex.a, 2, trials=3, seed=0, r=1.5),
+    "lemma2_r_zero": lambda ex: lemma2_check(ex.a, 2, trials=3, seed=0, r=0),
+    "lemma2_k_float": lambda ex: lemma2_check(ex.a, 1.5, trials=3, seed=0),
+    "nsc_k_float": lambda ex: nsc_estimate(ex.a, 1, 1.5, 0.5, NscOptions(seed=0)),
+    "nsc_r_bool": lambda ex: nsc_estimate(ex.a, True, 1, 0.5, NscOptions(seed=0)),
+    "l20_k_max_float": lambda ex: l20_solve(ex, 2.5),
+    "l20_k_max_bool": lambda ex: l20_solve(ex, True),
+    "problem_k_float": lambda ex: MmvProblem(a=ex.a, b=ex.b, k=1.5),
+    "genspec_m_zero": lambda ex: GenSpec(**spec(m=0)),
+    "genspec_k_negative": lambda ex: GenSpec(**spec(k=-1)),
+    "theta_k_float": lambda ex: theta_max_over_S(0.5, ex.planted, 1.5),
+    "f_threshold_n_float": lambda ex: f_threshold(1.0, 2.0, 5.0),
+    "corollary1_m_bool": lambda ex: corollary1_bounds(True, 5),
+    "theorem4_n_float": lambda ex: theorem4_bound(0.5, 9.0, 2, 2.0),
+    "theorem4_n_too_small": lambda ex: theorem4_bound(0.5, 4, 2, 2.0),
+    # tolerances: finite and >= 0
+    "l20_zero_tol_inf": lambda ex: l20_solve(ex, 2, zero_tol=math.inf),
+    "irls_zero_tol_inf": lambda ex: IrlsOptions(zero_tol=math.inf),
+    "nsc_zero_tol_inf": lambda ex: NscOptions(seed=0, zero_tol=math.inf),
+    # the other GenSpec fields
+    "genspec_amplitude_nan": lambda ex: GenSpec(**spec(amplitude=math.nan)),
+    "genspec_amplitude_inf": lambda ex: GenSpec(**spec(amplitude=math.inf)),
+    "genspec_amplitude_zero": lambda ex: GenSpec(**spec(amplitude=0.0)),
+    "genspec_amplitude_bool": lambda ex: GenSpec(**spec(amplitude=True)),
+    "genspec_nodes_str": lambda ex: GenSpec(**vandermonde(nodes=(1, "a", 2))),
+    "genspec_json_nodes_int": lambda ex: genspec_from_json(vandermonde(nodes=5)),
+    "vandermonde_nodes_str": lambda ex: gen_vandermonde(["1", "2"], 2),
+    "vandermonde_nodes_bool": lambda ex: gen_vandermonde([True, 2.0], 2),
+    "vandermonde_m_float": lambda ex: gen_vandermonde([0.1, 0.2], 1.5),
+    "genspec_json_no_seed": lambda ex: genspec_from_json({"kind": "gaussian", "m": 4,
+                                                          "n": 6, "r": 1, "k": 2}),
+    # the exponent rule of nullspace_solve stays its own
+    "nullspace_p_zero": lambda ex: nullspace_solve(ex, 0.0, DescentOptions(seed=0)),
+}
+
+
+@pytest.mark.parametrize("probe", REFUSED.values(), ids=REFUSED.keys())
+def test_out_of_domain_input_raises_domain_error(example2, probe):
+    with pytest.raises(DomainError):
+        probe(example2)
+
+
+def test_edge_values_inside_the_domains_are_accepted(example2):
+    top = SEED_END - 1
+    assert PortableRng(top, stream=top).seed == top
+    assert DescentOptions(seed=top, restarts=np.int64(0)).restarts == 0
+    NscOptions(seed=np.uint64(top), restarts=np.int64(3), zero_tol=0.0)
+    EquivalenceOptions(seed=top, zero_tol=0.0)
+    IrlsOptions(zero_tol=0.0)
+    prob = MmvProblem(a=example2.a, b=example2.b, k=np.int64(2))
+    assert type(prob.k) is int
+    assert l20_solve(prob, np.int64(2), zero_tol=0.0).support.indices == (2, 5)
+    assert lemma2_check(example2.a, np.int64(1), np.int64(2), top, r=np.int64(1)).trials == 2
+    assert nsc_estimate(example2.a, np.int64(1), np.int64(2), 0.5, NscOptions(seed=0)).exact
+    assert theorem4_bound(0.5, 5, 2, 2.0) > 0.0
+    zero = gen_problem(GenSpec(**spec(m=np.int64(4), k=0, seed=top, amplitude=2)))
+    assert zero.k is None and not np.any(zero.b)
+
+
+@pytest.mark.parametrize("value, most, message", [
+    (1.0, 2, "c must be an integer, got 1.0"),
+    (False, 2, "c must be an integer, got False"),
+    (0, 2, "c must lie in 1..2, got 0"),
+    (3, 2, "c must lie in 1..2, got 3"),
+    (0, None, "c must be >= 1, got 0"),
+])
+def test_check_count_messages(value, most, message):
+    with pytest.raises(DomainError) as info:
+        check_count("c", value, 1, most)
+    assert str(info.value) == message
