@@ -31,6 +31,8 @@ from .linalg import as_matrix
 from .norms import check_count, check_seed
 
 _TWO_NEG53 = 2.0 ** -53
+# GenSpec.amplitude's range (the GenSpec docstring gives the reason)
+AMPLITUDE_MIN, AMPLITUDE_MAX = 1e-100, 1e100
 
 
 class PortableRng:
@@ -101,7 +103,20 @@ class GenSpec:
 
     kind is "gaussian" (i.i.d. normal A) or "vandermonde" (nodes**row powers);
     k = 0 is allowed and plants the zero solution.  Every field is checked
-    when the spec is built.
+    when the spec is built, and the counts and the seed are kept as ``int``
+    (a numpy integer is accepted and converted, so ``to_json`` always
+    serializes).
+
+    ``amplitude`` lies in [``AMPLITUDE_MIN``, ``AMPLITUDE_MAX``] = [1e-100,
+    1e100], so that no draw, product or norm leaves the float range.  A
+    normal draw is below 8.6 in magnitude (its uniform is at least 2**-53),
+    so a planted entry is below 8.6e100, an entry of a Gaussian B = A X
+    below 7.4e101 k, and a Frobenius norm of B sums m r squares below
+    5.5e203 k^2 each, far under the float maximum 1.8e308 on any shape that
+    fits in memory.  At the low end a planted row the redraw rule in
+    ``gen_problem`` accepts has norm at least 1e-101, whose square is still
+    a normal float; with an amplitude near 1e-300 every row's squared norm
+    underflows to 0 and the redraw never ends.
     """
 
     kind: str
@@ -120,8 +135,12 @@ class GenSpec:
             check_count(label, getattr(self, label), 1)
         check_count("k", self.k, 0, min(self.m // 2, self.n))
         check_seed("seed", self.seed)
-        if not (_finite_real(self.amplitude) and self.amplitude > 0):
-            raise DomainError(f"amplitude must be a positive finite real, got {self.amplitude!r}")
+        for label in ("m", "n", "r", "k", "seed"):
+            object.__setattr__(self, label, int(getattr(self, label)))
+        if not (_finite_real(self.amplitude)
+                and AMPLITUDE_MIN <= self.amplitude <= AMPLITUDE_MAX):
+            raise DomainError(f"amplitude must be a real in [{AMPLITUDE_MIN:g}, "
+                              f"{AMPLITUDE_MAX:g}], got {self.amplitude!r}")
         if self.nodes is not None:
             object.__setattr__(self, "nodes", _check_nodes(self.nodes))
             if len(self.nodes) != self.n:
@@ -174,7 +193,8 @@ def gen_vandermonde(nodes, m: int) -> np.ndarray:
     t = np.array(_check_nodes(nodes))
     check_count("m", m, 1)
     powers = np.arange(m).reshape(-1, 1)
-    return as_matrix(t.reshape(1, -1) ** powers, name="vandermonde")
+    with np.errstate(over="ignore"):        # an overflow leaves inf, which as_matrix refuses
+        return as_matrix(t.reshape(1, -1) ** powers, name="vandermonde")
 
 
 def default_nodes(n: int) -> tuple[float, ...]:
@@ -205,7 +225,8 @@ def gen_problem(spec: GenSpec):
         while float(np.sqrt(row @ row)) < 0.1 * spec.amplitude:
             row = rng.normal(spec.r) * spec.amplitude
         x[i] = row
-    b = a @ x
+    with np.errstate(over="ignore"):        # inf from large nodes: as_matrix refuses it
+        b = a @ x
     return MmvProblem(
         a=a,
         b=as_matrix(b, name="B"),

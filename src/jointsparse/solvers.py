@@ -53,7 +53,11 @@ _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class MmvProblem:
-    """An instance A X = B, optionally with a planted solution and claimed k."""
+    """An instance A X = B, optionally with a planted solution and claimed k.
+
+    B's Frobenius norm must be finite: every tolerance scales with it, and
+    an inf would pass any residual test.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -65,6 +69,10 @@ class MmvProblem:
         object.__setattr__(self, "b", as_matrix(self.b, name="B"))
         if self.a.shape[0] != self.b.shape[0]:
             raise DomainError(f"row mismatch: A is {self.a.shape}, B is {self.b.shape}")
+        with np.errstate(over="ignore"):        # an overflow is refused below, not warned
+            bnorm = float(np.linalg.norm(self.b))
+        if not math.isfinite(bnorm):
+            raise DomainError("B: Frobenius norm overflows the float range")
         if self.planted is not None:
             planted = as_matrix(self.planted, name="planted")
             object.__setattr__(self, "planted", planted)
@@ -72,8 +80,9 @@ class MmvProblem:
                 raise DomainError(
                     f"planted shape {planted.shape} != ({self.a.shape[1]}, {self.b.shape[1]})"
                 )
-            resid = float(np.linalg.norm(self.a @ planted - self.b))
-            ref = max(1.0, float(np.linalg.norm(self.b)))
+            with np.errstate(over="ignore"):    # an inf residual fails the test
+                resid = float(np.linalg.norm(self.a @ planted - self.b))
+            ref = max(1.0, bnorm)
             if resid > FEASIBILITY_TOL * ref:
                 raise DomainError(f"planted solution violates A X = B: residual {resid:.3e}")
         if self.k is not None:
@@ -297,6 +306,13 @@ class IrlsOptions:
         check_zero_tol(self.zero_tol)
 
 
+def _frobenius(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` without the wrapper: the same dot over
+    v's entries in memory order, then the same correctly rounded sqrt."""
+    flat = v.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def irls_solve(prob: MmvProblem, p: float, opts: IrlsOptions = IrlsOptions()) -> SparseSolution:
     """Iteratively reweighted least squares for min ||X||_{2,p}^p s.t. A X = B.
 
@@ -310,24 +326,32 @@ def irls_solve(prob: MmvProblem, p: float, opts: IrlsOptions = IrlsOptions()) ->
     Requires A with full row rank.  Raises MaxIterationsExceeded (carrying the
     last iterate in ``.last``) if the budget of ``IRLS_MAX_ITER`` iterations
     runs out.
+
+    An iteration is a few numpy calls on arrays of n x r or m x m entries,
+    and most of its time is their per-call overhead: A^T and the exponent
+    are taken once per call, the row masses once per iterate, and the two
+    norms of the stopping test as plain dot products (``_frobenius``).
     """
     if not (0.0 < p <= 1.0):
         raise DomainError(f"p must lie in (0, 1], got {p}")
-    a = prob.a
-    x = np.array(gram_spectrum(a).min_norm(prob.b))
+    a, b = prob.a, prob.b
+    at = a.T
+    power = 1.0 - p / 2.0
+    x = np.array(gram_spectrum(a).min_norm(b))
+    rowsq = np.add.reduce(x * x, axis=1)
     eps = IRLS_EPS0
     for iteration in range(1, IRLS_MAX_ITER + 1):
-        rowsq = np.sum(x * x, axis=1)
-        winv = (rowsq + eps) ** (1.0 - p / 2.0)      # 1/w_i, strictly positive
+        winv = (rowsq + eps) ** power                 # 1/w_i, strictly positive
         try:
-            y = np.linalg.solve((a * winv) @ a.T, prob.b)
+            y = np.linalg.solve((a * winv) @ at, b)
         except np.linalg.LinAlgError:
             raise RankDeficient("weighted Gram A W^{-1} A^T became singular") from None
-        x_next = winv[:, None] * (a.T @ y)
-        rel = float(np.linalg.norm(x_next - x)) / max(1.0, float(np.linalg.norm(x)))
+        x_next = winv[:, None] * (at @ y)
+        rel = _frobenius(x_next - x) / max(1.0, _frobenius(x))
         x = x_next
+        rowsq = np.add.reduce(x * x, axis=1)
         if opts.callback is not None:
-            smoothed = float(np.sum((np.sum(x * x, axis=1) + eps) ** (p / 2.0)))
+            smoothed = float(np.add.reduce((rowsq + eps) ** (p / 2.0)))
             opts.callback(iteration, x, eps, smoothed)
         # The smoothing parameter only shrinks once the iterate has settled at
         # the current eps (the /100 keeps the continuation slow enough to
@@ -403,7 +427,7 @@ def _line_min(g, center: float, f_center: float, tol: float) -> tuple[float, flo
     return center, f_center
 
 
-def _along(x: np.ndarray, j: int, w: np.ndarray, p: float, t0: float = 0.0):
+def _along(x: np.ndarray, j: int, w: list[float], p: float, t0: float = 0.0):
     """The objective along one direction: g(t) = ||X + (t - t0) w e_j^T||_{2,p}^p.
 
     Every line search moves a single column j of X by a multiple of a fixed
@@ -412,13 +436,38 @@ def _along(x: np.ndarray, j: int, w: np.ndarray, p: float, t0: float = 0.0):
     columns plus (X_ij + (t - t0) w_i)^2.  Moving the entry itself, rather
     than expanding the squared norm into a quadratic in t, keeps a vanishing
     row's norm accurate to the rounding of its entries, and the minima sit
-    exactly where rows vanish.  An evaluation runs on Python floats: a
-    search makes thousands of them on a few rows each, where numpy's
-    per-call overhead would cost several times the arithmetic.
+    exactly where rows vanish.
+
+    The cost sits in the evaluations, not in building g.  A search makes
+    about 43 of them, each a loop over the rows on Python floats, where
+    numpy's per-call overhead would cost several times the arithmetic.
+    Building g reads X's columns as lists once; w comes as a list the
+    caller read once per descent.  The other columns' mass is the value
+    numpy's reduce over them gives, taken without numpy where that is
+    exact: with one column it is 0.0 and is left out (0.0 + z is z for
+    z >= 0), with two it is the other entry squared (a one-element reduce
+    returns its element).
     """
-    rest = np.delete(x, j, axis=1)
-    rows = list(zip(np.add.reduce(rest * rest, axis=1).tolist(), x[:, j].tolist(), w.tolist()))
+    r = x.shape[1]
+    cols = x.T.tolist()
     sqrt = math.sqrt
+    if r == 1:
+        pairs = list(zip(cols[0], w))
+
+        def g(t: float) -> float:
+            s = t - t0
+            acc = 0.0
+            for u, v in pairs:
+                y = u + s * v
+                acc += sqrt(y * y) ** p
+            return acc
+
+        return g
+    if r == 2:
+        rows = [(o * o, u, v) for o, u, v in zip(cols[1 - j], cols[j], w)]
+    else:
+        rest = np.concatenate((x[:, :j], x[:, j + 1:]), axis=1)   # C order: fixed grouping
+        rows = list(zip(np.add.reduce(rest * rest, axis=1).tolist(), cols[j], w))
 
     def g(t: float) -> float:
         s = t - t0
@@ -438,16 +487,19 @@ def _coordinate_descent(x0: np.ndarray, basis: np.ndarray, p: float, c0: np.ndar
     Stops when a full sweep improves the objective by at most *tol*.
     """
     c = c0.astype(float).copy()
+    d, r = c.shape
+    kernel_cols = basis.T.tolist()
     f_cur = mixed_norm_2p(x0 + basis @ c, p)
     for _ in range(DESCENT_MAX_SWEEPS):
         f_start = f_cur
-        for i, j in np.ndindex(c.shape):
-            old = float(c[i, j])
-            g = _along(x0 + basis @ c, j, basis[:, i], p, t0=old)
-            t_new, f_new = _line_min(g, old, f_cur, tol)
-            if f_new < f_cur:
-                c[i, j] = t_new
-                f_cur = f_new
+        for i in range(d):
+            for j in range(r):
+                old = float(c[i, j])
+                g = _along(x0 + basis @ c, j, kernel_cols[i], p, t0=old)
+                t_new, f_new = _line_min(g, old, f_cur, tol)
+                if f_new < f_cur:
+                    c[i, j] = t_new
+                    f_cur = f_new
         if f_start - f_cur <= tol:
             break
     return c, f_cur
@@ -503,7 +555,7 @@ def _kink_polish(x0: np.ndarray, basis: np.ndarray, p: float, c0: np.ndarray,
         for _ in range(DESCENT_MAX_SWEEPS):
             f_round = f_cur
             for v in dirs:
-                w = basis @ v
+                w = (basis @ v).tolist()
                 for j in range(r):
                     g = _along(x0 + basis @ c, j, w, p)
                     t_new, f_new = _line_min(g, 0.0, f_cur, tol)

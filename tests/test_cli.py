@@ -165,6 +165,12 @@ class TestExitCodes:
         '{"kind": "vandermonde", "m": 4, "n": 3, "r": 1, "k": 1, "seed": 0, "nodes": [1, "a", 2]}',
         '{"kind": "vandermonde", "m": 4, "n": 3, "r": 1, "k": 1, "seed": 0, "nodes": 5}',
         '{"kind": "gaussian", "m": 0, "n": 6, "r": 1, "k": 0, "seed": 1}',
+        # amplitude 1e308 used to exit 0 with two overflow warnings, and
+        # 1e-300 to redraw a planted row forever; these nodes overflow B
+        '{"kind": "gaussian", "m": 4, "n": 6, "r": 1, "k": 2, "seed": 1, "amplitude": 1e308}',
+        '{"kind": "gaussian", "m": 4, "n": 6, "r": 1, "k": 2, "seed": 1, "amplitude": 1e-300}',
+        '{"kind": "vandermonde", "m": 4, "n": 3, "r": 1, "k": 1, "seed": 0, '
+        '"nodes": [1e100, 2e100, 3e100]}',
     ])
     def test_bad_gen_spec_exits_2_with_one_usage_error(self, capsys, spec):
         code, out, err = run(capsys, "gen", spec)

@@ -116,6 +116,16 @@ class TestGenSpec:
                        nodes=(0.1, 0.2, 0.3))
         assert genspec_from_json(json.loads(json.dumps(spec.to_json()))) == spec
 
+    def test_numpy_integer_fields_round_trip_as_int(self):
+        # counts and the seed used to be kept as given, so a numpy integer
+        # made json.dumps raise TypeError
+        spec = GenSpec("gaussian", np.int64(4), np.int32(6), np.int64(1), np.int64(2),
+                       np.uint64(1))
+        assert [type(getattr(spec, f)) for f in ("m", "n", "r", "k", "seed")] == [int] * 5
+        again = genspec_from_json(json.loads(json.dumps(spec.to_json())))
+        assert again == spec == GenSpec("gaussian", 4, 6, 1, 2, 1)
+        assert np.array_equal(gen_problem(again).b, gen_problem(spec).b)
+
     def test_k_zero_allowed(self):
         spec = GenSpec(kind="gaussian", m=4, n=5, r=2, k=0, seed=1)
         prob = gen_problem(spec)

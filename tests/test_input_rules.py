@@ -13,13 +13,15 @@ import pytest
 from jointsparse.bounds import corollary1_bounds, f_threshold, lemma2_check, theorem4_bound
 from jointsparse.errors import DomainError
 from jointsparse.generators import (
+    AMPLITUDE_MAX,
+    AMPLITUDE_MIN,
     GenSpec,
     PortableRng,
     gen_problem,
     gen_vandermonde,
     genspec_from_json,
 )
-from jointsparse.norms import check_count, theta_max_over_S
+from jointsparse.norms import check_count, row_support, theta_max_over_S
 from jointsparse.nsc import NscOptions, nsc_estimate
 from jointsparse.solvers import (
     DescentOptions,
@@ -87,6 +89,15 @@ REFUSED = {
     "vandermonde_m_float": lambda ex: gen_vandermonde([0.1, 0.2], 1.5),
     "genspec_json_no_seed": lambda ex: genspec_from_json({"kind": "gaussian", "m": 4,
                                                           "n": 6, "r": 1, "k": 2}),
+    # amplitude and B's norm: nothing may overflow (pytest turns numpy's
+    # RuntimeWarning into an error, so a probe that overflows fails here)
+    "genspec_amplitude_1e308": lambda ex: GenSpec(**spec(amplitude=1e308)),
+    "genspec_amplitude_1e101": lambda ex: GenSpec(**spec(amplitude=1e101)),
+    "genspec_amplitude_1e-300": lambda ex: GenSpec(**spec(amplitude=1e-300)),
+    "problem_b_norm_overflow": lambda ex: MmvProblem(a=ex.a, b=np.full(ex.b.shape, 1e200)),
+    "vandermonde_power_overflow": lambda ex: gen_vandermonde([1e200, 2e200], 3),
+    "gen_vandermonde_b_norm_overflow":
+        lambda ex: gen_problem(GenSpec(**vandermonde(nodes=(1e100, 2e100, 3e100)))),
     # the exponent rule of nullspace_solve stays its own
     "nullspace_p_zero": lambda ex: nullspace_solve(ex, 0.0, DescentOptions(seed=0)),
 }
@@ -113,6 +124,9 @@ def test_edge_values_inside_the_domains_are_accepted(example2):
     assert theorem4_bound(0.5, 5, 2, 2.0) > 0.0
     zero = gen_problem(GenSpec(**spec(m=np.int64(4), k=0, seed=top, amplitude=2)))
     assert zero.k is None and not np.any(zero.b)
+    for amplitude in (AMPLITUDE_MIN, AMPLITUDE_MAX):
+        prob = gen_problem(GenSpec(**spec(amplitude=amplitude)))
+        assert len(row_support(prob.planted, 0.0)) == 2
 
 
 @pytest.mark.parametrize("value, most, message", [

@@ -722,6 +722,80 @@ class TestNullspaceSolve:
                             DescentOptions(seed=0))
 
 
+# Criterion 5's options for the two relaxation solvers.
+FROZEN_IRLS = IrlsOptions(zero_tol=1e-6)
+FROZEN_DESCENT = DescentOptions(seed=5, restarts=2, tol=1e-8, grid_points=51, zero_tol=1e-6)
+
+
+def relaxed_digest(sol) -> tuple:
+    return hashlib.sha256(sol.x.tobytes()).hexdigest()[:16], sol.objective
+
+
+# irls_solve and nullspace_solve under FROZEN_IRLS and FROZEN_DESCENT on
+# `gen` Gaussian instances, two per (nullity, r) class for nullity 1-3 and
+# r 1-2 and one each for r = 3 and r = 4 at nullity 1 and 2 (where a line
+# search sums two and three other columns), as they ran when every line
+# search built its rows with np.delete and IRLS called np.linalg.norm: the
+# first 16 hex digits of sha256 over x's bytes and the objective, IRLS
+# first.  Any change to the order or the rounding of the arithmetic moves
+# a digest.
+FROZEN_RELAXED = {
+    (4, 5, 1, 2, 3, 0.35): (("7022ec45ec707520", 1.9029394949824523),
+                            ("42b9ffe437bc1a10", 1.9029394970539144)),
+    (5, 6, 1, 1, 8, 0.9): (("ec8469e1439ad68d", 0.21372462454107777),
+                           ("5e9ed324b3319b08", 0.2136986096814071)),
+    (4, 5, 2, 1, 4, 0.6): (("5a986b79cc75cc12", 1.4820588825862522),
+                           ("be683f1fa04e41fe", 1.482058882787229)),
+    (5, 6, 2, 2, 12, 0.35): (("e135cbfd0138bcd7", 1.8234811456607773),
+                             ("2dc4434edc9906e0", 1.823481150153829)),
+    (4, 6, 1, 2, 5, 0.6): (("27ba162fa4040385", 1.5583236476790925),
+                           ("080883f817939584", 1.558323655828699)),
+    (3, 5, 1, 1, 9, 0.9): (("d14ca61fd1899c20", 1.006969052405881),
+                           ("b26725b1948309e8", 1.00696346986996)),
+    (4, 6, 2, 2, 6, 0.9): (("aba54ea011976a6e", 2.5045419727843665),
+                           ("7c57a31101dc82e8", 2.50452814861822)),
+    (3, 5, 2, 1, 10, 0.35): (("3fd0f92dcd9d80c9", 1.293441947798625),
+                             ("6d27abd6c67dee16", 1.2934419480653117)),
+    (4, 7, 1, 2, 7, 0.9): (("c6593723f18d1beb", 1.3263033130565987),
+                           ("0b3e69edf0598dff", 1.3262909059377412)),
+    (5, 8, 1, 2, 11, 0.6): (("146c08bc12f30d1b", 1.8877808493769048),
+                            ("9609e628b6a3d84c", 1.8877809470496698)),
+    (4, 7, 2, 1, 2, 0.35): (("6ddc5ee988e5a67c", 0.7203727106248257),
+                            ("6d499680f7625d63", 0.7203727107922773)),
+    (5, 8, 2, 2, 1, 0.6): (("34d0ded010c7e701", 3.079565745552788),
+                           ("0c8536eb42d2cb0d", 3.0795657521007898)),
+    (4, 5, 3, 2, 13, 0.6): (("1c9feb74b8b66d2b", 2.8323921102740046),
+                            ("1bdd35ecb8c658a9", 2.8323921110229304)),
+    (4, 6, 3, 2, 14, 0.9): (("d60bc43d0324deb7", 2.3920034623422923),
+                            ("71f8f9fa487bdc1b", 2.391989965091029)),
+    (4, 5, 4, 2, 15, 0.35): (("edb46bec4dd2dbe1", 2.515924299493919),
+                             ("fa2d88be6ce0a003", 2.5159242999246985)),
+    (4, 6, 4, 2, 16, 0.6): (("17159fa9970ec619", 2.803088097935653),
+                            ("43219a47d6e615b3", 2.7010138594316393)),
+}
+
+
+class TestRelaxedFrozen:
+    @pytest.mark.parametrize("case", list(FROZEN_RELAXED),
+                             ids=[f"{m}x{n} r{r} k{k} seed {s} p {p}"
+                                  for m, n, r, k, s, p in FROZEN_RELAXED])
+    def test_frozen_values(self, case):
+        m, n, r, k, seed, p = case
+        prob = gen_problem(GenSpec("gaussian", m, n, r, k, seed))
+        got = (relaxed_digest(irls_solve(prob, p, FROZEN_IRLS)),
+               relaxed_digest(nullspace_solve(prob, p, FROZEN_DESCENT)))
+        assert got == FROZEN_RELAXED[case]
+
+    def test_irls_budget_out_iterate(self, monkeypatch):
+        # no frozen instance runs out of the full budget, so a 25-iteration
+        # budget pins the iterate the loop has reached after 25 steps
+        monkeypatch.setattr(solvers, "IRLS_MAX_ITER", 25)
+        prob = gen_problem(GenSpec("gaussian", 4, 6, 2, 2, 6))
+        with pytest.raises(MaxIterationsExceeded) as exc_info:
+            irls_solve(prob, 0.9, FROZEN_IRLS)
+        assert relaxed_digest(exc_info.value.last) == ("2270a3a2ac05090e", 2.506411413941421)
+
+
 class TestCheckEquivalence:
     def test_example2_equivalent_at_moderate_p(self, example2):
         rep = check_equivalence(example2, 0.5, EquivalenceOptions(seed=0))
