@@ -225,7 +225,7 @@ def gen_problem(spec: GenSpec):
         while float(np.sqrt(row @ row)) < 0.1 * spec.amplitude:
             row = rng.normal(spec.r) * spec.amplitude
         x[i] = row
-    with np.errstate(over="ignore"):        # inf from large nodes: as_matrix refuses it
+    with np.errstate(over="ignore", invalid="ignore"):   # inf or inf - inf: as_matrix refuses it
         b = a @ x
     return MmvProblem(
         a=a,

@@ -80,10 +80,10 @@ class MmvProblem:
                 raise DomainError(
                     f"planted shape {planted.shape} != ({self.a.shape[1]}, {self.b.shape[1]})"
                 )
-            with np.errstate(over="ignore"):    # an inf residual fails the test
+            with np.errstate(over="ignore", invalid="ignore"):   # inf and nan fail the test
                 resid = float(np.linalg.norm(self.a @ planted - self.b))
             ref = max(1.0, bnorm)
-            if resid > FEASIBILITY_TOL * ref:
+            if not resid <= FEASIBILITY_TOL * ref:
                 raise DomainError(f"planted solution violates A X = B: residual {resid:.3e}")
         if self.k is not None:
             check_count("k", self.k, 1, self.a.shape[1])
@@ -444,26 +444,16 @@ def _along(x: np.ndarray, j: int, w: list[float], p: float, t0: float = 0.0):
     Building g reads X's columns as lists once; w comes as a list the
     caller read once per descent.  The other columns' mass is the value
     numpy's reduce over them gives, taken without numpy where that is
-    exact: with one column it is 0.0 and is left out (0.0 + z is z for
-    z >= 0), with two it is the other entry squared (a one-element reduce
-    returns its element).
+    exact: with one column it is 0.0 (a reduce over no columns), with two
+    it is the other entry squared (a one-element reduce returns its
+    element).
     """
     r = x.shape[1]
     cols = x.T.tolist()
     sqrt = math.sqrt
     if r == 1:
-        pairs = list(zip(cols[0], w))
-
-        def g(t: float) -> float:
-            s = t - t0
-            acc = 0.0
-            for u, v in pairs:
-                y = u + s * v
-                acc += sqrt(y * y) ** p
-            return acc
-
-        return g
-    if r == 2:
+        rows = [(0.0, u, v) for u, v in zip(cols[0], w)]
+    elif r == 2:
         rows = [(o * o, u, v) for o, u, v in zip(cols[1 - j], cols[j], w)]
     else:
         rest = np.concatenate((x[:, :j], x[:, j + 1:]), axis=1)   # C order: fixed grouping

@@ -171,6 +171,9 @@ class TestExitCodes:
         '{"kind": "gaussian", "m": 4, "n": 6, "r": 1, "k": 2, "seed": 1, "amplitude": 1e-300}',
         '{"kind": "vandermonde", "m": 4, "n": 3, "r": 1, "k": 1, "seed": 0, '
         '"nodes": [1e100, 2e100, 3e100]}',
+        # opposite-sign nodes whose products overflow: B may hold inf - inf
+        '{"kind": "vandermonde", "m": 4, "n": 4, "r": 1, "k": 2, "seed": 87, '
+        '"nodes": [5e102, -5.01e102, 5.02e102, -5.03e102]}',
     ])
     def test_bad_gen_spec_exits_2_with_one_usage_error(self, capsys, spec):
         code, out, err = run(capsys, "gen", spec)

@@ -98,6 +98,13 @@ REFUSED = {
     "vandermonde_power_overflow": lambda ex: gen_vandermonde([1e200, 2e200], 3),
     "gen_vandermonde_b_norm_overflow":
         lambda ex: gen_problem(GenSpec(**vandermonde(nodes=(1e100, 2e100, 3e100)))),
+    # products of opposite sign that overflow: numpy's matmul may sum them
+    # to inf - inf = nan and flag it invalid, which must neither warn nor
+    # pass the planted residual test
+    "gen_vandermonde_b_opposite_infs": lambda ex: gen_problem(GenSpec(**spec(
+        kind="vandermonde", n=4, k=2, seed=87, nodes=(5e102, -5.01e102, 5.02e102, -5.03e102)))),
+    "problem_planted_residual_nan": lambda ex: MmvProblem(
+        a=np.tile([1e200, -1e200], (3, 8)), b=np.zeros((3, 2)), planted=np.full((16, 2), 1e200)),
     # the exponent rule of nullspace_solve stays its own
     "nullspace_p_zero": lambda ex: nullspace_solve(ex, 0.0, DescentOptions(seed=0)),
 }
