@@ -23,16 +23,10 @@ import numpy as np
 from .errors import DomainError
 from .generators import PortableRng
 from .linalg import as_matrix, eig_summary, gram_spectrum, json_float
-from .norms import DEFAULT_ZERO_TOL, check_count, mixed_norm_2p, norm_20, row_support
+from .norms import DEFAULT_ZERO_TOL, check_count, check_grid, check_real, mixed_norm_2p
+from .norms import norm_20, row_support
 
 SQRT2_PLUS_1 = math.sqrt(2.0) + 1.0
-
-
-def _check_lam(lam: float) -> float:
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 1.0:
-        raise DomainError(f"lam must be a finite real >= 1, got {lam}")
-    return lam
 
 
 def f_threshold(x: float, lam: float, n: int) -> float:
@@ -42,10 +36,8 @@ def f_threshold(x: float, lam: float, n: int) -> float:
     then never binds and callers clamp to 1); raises DomainError when the
     log argument lam*n - n - 2*lam + 3 is not positive.
     """
-    x = float(x)
-    if not math.isfinite(x) or x < 1.0:
-        raise DomainError(f"x must be a finite real >= 1, got {x}")
-    lam = _check_lam(lam)
+    x = check_real("x", x, 1)
+    lam = check_real("lam", lam, 1)
     check_count("n", n, 3)
     arg = lam * n - n - 2.0 * lam + 3.0
     if arg <= 0.0:
@@ -136,11 +128,10 @@ def theorem4_bound(p: float, n: int, k: int, lam: float) -> float:
     M = [ (sqrt2+1)/2 * ( (lam-1)(n-2-k)/(2k) + (lam-1)/(2 sqrt k) + 1/(2k) )
           * (k/(k+1))^(1/p) ]^p,  valid for k >= 1 and n > k + 2.
     """
-    if not (0.0 < p <= 1.0):
-        raise DomainError(f"p must lie in (0, 1], got {p}")
+    check_real("p", p, 0, 1, strict=True)
     check_count("k", k, 1)
     check_count("n", n, k + 3)                  # the bound needs n > k + 2
-    lam = _check_lam(lam)
+    lam = check_real("lam", lam, 1)
     inner = (SQRT2_PLUS_1 / 2.0) * (
         (lam - 1.0) * (n - 2.0 - k) / (2.0 * k)
         + (lam - 1.0) / (2.0 * math.sqrt(k))
@@ -160,11 +151,7 @@ def lemma1_check(x: np.ndarray, p_grid) -> bool:
     means the inequality held at every grid point.
     """
     x = as_matrix(x, name="X")
-    grid = [float(q) for q in p_grid]
-    if not grid:
-        raise DomainError("p_grid must be non-empty")
-    if any(not (0.0 < q <= 1.0) for q in grid):
-        raise DomainError("p_grid values must lie in (0, 1]")
+    grid = check_grid("p_grid", p_grid, 0, 1, strict=True)
     fro = float(np.linalg.norm(x))
     if fro == 0.0:
         raise DomainError("X must be nonzero")

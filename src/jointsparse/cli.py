@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from decimal import Decimal
@@ -39,7 +38,8 @@ from .bounds import pstar, pstar_report_to_json, theorem4_bound
 from .errors import DomainError, JointSparseError
 from .generators import gen_problem, genspec_from_json
 from .linalg import gram_spectrum, json_float, matrix_from_csv, matrix_from_json, matrix_to_csv
-from .norms import DEFAULT_ZERO_TOL, check_count, check_seed, check_zero_tol
+from .norms import DEFAULT_ZERO_TOL, check_count, check_grid, check_real, check_seed
+from .norms import check_zero_tol
 from .nsc import NscOptions, estimate_to_json, nsc_curve
 from .solvers import (
     DescentOptions,
@@ -137,7 +137,8 @@ def _load_matrix_source(path: str) -> tuple[np.ndarray, bytes]:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    """Either comma-separated values or start:stop:step (inclusive).
+    """Either comma-separated values or start:stop:step (inclusive): a
+    non-empty list of finite reals, as ``norms.check_grid`` reads one.
 
     A range is stepped in decimal arithmetic, so each point is the float
     nearest its decimal value: ``0.1:0.3:0.1`` gives 0.1, 0.2, 0.3.
@@ -157,23 +158,30 @@ def _parse_grid(spec: str) -> list[float]:
             grid = [float(q) for q in points if q <= hi]
         else:
             grid = [float(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError as exc:
+        check_grid("grid", grid)
+    except (ValueError, DomainError) as exc:
         raise UsageError(f"bad grid {spec!r}: {exc}") from None
     except ArithmeticError:                 # decimal's syntax and overflow signals
         raise UsageError(f"bad grid {spec!r}: not a decimal start:stop:step") from None
-    if not grid:
-        raise UsageError(f"bad grid {spec!r}: empty")
-    if not all(math.isfinite(q) for q in grid):
-        raise UsageError(f"bad grid {spec!r}: values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise UsageError(f"bad grid {spec!r}: values must be strictly ascending")
     return grid
+
+
+def _check_exponents(grid: list[float], strict: bool) -> None:
+    """Refuse a --grid point outside [0, 1], or (0, 1] when *strict*: the
+    exponent rule of the library call it feeds, before any point is used."""
+    try:
+        check_grid("grid", grid, 0, 1, strict=strict)
+    except DomainError as exc:
+        raise UsageError(f"--grid: {exc}") from None
 
 
 #: The library's rule for each option that has one.
 _OPTION_RULES = {
     "seed": partial(check_seed, "seed"),
     "tol": check_zero_tol,
+    "p": partial(check_real, "p", least=0, most=1, strict=True),
     "k_max": partial(check_count, "k_max", least=1),
     "restarts": partial(check_count, "restarts", least=0),
     "r": partial(check_count, "r", least=1),
@@ -213,10 +221,10 @@ def cmd_solve(args: argparse.Namespace) -> CommandResult:
     if method in ("irls", "nullspace"):
         if p is None:
             raise UsageError(f"method {method} needs --p")
-        if not (0.0 < p <= 1.0):
-            raise UsageError(f"p must lie in (0, 1], got {p}")
         if k_max is not None:
             raise UsageError(f"--k-max applies to --method l20 only, not {method}")
+    elif p is not None:
+        raise UsageError("--p applies to --method irls and nullspace only, not l20")
     elif k_max is not None and k_max > prob.n:
         raise UsageError(f"--k-max must lie in 1..{prob.n} for this problem, got {k_max}")
     zero_tol = _zero_tol(args)
@@ -235,9 +243,7 @@ def cmd_solve(args: argparse.Namespace) -> CommandResult:
 def cmd_sweep(args: argparse.Namespace) -> CommandResult:
     p_grid = _parse_grid(args.grid)
     prob, raw = _load_problem(args.problem)
-    for q in p_grid:
-        if not (0.0 < q <= 1.0):
-            raise UsageError(f"grid value {q} outside (0, 1]")
+    _check_exponents(p_grid, strict=True)
     zero_tol = _zero_tol(args)
     rows = []
     for q in p_grid:
@@ -271,8 +277,7 @@ def cmd_nsc(args: argparse.Namespace) -> CommandResult:
     k, r, restarts = args.k, args.r, args.restarts
     p_grid = _parse_grid(args.grid)
     a, raw = _load_matrix_source(args.source)
-    if any(not (0.0 <= q <= 1.0) for q in p_grid):
-        raise UsageError("nsc grid values must lie in [0, 1]")
+    _check_exponents(p_grid, strict=False)
     n = a.shape[1]
     if not (1 <= k < n):
         raise UsageError(f"--k must lie in 1..{n - 1} for this matrix, got {k}")

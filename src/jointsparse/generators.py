@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, DuplicateNodes
 from .linalg import as_matrix
-from .norms import check_count, check_seed
+from .norms import check_count, check_grid, check_real, check_seed
 
 _TWO_NEG53 = 2.0 ** -53
 # GenSpec.amplitude's range (the GenSpec docstring gives the reason)
@@ -48,6 +48,7 @@ class PortableRng:
 
     def raw(self, count: int) -> np.ndarray:
         """Next *count* raw uint64 words."""
+        check_count("count", count, 0)
         return self._bg.random_raw(count)
 
     def uniform_open(self, count: int) -> np.ndarray:
@@ -59,8 +60,12 @@ class PortableRng:
         return np.right_shift(self.raw(count), np.uint64(11)) * _TWO_NEG53
 
     def normal(self, shape) -> np.ndarray:
-        """Standard normals via Box-Muller, filled in C order."""
-        total = int(np.prod(shape)) if not isinstance(shape, (int, np.integer)) else int(shape)
+        """Standard normals via Box-Muller, filled in C order; *shape* is a
+        count or a tuple of them."""
+        dims = shape if isinstance(shape, tuple) else (shape,)
+        for dim in dims:
+            check_count("shape", dim, 0)
+        total = math.prod(dims)
         pairs = (total + 1) // 2
         u = self.uniform_open(2 * pairs)
         u1, u2 = u[0::2], u[1::2]
@@ -69,23 +74,19 @@ class PortableRng:
         z = np.empty(2 * pairs)
         z[0::2] = radius * np.cos(angle)
         z[1::2] = radius * np.sin(angle)
-        out = z[:total]
-        if isinstance(shape, (int, np.integer)):
-            return out
-        return out.reshape(shape)
+        return z[:total].reshape(shape)
 
     def integer_below(self, n: int) -> int:
         """One integer uniform on [0, n)."""
-        if n < 1:
-            raise DomainError("integer_below needs n >= 1")
+        check_count("n", n, 1)
         # The scalar form of uniform(1)[0]: the same word and the same two
         # exact operations, without building arrays for a single draw.
         return int((self._bg.random_raw() >> 11) * _TWO_NEG53 * n)
 
     def subset(self, n: int, k: int) -> tuple[int, ...]:
         """A uniform k-subset of {0, ..., n-1} via partial Fisher-Yates, sorted."""
-        if not (0 <= k <= n):
-            raise DomainError(f"subset needs 0 <= k <= n, got k={k}, n={n}")
+        check_count("n", n, 0)
+        check_count("k", k, 0, n)
         pool = list(range(n))
         for i in range(k):
             j = i + self.integer_below(n - i)
@@ -137,10 +138,7 @@ class GenSpec:
         check_seed("seed", self.seed)
         for label in ("m", "n", "r", "k", "seed"):
             object.__setattr__(self, label, int(getattr(self, label)))
-        if not (_finite_real(self.amplitude)
-                and AMPLITUDE_MIN <= self.amplitude <= AMPLITUDE_MAX):
-            raise DomainError(f"amplitude must be a real in [{AMPLITUDE_MIN:g}, "
-                              f"{AMPLITUDE_MAX:g}], got {self.amplitude!r}")
+        check_real("amplitude", self.amplitude, AMPLITUDE_MIN, AMPLITUDE_MAX)
         if self.nodes is not None:
             object.__setattr__(self, "nodes", _check_nodes(self.nodes))
             if len(self.nodes) != self.n:
@@ -153,21 +151,11 @@ class GenSpec:
         return out
 
 
-def _finite_real(value) -> bool:
-    """A finite int or float; a bool (``True`` would pass as 1.0) and a
-    numeric string are not."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and math.isfinite(value))
-
-
 def _check_nodes(nodes) -> tuple[float, ...]:
     """Vandermonde nodes as floats: DomainError unless *nodes* is a
     non-empty sequence of finite reals, DuplicateNodes unless they are
     pairwise distinct."""
-    values = tuple(nodes) if np.iterable(nodes) else ()
-    if not values or not all(map(_finite_real, values)):
-        raise DomainError(f"nodes must be a non-empty sequence of finite reals, got {nodes!r}")
-    values = tuple(float(t) for t in values)
+    values = tuple(check_grid("nodes", nodes))
     if len(set(values)) != len(values):
         raise DuplicateNodes("nodes must be pairwise distinct")
     return values

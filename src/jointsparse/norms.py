@@ -33,13 +33,14 @@ class RowSupport:
     zero_tol: float = 0.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"RowSupport: n must be >= 1, got {self.n}")
-        idx = self.indices
-        if any((not isinstance(i, (int, np.integer))) or isinstance(i, bool) for i in idx):
-            raise DomainError("RowSupport: indices must be integers")
-        object.__setattr__(self, "indices", tuple(int(i) for i in idx))
-        idx = self.indices
+        check_count("RowSupport: n", self.n, 1)
+        idx = tuple(self.indices) if np.iterable(self.indices) else None  # a generator once
+        if idx is None or any(
+                (not isinstance(i, (int, np.integer))) or isinstance(i, bool) for i in idx):
+            raise DomainError(
+                f"RowSupport: indices must be a sequence of integers, got {self.indices!r}")
+        idx = tuple(int(i) for i in idx)
+        object.__setattr__(self, "indices", idx)
         if any(i < 1 or i > self.n for i in idx):
             raise DomainError(f"RowSupport: indices must lie in 1..{self.n}, got {idx}")
         if any(b <= a for a, b in zip(idx, idx[1:])):
@@ -68,14 +69,6 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
-def check_zero_tol(zero_tol: float) -> None:
-    """Raise DomainError unless *zero_tol* is finite and >= 0.  NaN and +inf
-    fail: every comparison with NaN is false and +inf exceeds every row
-    norm, so either would class every row zero."""
-    if not (zero_tol >= 0 and math.isfinite(zero_tol)):
-        raise DomainError(f"zero_tol must be finite and >= 0, got {zero_tol}")
-
-
 def check_count(name: str, value, least: int, most: int | None = None) -> None:
     """Raise DomainError unless *value* is an integer in least..most (no
     upper bound when *most* is None).  A bool is refused (``True`` would
@@ -93,6 +86,51 @@ def check_seed(name: str, value) -> None:
     """Raise DomainError unless *value* can key a 64-bit Philox stream: an
     integer in 0..2**64 - 1.  Seeds and stream numbers both key one."""
     check_count(name, value, 0, 2 ** 64 - 1)
+
+
+def check_real(name: str, value, least: float = -math.inf, most: float = math.inf, *,
+               strict: bool = False) -> float:
+    """Return *value* as a float, or raise DomainError unless it is a finite
+    real in the interval from *least* to *most*, both ends included except
+    *least* when *strict* (p > 0, say).  A real is an ``int`` or a ``float``,
+    numpy's included; a bool (``True`` would pass as 1.0), a string, a
+    complex, a ``Fraction`` and a 0-d array are not, and neither is NaN,
+    which fails every comparison."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:                   # an int beyond the float range
+        real = math.inf
+    if not (math.isfinite(real) and real <= most and (least < real if strict else least <= real)):
+        if most < math.inf:
+            bounds = f"lie in {'(' if strict else '['}{least}, {most}]"
+        elif least > -math.inf:
+            bounds = f"be finite and {'>' if strict else '>='} {least}"
+        else:
+            bounds = "be finite"
+        raise DomainError(f"{name} must {bounds}, got {value}")
+    return real
+
+
+def check_grid(name: str, values, least: float = -math.inf, most: float = math.inf, *,
+               strict: bool = False) -> list[float]:
+    """*values* as a list of floats, each checked by :func:`check_real` as
+    one of the "*name* values"; DomainError unless *values* is a non-empty
+    iterable other than a string (a p grid, Vandermonde nodes)."""
+    if isinstance(values, (str, bytes)) or not np.iterable(values):
+        raise DomainError(f"{name} must be a non-empty sequence of reals, got {values!r}")
+    grid = [check_real(f"{name} values", q, least, most, strict=strict) for q in values]
+    if not grid:
+        raise DomainError(f"{name} must be non-empty")
+    return grid
+
+
+def check_zero_tol(zero_tol: float) -> None:
+    """Raise DomainError unless *zero_tol* is a finite real >= 0.  NaN and
+    +inf fail: every comparison with NaN is false and +inf exceeds every
+    row norm, so either would class every row zero."""
+    check_real("zero_tol", zero_tol, 0)
 
 
 def row_support(x: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> RowSupport:
@@ -114,15 +152,13 @@ def mixed_norm_2p(x: np.ndarray, p: float) -> float:
     This is the p-th power form (no outer 1/p root); it is the quantity the
     solvers minimize and report.
     """
-    if not (0.0 < p <= 1.0):
-        raise DomainError(f"p must lie in (0, 1], got {p}")
+    check_real("p", p, 0, 1, strict=True)
     norms = row_norms(x)
     return float(np.add.reduce(norms ** p))
 
 
 def _check_theta_args(p: float, x: np.ndarray) -> np.ndarray:
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"p must lie in [0, 1], got {p}")
+    check_real("p", p, 0, 1)
     norms = row_norms(x)
     if not np.any(norms > 0.0):
         raise DomainError("theta is undefined for the zero matrix")

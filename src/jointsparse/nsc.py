@@ -27,7 +27,7 @@ from .generators import PortableRng
 from .linalg import GramSpectrum, as_matrix, check_enumerable, column_stacks, gram_spectrum
 from .linalg import json_float, matrix_to_json, rank_covers
 from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_seed, check_zero_tol, theta
-from .norms import theta_top_k
+from .norms import check_grid, check_real, theta_top_k
 
 #: Most sweeps the ascent makes at one scale.
 MAX_SWEEPS = 40
@@ -139,8 +139,7 @@ def nsc_estimate(
     sphere.  A start stops early if its value reaches +inf.
     """
     a = as_matrix(a, name="A")
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"p must lie in [0, 1], got {p}")
+    check_real("p", p, 0, 1)
     return _estimate(_kernel(gram_spectrum(a), r, k), int(r), k, p, opts, warm_starts)
 
 
@@ -294,11 +293,7 @@ def nsc_curve(
     One kernel basis of A serves the whole grid.  *a* may also be A's
     :func:`linalg.gram_spectrum`, for a caller that reads more from it.
     """
-    grid = [float(q) for q in p_grid]
-    if not grid:
-        raise DomainError("p_grid must be non-empty")
-    if not all(0.0 <= q <= 1.0 for q in grid):              # NaN fails too
-        raise DomainError(f"p_grid values must lie in [0, 1], got {grid}")
+    grid = check_grid("p_grid", p_grid, 0, 1)
     if any(b <= a_ for a_, b in zip(grid, grid[1:])):
         raise DomainError("p_grid must be strictly ascending")
     spec = a if isinstance(a, GramSpectrum) else gram_spectrum(a)

@@ -34,7 +34,7 @@ from .linalg import as_matrix, check_enumerable, column_stacks, gram_spectrum
 from .linalg import min_support_size, residual_covers
 from .linalg import matrix_from_json, matrix_to_json
 from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_zero_tol, mixed_norm_2p
-from .norms import check_seed, row_support
+from .norms import check_real, check_seed, row_support
 
 FEASIBILITY_TOL = 1e-8      # l20_solve's residual bound, times max(1, ||B||_F)
 MATCH_TOL = 1e-4            # check_equivalence's Frobenius match distance
@@ -332,8 +332,7 @@ def irls_solve(prob: MmvProblem, p: float, opts: IrlsOptions = IrlsOptions()) ->
     are taken once per call, the row masses once per iterate, and the two
     norms of the stopping test as plain dot products (``_frobenius``).
     """
-    if not (0.0 < p <= 1.0):
-        raise DomainError(f"p must lie in (0, 1], got {p}")
+    check_real("p", p, 0, 1, strict=True)
     a, b = prob.a, prob.b
     at = a.T
     power = 1.0 - p / 2.0
@@ -385,8 +384,7 @@ class DescentOptions:
         check_seed("seed", self.seed)
         check_count("restarts", self.restarts, 0)
         check_count("grid_points", self.grid_points, 2)
-        if not (self.tol > 0):
-            raise DomainError(f"tol must be positive, got {self.tol}")
+        check_real("tol", self.tol, 0, strict=True)
         check_zero_tol(self.zero_tol)
 
 
@@ -603,8 +601,7 @@ def nullspace_solve(prob: MmvProblem, p: float, opts: DescentOptions) -> SparseS
     on the objective's kinks); the result can never be worse than the
     objective at C = 0.
     """
-    if not (0.0 < p <= 1.0):
-        raise DomainError(f"p must lie in (0, 1], got {p}")
+    check_real("p", p, 0, 1, strict=True)
     spec = gram_spectrum(prob.a)
     x0 = spec.min_norm(prob.b)
     basis = spec.kernel
@@ -677,8 +674,7 @@ def check_equivalence(prob: MmvProblem, p: float, opts: EquivalenceOptions) -> E
     smaller objective is compared to the exact one; ``equivalent`` means
     Frobenius distance <= ``MATCH_TOL``.
     """
-    if not (0.0 < p <= 1.0):
-        raise DomainError(f"p must lie in (0, 1], got {p}")
+    check_real("p", p, 0, 1, strict=True)
     k_max = prob.k if prob.k is not None else min(prob.m, prob.n)
     exact = l20_solve(prob, k_max, zero_tol=opts.zero_tol)
     skipped: list[tuple[str, str]] = []

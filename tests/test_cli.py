@@ -139,6 +139,12 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "--k-max" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("p", ["0.5", "7"])
+    def test_p_with_l20_is_usage_error(self, capsys, example2_path, p):
+        code, out, err = run(capsys, "solve", example2_path, "--method", "l20", "--p", p)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--p" in json.loads(err)["error"]["message"]
+
     @pytest.mark.parametrize("argv, named", [
         (["solve", "--method", "irls", "--p", "1.5"], "p must lie in (0, 1]"),
         (["nsc", "--k", "2", "--grid", "0.5,1.5"], "grid values must lie in [0, 1]"),
@@ -148,6 +154,9 @@ class TestExitCodes:
         (["pstar", "--tol", "inf"], "--tol: zero_tol must be finite"),
         (["solve", "--method", "l20", "--k-max", "0"], "--k-max: k_max must be >= 1"),
         (["nsc", "--k", "2", "--restarts", "-1"], "--restarts: restarts must be >= 0"),
+        (["sweep", "--grid", "0,0.5"], "--grid: grid values must lie in (0, 1], got 0.0"),
+        (["solve", "--method", "irls", "--p", "nan"], "--p: p must lie in (0, 1], got nan"),
+        (["solve", "--method", "l20", "--p", "0.5"], "--p applies to --method irls"),
     ])
     def test_option_outside_its_domain_is_named(self, capsys, example2_path, argv, named):
         code, out, err = run(capsys, argv[0], example2_path, *argv[1:])
@@ -174,6 +183,9 @@ class TestExitCodes:
         # opposite-sign nodes whose products overflow: B may hold inf - inf
         '{"kind": "vandermonde", "m": 4, "n": 4, "r": 1, "k": 2, "seed": 87, '
         '"nodes": [5e102, -5.01e102, 5.02e102, -5.03e102]}',
+        # an integer amplitude beyond the float range has no float at all
+        pytest.param('{"kind": "gaussian", "m": 4, "n": 6, "r": 1, "k": 2, "seed": 1, '
+                     '"amplitude": 1' + "0" * 400 + '}', id="amplitude_10**400"),
     ])
     def test_bad_gen_spec_exits_2_with_one_usage_error(self, capsys, spec):
         code, out, err = run(capsys, "gen", spec)
