@@ -128,7 +128,7 @@ def theorem4_bound(p: float, n: int, k: int, lam: float) -> float:
     M = [ (sqrt2+1)/2 * ( (lam-1)(n-2-k)/(2k) + (lam-1)/(2 sqrt k) + 1/(2k) )
           * (k/(k+1))^(1/p) ]^p,  valid for k >= 1 and n > k + 2.
     """
-    check_real("p", p, 0, 1, strict=True)
+    p = check_real("p", p, 0, 1, strict=True)
     check_count("k", k, 1)
     check_count("n", n, k + 3)                  # the bound needs n > k + 2
     lam = check_real("lam", lam, 1)

@@ -41,11 +41,12 @@ from .linalg import gram_spectrum, json_float, matrix_from_csv, matrix_from_json
 from .norms import DEFAULT_ZERO_TOL, check_count, check_grid, check_real, check_seed
 from .norms import check_zero_tol
 from .nsc import NscOptions, estimate_to_json, nsc_curve
-from .solvers import (
+from .solvers import (  # noqa: F401 (check_equivalence stays importable from cli)
     DescentOptions,
     EquivalenceOptions,
     IrlsOptions,
     MmvProblem,
+    _compare,
     check_equivalence,
     irls_solve,
     l20_solve,
@@ -229,8 +230,7 @@ def cmd_solve(args: argparse.Namespace) -> CommandResult:
         raise UsageError(f"--k-max must lie in 1..{prob.n} for this problem, got {k_max}")
     zero_tol = _zero_tol(args)
     if method == "l20":
-        cap = k_max if k_max is not None else (prob.k or min(prob.m, prob.n))
-        sol = l20_solve(prob, cap, zero_tol=zero_tol)
+        sol = l20_solve(prob, k_max, zero_tol=zero_tol)
     elif method == "irls":
         sol = irls_solve(prob, p, IrlsOptions(zero_tol=zero_tol))
     else:
@@ -245,12 +245,17 @@ def cmd_sweep(args: argparse.Namespace) -> CommandResult:
     prob, raw = _load_problem(args.problem)
     _check_exponents(p_grid, strict=True)
     zero_tol = _zero_tol(args)
+    opts = EquivalenceOptions(seed=args.seed, zero_tol=zero_tol)
+    try:
+        exact, failure = l20_solve(prob, zero_tol=zero_tol), None    # the same at every p
+    except JointSparseError as exc:
+        exact, failure = None, exc
     rows = []
     for q in p_grid:
         try:
-            report = check_equivalence(
-                prob, q, EquivalenceOptions(seed=args.seed, zero_tol=zero_tol)
-            )
+            if failure is not None:
+                raise failure
+            report = _compare(prob, q, exact, opts)
             best = report.best_method
             rows.append({
                 "p": q,
@@ -330,12 +335,12 @@ def cmd_reproduce(args: argparse.Namespace) -> CommandResult:
 
     outputs: dict = {"example": which}
     if which == "example1":
-        joint = l20_solve(prob, prob.k)
+        joint = l20_solve(prob)
         per_column_supports = []
         total = 0
         for j in range(prob.r):
             col = MmvProblem(a=prob.a, b=prob.b[:, [j]])
-            sol = l20_solve(col, min(prob.m, prob.n))
+            sol = l20_solve(col)
             per_column_supports.append(list(sol.support.indices))
             total += int(sol.objective)
         combined = sorted({i for sup in per_column_supports for i in sup})
@@ -350,7 +355,7 @@ def cmd_reproduce(args: argparse.Namespace) -> CommandResult:
     else:
         rep = pstar(prob.a, prob.b)
         record("p_star", 0.8176, rep.p_star, tol=5e-4)
-        exact = l20_solve(prob, prob.k)
+        exact = l20_solve(prob)
         record("l20_support", [2, 5], list(exact.support.indices))
         record("l20_unique", True, exact.unique)
         outputs["pstar"] = pstar_report_to_json(rep)

@@ -5,7 +5,8 @@ the way in.  Everything spectral about a matrix A comes from one LAPACK
 eigendecomposition of A^T A, made by :func:`gram_spectrum`, which also owns
 the rank rule: an eigenvalue at or below ``REL_EIG_TOL * lambda_max`` is
 zero.  The public spectral functions each read from one such decomposition,
-and the solvers take one per call and read everything from it.
+and the solvers take one per problem, ``MmvProblem.spectrum``, made on
+first read and kept, and read everything from it.
 :func:`subset_batches` enumerates column subsets, and :func:`column_stacks`
 applies the same cut to each one.
 

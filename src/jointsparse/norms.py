@@ -152,17 +152,17 @@ def mixed_norm_2p(x: np.ndarray, p: float) -> float:
     This is the p-th power form (no outer 1/p root); it is the quantity the
     solvers minimize and report.
     """
-    check_real("p", p, 0, 1, strict=True)
+    p = check_real("p", p, 0, 1, strict=True)
     norms = row_norms(x)
     return float(np.add.reduce(norms ** p))
 
 
-def _check_theta_args(p: float, x: np.ndarray) -> np.ndarray:
-    check_real("p", p, 0, 1)
+def _check_theta_args(p: float, x: np.ndarray) -> tuple[float, np.ndarray]:
+    p = check_real("p", p, 0, 1)
     norms = row_norms(x)
     if not np.any(norms > 0.0):
         raise DomainError("theta is undefined for the zero matrix")
-    return norms
+    return p, norms
 
 
 def _contributions(norms: np.ndarray, peak, p: float, zero_tol: float) -> np.ndarray:
@@ -185,7 +185,7 @@ def theta(p: float, x: np.ndarray, s: RowSupport, zero_tol: float = DEFAULT_ZERO
     ratio becomes a count ratio.  Returns +inf when the denominator vanishes
     with a positive numerator, and 0.0 whenever the numerator vanishes.
     """
-    norms = _check_theta_args(p, x)
+    p, norms = _check_theta_args(p, x)
     check_zero_tol(zero_tol)
     if s.n != norms.size:
         raise DomainError(f"support is over n={s.n} rows but X has {norms.size}")
@@ -234,7 +234,7 @@ def theta_max_over_S(
     The maximum is attained by the k rows of largest 2-norm (lower index
     first on ties); returns the value together with that witnessing support.
     """
-    norms = _check_theta_args(p, x)
+    p, norms = _check_theta_args(p, x)
     check_zero_tol(zero_tol)
     n = norms.size
     check_count("k", k, 1, n - 1)

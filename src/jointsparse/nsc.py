@@ -139,7 +139,7 @@ def nsc_estimate(
     sphere.  A start stops early if its value reaches +inf.
     """
     a = as_matrix(a, name="A")
-    check_real("p", p, 0, 1)
+    p = check_real("p", p, 0, 1)
     return _estimate(_kernel(gram_spectrum(a), r, k), int(r), k, p, opts, warm_starts)
 
 

@@ -11,13 +11,15 @@ Three routes to min ||X||_{2,p} subject to A X = B:
   dimensions).
 
 :func:`check_equivalence` runs the exact and relaxed routes and reports
-whether they land on the same solution.
+whether they land on the same solution.  All three read A's decomposition
+from :attr:`MmvProblem.spectrum`, which makes it once per problem.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -30,7 +32,7 @@ from .errors import (
     RankDeficient,
 )
 from .generators import PortableRng
-from .linalg import as_matrix, check_enumerable, column_stacks, gram_spectrum
+from .linalg import GramSpectrum, as_matrix, check_enumerable, column_stacks, gram_spectrum
 from .linalg import min_support_size, residual_covers
 from .linalg import matrix_from_json, matrix_to_json
 from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_zero_tol, mixed_norm_2p
@@ -57,6 +59,9 @@ class MmvProblem:
 
     B's Frobenius norm must be finite: every tolerance scales with it, and
     an inf would pass any residual test.
+
+    ``spectrum``, the one decomposition of A^T A that every solver reads,
+    is made on first read and kept: A is read-only, so it cannot go stale.
     """
 
     a: np.ndarray
@@ -100,6 +105,10 @@ class MmvProblem:
     @property
     def r(self) -> int:
         return self.b.shape[1]
+
+    @cached_property
+    def spectrum(self) -> GramSpectrum:
+        return gram_spectrum(self.a)
 
 
 def problem_to_json(prob: MmvProblem) -> dict:
@@ -187,11 +196,14 @@ def _finish(x: np.ndarray, p: float, method: str, prob: MmvProblem,
 # exact l_{2,0} by enumeration
 
 
-def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) -> SparseSolution:
+def l20_solve(prob: MmvProblem, k_max: int | None = None,
+              zero_tol: float = DEFAULT_ZERO_TOL) -> SparseSolution:
     """Row-sparsest solution of A X = B by enumeration over supports.
 
-    Supports are tried in order of increasing cardinality (lexicographic
-    within a cardinality); the first feasible cardinality wins.  A support S
+    Supports of at most ``k_max`` rows are tried; ``None`` caps them at the
+    problem's claimed ``k``, or at min(m, n) when it claims none.  They are
+    tried in order of increasing cardinality (lexicographic within a
+    cardinality); the first feasible cardinality wins.  A support S
     is feasible when least squares restricted to S leaves a residual of at
     most tol = ``FEASIBILITY_TOL * max(1, ||B||_F)``.  At the winning
     cardinality the smallest Frobenius norm wins; norms within ``TIE_RTOL``
@@ -242,13 +254,15 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
     listed and solved: the residual test is not due before size 6.
 
     Raises EnumerationTooLarge when n exceeds ``linalg.ENUMERATION_GUARD``,
-    DomainError for a k_max that is not an integer in 1..n or a *zero_tol*
-    that is not finite and >= 0 (before any support is tried), and
-    Infeasible when no support of size <= k_max fits.
+    DomainError for a k_max other than None that is not an integer in 1..n
+    or a *zero_tol* that is not finite and >= 0 (before any support is
+    tried), and Infeasible when no support of size <= k_max fits.
     """
     a, b = prob.a, prob.b
     n, r = prob.n, prob.r
     check_enumerable(a)
+    if k_max is None:
+        k_max = prob.k if prob.k is not None else min(prob.m, n)
     check_count("k_max", k_max, 1, n)
     check_zero_tol(zero_tol)
     bnorm = float(np.linalg.norm(b))
@@ -256,7 +270,7 @@ def l20_solve(prob: MmvProblem, k_max: int, zero_tol: float = DEFAULT_ZERO_TOL) 
     if bnorm <= tol:
         zero = np.zeros((n, r))
         return _finish(zero, 0.0, "exact_l20", prob, zero_tol, unique=True)
-    cut = gram_spectrum(a).cut
+    cut = prob.spectrum.cut
     first = min_support_size(a, b, tol)
     if first > k_max:
         raise Infeasible(f"no feasible support of cardinality <= {k_max}")
@@ -332,11 +346,11 @@ def irls_solve(prob: MmvProblem, p: float, opts: IrlsOptions = IrlsOptions()) ->
     are taken once per call, the row masses once per iterate, and the two
     norms of the stopping test as plain dot products (``_frobenius``).
     """
-    check_real("p", p, 0, 1, strict=True)
+    p = check_real("p", p, 0, 1, strict=True)
     a, b = prob.a, prob.b
     at = a.T
     power = 1.0 - p / 2.0
-    x = np.array(gram_spectrum(a).min_norm(b))
+    x = np.array(prob.spectrum.min_norm(b))
     rowsq = np.add.reduce(x * x, axis=1)
     eps = IRLS_EPS0
     for iteration in range(1, IRLS_MAX_ITER + 1):
@@ -601,8 +615,8 @@ def nullspace_solve(prob: MmvProblem, p: float, opts: DescentOptions) -> SparseS
     on the objective's kinks); the result can never be worse than the
     objective at C = 0.
     """
-    check_real("p", p, 0, 1, strict=True)
-    spec = gram_spectrum(prob.a)
+    p = check_real("p", p, 0, 1, strict=True)
+    spec = prob.spectrum
     x0 = spec.min_norm(prob.b)
     basis = spec.kernel
     d, r = basis.shape[1], prob.r
@@ -667,16 +681,24 @@ class EquivalenceReport:
 def check_equivalence(prob: MmvProblem, p: float, opts: EquivalenceOptions) -> EquivalenceReport:
     """Compare the exact row-sparsest solution against the l_{2,p} relaxations.
 
-    Runs l20_solve up to cardinality ``prob.k`` (min(m, n) when the problem
-    claims no k), then irls_solve and nullspace_solve where their guards
-    allow (a relaxed solver that raises is recorded in ``skipped`` with the
-    reason), all three at ``opts.zero_tol``.  The relaxed solution with the
-    smaller objective is compared to the exact one; ``equivalent`` means
-    Frobenius distance <= ``MATCH_TOL``.
+    Runs l20_solve at its default cap (``prob.k``, min(m, n) when the
+    problem claims no k), then irls_solve and nullspace_solve where their
+    guards allow (a relaxed solver that raises is recorded in ``skipped``
+    with the reason), all three at ``opts.zero_tol`` and on the one
+    decomposition ``prob.spectrum``.  The relaxed solution with the smaller
+    objective is compared to the exact one; ``equivalent`` means Frobenius
+    distance <= ``MATCH_TOL``.  The exact solution does not depend on p, so
+    a caller sweeping p can solve it once and pass it to the comparison
+    step, ``_compare``, for each p, as ``cli.cmd_sweep`` does.
     """
-    check_real("p", p, 0, 1, strict=True)
-    k_max = prob.k if prob.k is not None else min(prob.m, prob.n)
-    exact = l20_solve(prob, k_max, zero_tol=opts.zero_tol)
+    p = check_real("p", p, 0, 1, strict=True)
+    return _compare(prob, p, l20_solve(prob, zero_tol=opts.zero_tol), opts)
+
+
+def _compare(prob: MmvProblem, p: float, exact: SparseSolution,
+             opts: EquivalenceOptions) -> EquivalenceReport:
+    """:func:`check_equivalence` after its exact solve: the relaxed solves
+    at p, compared with *exact*."""
     skipped: list[tuple[str, str]] = []
     ran: list[tuple[str, SparseSolution]] = []
     irls_sol = None

@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from jointsparse import nsc, solvers
+from jointsparse import bounds, cli, linalg, nsc, solvers
 from jointsparse.solvers import MmvProblem, problem_from_json
 
 
@@ -15,12 +15,14 @@ def _packaged(name: str) -> MmvProblem:
     return problem_from_json(json.loads(raw))
 
 
-@pytest.fixture(scope="session")
+# One problem per test: a problem keeps the spectrum a solver reads from it,
+# so a shared one would let one test's decomposition serve another's.
+@pytest.fixture()
 def example1() -> MmvProblem:
     return _packaged("example1")
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture()
 def example2() -> MmvProblem:
     return _packaged("example2")
 
@@ -91,3 +93,33 @@ def scored(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(nsc, "theta_top_k", spy)
     return batches
+
+
+@pytest.fixture()
+def spectra(monkeypatch) -> list[np.ndarray]:
+    """The matrices ``linalg.gram_spectrum`` decomposes while the test runs,
+    called through any module: one entry per decomposition of A^T A."""
+    seen: list[np.ndarray] = []
+
+    def spy(a, _real=linalg.gram_spectrum):
+        seen.append(a)
+        return _real(a)
+
+    for mod in (linalg, solvers, bounds, nsc, cli):
+        monkeypatch.setattr(mod, "gram_spectrum", spy)
+    return seen
+
+
+@pytest.fixture()
+def exact_solves(monkeypatch) -> list[int | None]:
+    """The ``k_max`` of each ``l20_solve`` call made while the test runs,
+    through ``solvers`` or ``cli``."""
+    caps: list[int | None] = []
+
+    def spy(prob, k_max=None, *args, _real=solvers.l20_solve, **kwargs):
+        caps.append(k_max)
+        return _real(prob, k_max, *args, **kwargs)
+
+    for mod in (solvers, cli):
+        monkeypatch.setattr(mod, "l20_solve", spy)
+    return caps

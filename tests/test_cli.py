@@ -315,3 +315,44 @@ class TestReproduce:
         assert by_name["l20_support"]["actual"] == [2, 5]
         for q in ("0.3", "0.5", "0.8175"):
             assert by_name[f"nullspace_recovery_p_{q}"]["pass"] is True
+
+
+def generated(capsys, tmp_path, spec: str, **change) -> str:
+    """The path of a ``gen`` problem file, with *change* applied to its JSON."""
+    dest = tmp_path / "gen.json"
+    run_json(capsys, "gen", spec, "--out", str(dest))
+    dest.write_text(json.dumps({**json.loads(dest.read_text()), **change}))
+    return str(dest)
+
+
+class TestOneExactSolvePerSweep:
+    """The row-sparsest solution and A's decomposition do not depend on p:
+    a sweep makes each once, whatever the grid."""
+
+    def test_baseline_sweep_solves_and_decomposes_once(self, capsys, tmp_path, spectra,
+                                                       exact_solves):
+        path = generated(capsys, tmp_path,
+                         '{"kind": "gaussian", "m": 6, "n": 10, "r": 2, "k": 3, "seed": 42}')
+        spectra.clear()
+        rows = run_json(capsys, "sweep", path, "--grid", "0.1:0.9:0.1",
+                        "--seed", "1")["outputs"]["rows"]
+        assert len(rows) == 9 and all(row["error"] == "" for row in rows)
+        a = np.array(json.loads((tmp_path / "gen.json").read_text())["A"])
+        assert len(spectra) == 1 and np.array_equal(spectra[0], a)     # 27 before
+        assert exact_solves == [None]                                    # 9 before
+
+    def test_reproduce_example2_decomposes_twice(self, capsys, spectra):
+        assert run_json(capsys, "reproduce", "example2")["outputs"]["all_pass"] is True
+        assert len(spectra) == 2            # pstar's and the problem's; 5 before
+
+    def test_failed_exact_solve_is_every_row_error(self, capsys, tmp_path):
+        # k = 1 is below the planted row count, so no support fits
+        path = generated(capsys, tmp_path,
+                         '{"kind": "gaussian", "m": 4, "n": 6, "r": 1, "k": 2, "seed": 3}', k=1)
+        code, out, err = run(capsys, "sweep", path, "--grid", "0.5,0.9")
+        assert (code, err) == (EXIT_OK, "")
+        rows = json.loads(out)["outputs"]["rows"]
+        assert [row.pop("p") for row in rows] == [0.5, 0.9]
+        error = "Infeasible: no feasible support of cardinality <= 1"
+        assert rows == [dict.fromkeys(("equivalent", "l2p_objective", "l20_objective",
+                                       "distance", "best_method"), None) | {"error": error}] * 2

@@ -202,6 +202,31 @@ def test_edge_values_inside_the_domains_are_accepted(example2):
         assert len(row_support(prob.planted, 0.0)) == 2
 
 
+def test_an_exponent_runs_and_is_recorded_as_its_float(example2):
+    # float32 0.3 is not 0.3: IRLS formed its exponent 1 - p/2 in float32,
+    # and the descent raised Python floats to a float32 power
+    p32 = np.float32(0.3)
+    p = float(p32)
+    descent = DescentOptions(seed=0, restarts=4)
+    for solve in (irls_solve, lambda prob, q: nullspace_solve(prob, q, descent)):
+        got, want = solve(example2, p32), solve(example2, p)
+        assert type(got.p) is float and got.p == p
+        assert np.array_equal(got.x, want.x) and got.objective == want.objective
+    got, want = (check_equivalence(example2, q, EquivalenceOptions(seed=0)) for q in (p32, p))
+    assert type(got.p) is float and type(got.irls.p) is float
+    assert np.array_equal(got.irls.x, want.irls.x) and got.distance == want.distance
+    a = gen_problem(GenSpec(**spec(m=4, n=7, k=2, seed=3))).a
+    got, want = (nsc_estimate(a, 2, 2, q, NscOptions(seed=0, restarts=4)) for q in (p32, p))
+    assert type(got.p) is float and (got.value, got.probes) == (want.value, want.probes)
+    x = example2.planted
+    s = RowSupport((2,), n=5)
+    for fn in (lambda q: theorem4_bound(q, 7, 2, 3.0), lambda q: mixed_norm_2p(x, q),
+               lambda q: theta(q, x, s), lambda q: theta_max_over_S(q, x, 1)[0]):
+        got = fn(np.float32(0.5))
+        assert type(got) is float and got == fn(0.5)
+    assert type(irls_solve(example2, 1).p) is float                # was the int 1
+
+
 @pytest.mark.parametrize("value, most, message", [
     (1.0, 2, "c must be an integer, got 1.0"),
     (False, 2, "c must be an integer, got False"),

@@ -848,6 +848,32 @@ class TestCheckEquivalence:
         assert ran == []
 
 
+
+class TestOneDecompositionPerProblem:
+    """A problem decomposes A^T A once, on first read of ``spectrum``, and
+    every solver reads that one decomposition."""
+
+    def test_solver_pair_decomposes_once(self, spectra):
+        prob = gen_problem(GenSpec("gaussian", 4, 7, 2, 2, 3))
+        irls_solve(prob, 0.5)
+        nullspace_solve(prob, 0.5, DescentOptions(seed=1))
+        assert [a is prob.a for a in spectra] == [True]     # two before
+        assert prob.spectrum is prob.spectrum
+
+    def test_check_equivalence_decomposes_once(self, spectra, exact_solves):
+        prob = gen_problem(GenSpec("gaussian", 4, 7, 2, 2, 3))
+        rep = check_equivalence(prob, 0.5, EquivalenceOptions(seed=1))
+        assert [a is prob.a for a in spectra] == [True]     # three before
+        assert exact_solves == [None]
+        assert rep.l20.support.indices == rep.nullspace.support.indices
+
+    def test_default_cap_is_the_claimed_k_else_min_m_n(self, example2, rng):
+        with pytest.raises(Infeasible, match="<= 1"):
+            l20_solve(MmvProblem(a=example2.a, b=example2.b, k=1))
+        assert l20_solve(example2).support.indices == (2, 5)
+        dense = MmvProblem(a=example2.a, b=rng.standard_normal((4, 1)))
+        assert len(l20_solve(dense).support) == 4           # min(m, n) = 4
+
 class TestSolutionContainer:
     def test_solution_json_fields(self, example2):
         sol = l20_solve(example2, 2)
