@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .generators import PortableRng
-from .linalg import as_matrix, eig_summary, gram_spectrum, json_float
+from .linalg import GramSpectrum, as_matrix, gram_spectrum, json_float
 from .norms import DEFAULT_ZERO_TOL, check_count, check_grid, check_real, mixed_norm_2p
 from .norms import norm_20, row_support
 
@@ -87,20 +87,22 @@ def pstar_report_to_json(rep: PstarReport) -> dict:
     }
 
 
-def pstar(a: np.ndarray, b: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> PstarReport:
+def pstar(a: np.ndarray | GramSpectrum, b: np.ndarray,
+          zero_tol: float = DEFAULT_ZERO_TOL) -> PstarReport:
     """Equivalence threshold p*(A, B) for the instance A X = B.
 
     lam is the ratio of extreme positive eigenvalues of A^T A; s_star is the
     row support size of the minimum-norm solution at ``zero_tol``.  Requires
     m >= 2, n >= 3, and full row rank (RankDeficient otherwise).  When B = 0
-    the s_star term is vacuous (+inf) and the threshold clamps to 1.
+    the s_star term is vacuous (+inf) and the threshold clamps to 1.  *a*
+    is A or its :func:`linalg.gram_spectrum` (``MmvProblem.spectrum``, say),
+    which is then not decomposed again.
     """
-    a = as_matrix(a, name="A")
-    b = as_matrix(b, name="B")
-    m, n = a.shape
-    if m < 2 or n < 3:
-        raise DomainError(f"need m >= 2 and n >= 3, got shape {a.shape}")
     spec = gram_spectrum(a)
+    b = as_matrix(b, name="B")
+    m, n = spec.a.shape
+    if m < 2 or n < 3:
+        raise DomainError(f"need m >= 2 and n >= 3, got shape {spec.a.shape}")
     lam = spec.summary().ratio
     x0 = spec.min_norm(b)
     s_star = len(row_support(x0, zero_tol))
@@ -207,7 +209,7 @@ def lemma2_check(a: np.ndarray, k: int, trials: int, seed: int, r: int = 2) -> C
     check_count("k", k, 1, n // 2)
     check_count("trials", trials, 1)
     check_count("r", r, 1)
-    summary = eig_summary(a)
+    summary = gram_spectrum(a).summary()
     lo, hi = summary.lambda_min_plus, summary.lambda_max
     cross_bound = (hi - lo) / 2.0
     slack = 1e-9

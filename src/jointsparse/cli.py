@@ -212,7 +212,7 @@ def _zero_tol(args: argparse.Namespace) -> float:
 def cmd_pstar(args: argparse.Namespace) -> CommandResult:
     prob, raw = _load_problem(args.problem)
     zero_tol = _zero_tol(args)
-    rep = pstar(prob.a, prob.b, zero_tol=zero_tol)
+    rep = pstar(prob.spectrum, prob.b, zero_tol=zero_tol)
     return pstar_report_to_json(rep), None, _digest(raw, f"zero_tol={zero_tol}".encode()), None
 
 
@@ -313,7 +313,8 @@ def cmd_nsc(args: argparse.Namespace) -> CommandResult:
         for row in rows
     ))
     outputs = {"k": k, "r": r, "lam": lam, "curve": rows, "certificates": certificates}
-    digest = _digest(raw, json.dumps([k, r, p_grid, restarts]).encode())
+    digest = _digest(raw, json.dumps([k, r, p_grid, restarts]).encode(),
+                     f"tol={opts.zero_tol}".encode())
     return outputs, csv_text, digest, args.seed
 
 
@@ -336,13 +337,11 @@ def cmd_reproduce(args: argparse.Namespace) -> CommandResult:
     outputs: dict = {"example": which}
     if which == "example1":
         joint = l20_solve(prob)
-        per_column_supports = []
-        total = 0
-        for j in range(prob.r):
-            col = MmvProblem(a=prob.a, b=prob.b[:, [j]])
-            sol = l20_solve(col)
-            per_column_supports.append(list(sol.support.indices))
-            total += int(sol.objective)
+        # one problem per column of B, all reading the one decomposition of A
+        columns = [l20_solve(MmvProblem(a=prob.spectrum, b=prob.b[:, [j]]))
+                   for j in range(prob.r)]
+        per_column_supports = [list(sol.support.indices) for sol in columns]
+        total = sum(int(sol.objective) for sol in columns)
         combined = sorted({i for sup in per_column_supports for i in sup})
         record("joint_row_sparsity", 3, int(joint.objective))
         record("columnwise_total_sparsity", 4, total)
@@ -353,7 +352,7 @@ def cmd_reproduce(args: argparse.Namespace) -> CommandResult:
             "combined_support": combined,
         })
     else:
-        rep = pstar(prob.a, prob.b)
+        rep = pstar(prob.spectrum, prob.b)
         record("p_star", 0.8176, rep.p_star, tol=5e-4)
         exact = l20_solve(prob)
         record("l20_support", [2, 5], list(exact.support.indices))

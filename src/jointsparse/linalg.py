@@ -6,7 +6,10 @@ eigendecomposition of A^T A, made by :func:`gram_spectrum`, which also owns
 the rank rule: an eigenvalue at or below ``REL_EIG_TOL * lambda_max`` is
 zero.  The public spectral functions each read from one such decomposition,
 and the solvers take one per problem, ``MmvProblem.spectrum``, made on
-first read and kept, and read everything from it.
+first read and kept, and read everything from it.  :func:`gram_spectrum`
+returns a spectrum it is given unchanged, so every entry point whose first
+step is that call (``bounds.pstar``, ``nsc.nsc_estimate``,
+``nsc.nsc_curve``, ``MmvProblem``) takes A or its spectrum alike.
 :func:`subset_batches` enumerates column subsets, and :func:`column_stacks`
 applies the same cut to each one.
 
@@ -280,8 +283,15 @@ class GramSpectrum:
         return _frozen(a.T @ np.linalg.solve(a @ a.T, b))
 
 
-def gram_spectrum(a: np.ndarray) -> GramSpectrum:
-    """Decompose A^T A once (``numpy.linalg.eigh``) and apply the rank rule."""
+def gram_spectrum(a: np.ndarray | GramSpectrum) -> GramSpectrum:
+    """Decompose A^T A once (``numpy.linalg.eigh``) and apply the rank rule.
+
+    *a* is A or its spectrum; a spectrum is returned as it is, so an entry
+    point whose first step is this call takes either and decomposes A at
+    most once.
+    """
+    if isinstance(a, GramSpectrum):
+        return a
     a = as_matrix(a, name="A")
     evals, evecs = np.linalg.eigh(a.T @ a)
     evals = np.maximum(evals, 0.0)

@@ -122,7 +122,7 @@ def _top_theta(xs: np.ndarray, k: int, p: float, zero_tol: float):
 
 
 def nsc_estimate(
-    a: np.ndarray,
+    a: np.ndarray | GramSpectrum,
     r: int,
     k: int,
     p: float,
@@ -136,11 +136,12 @@ def nsc_estimate(
     is X = N C for an orthonormal kernel basis N) runs from deterministic
     unit starts, any ``warm_starts``, and ``opts.restarts`` seeded Gaussian
     draws; theta's scale invariance lets every iterate live on the unit
-    sphere.  A start stops early if its value reaches +inf.
+    sphere.  A start stops early if its value reaches +inf.  *a* is A or
+    its :func:`linalg.gram_spectrum`, which is then not decomposed again.
     """
-    a = as_matrix(a, name="A")
+    spec = gram_spectrum(a)
     p = check_real("p", p, 0, 1)
-    return _estimate(_kernel(gram_spectrum(a), r, k), int(r), k, p, opts, warm_starts)
+    return _estimate(_kernel(spec, r, k), int(r), k, p, opts, warm_starts)
 
 
 def _kernel(spec: GramSpectrum, r, k) -> np.ndarray:
@@ -290,14 +291,13 @@ def nsc_curve(
     in addition to a fresh estimate, so the reported curve is nondecreasing
     whenever those certificates have no rows in the open interval
     (0, zero_tol] (re-evaluation at a larger p can only grow theta there).
-    One kernel basis of A serves the whole grid.  *a* may also be A's
-    :func:`linalg.gram_spectrum`, for a caller that reads more from it.
+    One kernel basis of A serves the whole grid.  *a* is A or its
+    :func:`linalg.gram_spectrum`, which is then not decomposed again.
     """
     grid = check_grid("p_grid", p_grid, 0, 1)
     if any(b <= a_ for a_, b in zip(grid, grid[1:])):
         raise DomainError("p_grid must be strictly ascending")
-    spec = a if isinstance(a, GramSpectrum) else gram_spectrum(a)
-    basis = _kernel(spec, r, k)
+    basis = _kernel(gram_spectrum(a), r, k)
     out: list[NscEstimate] = []
     carried: list[np.ndarray] = []          # certificates, as coefficient matrices
     for p in grid:
@@ -335,6 +335,10 @@ def spark(a: np.ndarray) -> int:
     smallest Gram eigenvalue lies within rounding (about 1e-15 lambda_max)
     of the cut.  Enumeration is capped at ``linalg.ENUMERATION_GUARD``
     columns.
+
+    *a* is A itself, never its spectrum: ``check_enumerable`` refuses a
+    matrix with too many columns before anything is decomposed, and a
+    spectrum has been decomposed already.
     """
     a = as_matrix(a, name="A")
     check_enumerable(a)
@@ -349,5 +353,6 @@ def spark(a: np.ndarray) -> int:
 
 def max_recoverable_k(a: np.ndarray) -> int:
     """Largest k with 2k < spark(A): the uniqueness limit for k-row-sparse
-    solutions."""
+    solutions.  *a* is A itself, never its spectrum, as for :func:`spark`,
+    whose enumeration guard runs before any decomposition."""
     return (spark(a) - 1) // 2

@@ -62,6 +62,9 @@ class MmvProblem:
 
     ``spectrum``, the one decomposition of A^T A that every solver reads,
     is made on first read and kept: A is read-only, so it cannot go stale.
+    ``a`` may be given as A or as its :func:`linalg.gram_spectrum` (another
+    problem's ``spectrum``, say); a problem given a spectrum keeps it and
+    its A, and decomposes nothing.
     """
 
     a: np.ndarray
@@ -70,7 +73,10 @@ class MmvProblem:
     k: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_matrix(self.a, name="A"))
+        if isinstance(self.a, GramSpectrum):     # its A was checked when decomposed
+            self.__dict__.update(spectrum=self.a, a=self.a.a)
+        else:
+            object.__setattr__(self, "a", as_matrix(self.a, name="A"))
         object.__setattr__(self, "b", as_matrix(self.b, name="B"))
         if self.a.shape[0] != self.b.shape[0]:
             raise DomainError(f"row mismatch: A is {self.a.shape}, B is {self.b.shape}")
@@ -507,6 +513,14 @@ def _coordinate_descent(x0: np.ndarray, basis: np.ndarray, p: float, c0: np.ndar
     return c, f_cur
 
 
+def _null_space_of_rows(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the coefficient directions v with rows @ v = 0:
+    the eigenvectors of rows^T rows whose eigenvalues are at most 1e-12 *
+    max(lambda_max, 1)."""
+    evals, evecs = np.linalg.eigh(rows.T @ rows)
+    return evecs[:, evals <= 1e-12 * max(float(evals[-1]), 1.0)]
+
+
 def _kink_polish(x0: np.ndarray, basis: np.ndarray, p: float, c0: np.ndarray,
                  f_cur: float, tol: float):
     """Escape coordinate-descent stalls at the objective's kinks.
@@ -533,19 +547,14 @@ def _kink_polish(x0: np.ndarray, basis: np.ndarray, p: float, c0: np.ndarray,
         active = norms <= 1e-5 * scale
         if not np.any(active):
             break
-        bz = basis[active, :]
-        evals, evecs = np.linalg.eigh(bz.T @ bz)
-        floor = evecs[:, evals <= 1e-12 * max(float(evals[-1]), 1.0)]
-        dirs = [floor[:, q] for q in range(floor.shape[1])]
+        dirs = list(_null_space_of_rows(basis[active, :]).T)    # its columns
         # release directions: free one pinned row while moving the other
         # pinned rows as little as possible
         idx_active = np.flatnonzero(active)
         for i in idx_active:
             others = idx_active[idx_active != i]
             if others.size:
-                bo = basis[others, :]
-                ev_o, vec_o = np.linalg.eigh(bo.T @ bo)
-                null_o = vec_o[:, ev_o <= 1e-12 * max(float(ev_o[-1]), 1.0)]
+                null_o = _null_space_of_rows(basis[others, :])
                 v = null_o @ (null_o.T @ basis[i])
             else:
                 v = basis[i].copy()

@@ -288,6 +288,13 @@ class TestOutputs:
         assert outs["curve"][0]["value"] == "inf"
         assert outs["certificates"][0]["value"] == "inf"
 
+    def test_nsc_digest_covers_tol(self, capsys, example2_path):
+        # --tol changes h(0), so it must change the digest of the arguments too
+        reps = [run_json(capsys, "nsc", example2_path, "--k", "1", "--grid", "0,0.5",
+                         "--tol", tol) for tol in ("1e-8", "0.5")]
+        assert [rep["outputs"]["curve"][0]["value"] for rep in reps] == [0.25, "inf"]
+        assert reps[0]["inputs_digest"] != reps[1]["inputs_digest"]
+
     def test_gen_then_solve_chain(self, capsys, tmp_path):
         dest = tmp_path / "gen.json"
         spec = '{"kind": "gaussian", "m": 6, "n": 10, "r": 2, "k": 3, "seed": 42}'
@@ -341,9 +348,14 @@ class TestOneExactSolvePerSweep:
         assert len(spectra) == 1 and np.array_equal(spectra[0], a)     # 27 before
         assert exact_solves == [None]                                    # 9 before
 
-    def test_reproduce_example2_decomposes_twice(self, capsys, spectra):
+    def test_reproduce_example2_decomposes_once(self, capsys, spectra):
         assert run_json(capsys, "reproduce", "example2")["outputs"]["all_pass"] is True
-        assert len(spectra) == 2            # pstar's and the problem's; 5 before
+        assert len(spectra) == 1            # pstar reads the problem's; 2 before, 5 before that
+
+    def test_reproduce_example1_decomposes_once(self, capsys, spectra, exact_solves):
+        assert run_json(capsys, "reproduce", "example1")["outputs"]["all_pass"] is True
+        assert len(spectra) == 1            # the column problems share it; 3 before
+        assert exact_solves == [None] * 3   # the joint solve, then one per column
 
     def test_failed_exact_solve_is_every_row_error(self, capsys, tmp_path):
         # k = 1 is below the planted row count, so no support fits

@@ -36,7 +36,7 @@ from jointsparse.linalg import (
     residual_covers,
     subset_batches,
 )
-from jointsparse.nsc import NscOptions, nsc_curve, spark
+from jointsparse.nsc import NscOptions, estimate_to_json, nsc_curve, nsc_estimate, spark
 from jointsparse.solvers import (
     DescentOptions,
     IrlsOptions,
@@ -582,6 +582,19 @@ def cli_nsc(a: np.ndarray) -> None:
     assert code == 0
 
 
+def gram_decompositions(monkeypatch) -> list[tuple[int, ...]]:
+    """The shapes of the 2-D eigh and eigvalsh calls made from now on in the
+    test: one entry per decomposition of a Gram matrix."""
+    shapes = []
+    for fn in ("eigh", "eigvalsh"):
+        def spy(mat, *args, _real=getattr(np.linalg, fn), **kwargs):
+            if np.ndim(mat) == 2:
+                shapes.append(np.shape(mat))
+            return _real(mat, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, fn, spy)
+    return shapes
+
+
 class TestOneDecompositionPerCall:
     """Every entry point decomposes A's Gram matrix (a 2-D eigh or eigvalsh
     call) exactly once.  The descent instance has nullity * r = 1, so the
@@ -589,6 +602,8 @@ class TestOneDecompositionPerCall:
 
     CALLS = {
         "pstar": lambda ex: pstar(ex.a, ex.b),
+        "nsc_estimate": lambda ex: nsc_estimate(
+            ex.a[:3], 1, 1, 0.5, NscOptions(seed=0, restarts=1)),
         "nsc_curve": lambda ex: nsc_curve(
             ex.a[:3], 1, 1, [0.2, 0.5, 0.8], NscOptions(seed=0, restarts=1)),
         "cli nsc": lambda ex: cli_nsc(ex.a[:3]),
@@ -605,12 +620,46 @@ class TestOneDecompositionPerCall:
 
     @pytest.mark.parametrize("name", list(CALLS))
     def test_exactly_one(self, name, example2, monkeypatch):
-        shapes = []
-        for fn in ("eigh", "eigvalsh"):
-            def spy(mat, *args, _real=getattr(np.linalg, fn), **kwargs):
-                if np.ndim(mat) == 2:
-                    shapes.append(np.shape(mat))
-                return _real(mat, *args, **kwargs)
-            monkeypatch.setattr(np.linalg, fn, spy)
+        shapes = gram_decompositions(monkeypatch)
         self.CALLS[name](example2)
         assert len(shapes) == 1, shapes
+
+
+class TestSpectrumInput:
+    """The entry points whose first step is ``gram_spectrum`` take A or its
+    spectrum alike: given the spectrum they decompose nothing and answer
+    exactly as they do on A."""
+
+    OPTS = NscOptions(seed=0, restarts=1)
+    # name: (the matrix, the call on it or on its spectrum, the answer as == compares it)
+    CALLS = {
+        "pstar": (lambda ex: ex.a, lambda a, ex: pstar(a, ex.b), repr),
+        "nsc_estimate": (lambda ex: ex.a[:3], lambda a, ex: nsc_estimate(
+            a, 1, 1, 0.5, TestSpectrumInput.OPTS), estimate_to_json),
+        "nsc_curve": (lambda ex: ex.a[:3], lambda a, ex: nsc_curve(
+            a, 1, 1, [0.2, 0.5, 0.8], TestSpectrumInput.OPTS),
+            lambda curve: [estimate_to_json(est) for est in curve]),
+        "MmvProblem": (lambda ex: ex.a, lambda a, ex: nullspace_solve(
+            MmvProblem(a=a, b=ex.b[:, [0]]), 0.5, DescentOptions(seed=0, restarts=1)),
+            lambda sol: sol.x.tolist()),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_no_decomposition_and_the_same_answer(self, name, example2, monkeypatch):
+        matrix, call, render = self.CALLS[name]
+        a = matrix(example2)
+        spec = gram_spectrum(a)
+        on_a = render(call(a, example2))
+        shapes = gram_decompositions(monkeypatch)
+        assert render(call(spec, example2)) == on_a
+        assert shapes == []
+
+    def test_gram_spectrum_returns_a_spectrum_unchanged(self, example2):
+        spec = example2.spectrum
+        assert gram_spectrum(spec) is spec
+
+    def test_problem_keeps_the_spectrum_and_its_a(self, example2, spectra):
+        spec = example2.spectrum
+        col = MmvProblem(a=spec, b=example2.b[:, [1]])
+        assert col.spectrum is spec and col.a is spec.a
+        assert [a is example2.a for a in spectra] == [True]
