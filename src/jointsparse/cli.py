@@ -396,8 +396,6 @@ def cmd_gen(args: argparse.Namespace) -> CommandResult:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-    common.add_argument("--tol", type=float, default=None,
-                        help="override the zero/support tolerance")
     common.add_argument("--out", default=None, help="also write the payload to this file")
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json",
@@ -405,6 +403,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv",
                      help="CSV rendering (tabular commands)")
     common.set_defaults(fmt="json")
+    # only the commands that read a zero/support tolerance take --tol
+    tolerant = argparse.ArgumentParser(add_help=False, parents=[common])
+    tolerant.add_argument("--tol", type=float, default=None,
+                          help="override the zero/support tolerance")
 
     parser = argparse.ArgumentParser(
         prog="jointsparse",
@@ -412,12 +414,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("pstar", parents=[common],
+    sp = sub.add_parser("pstar", parents=[tolerant],
                         help="equivalence threshold p*(A, B) for a problem file")
     sp.add_argument("problem", help="problem JSON path")
     sp.set_defaults(run=cmd_pstar)
 
-    sp = sub.add_parser("solve", parents=[common], help="solve one instance")
+    sp = sub.add_parser("solve", parents=[tolerant], help="solve one instance")
     sp.add_argument("problem", help="problem JSON path")
     sp.add_argument("--method", required=True, choices=("l20", "irls", "nullspace"))
     sp.add_argument("--p", type=float, default=None, help="exponent for irls/nullspace")
@@ -425,14 +427,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="enumeration cap for --method l20")
     sp.set_defaults(run=cmd_solve)
 
-    sp = sub.add_parser("sweep", parents=[common],
+    sp = sub.add_parser("sweep", parents=[tolerant],
                         help="equivalence check over a grid of p values")
     sp.add_argument("problem", help="problem JSON path")
     sp.add_argument("--grid", required=True,
                     help="comma list '0.1,0.5,0.9' or range 'start:stop:step'")
     sp.set_defaults(run=cmd_sweep)
 
-    sp = sub.add_parser("nsc", parents=[common],
+    sp = sub.add_parser("nsc", parents=[tolerant],
                         help="null-space constant curve with certificates")
     sp.add_argument("source", help="problem JSON, matrix JSON, or matrix CSV path")
     sp.add_argument("--k", type=int, required=True, help="sparsity level")

@@ -5,8 +5,10 @@ X with all r columns in Ker(A) and |S| <= k.  For nullity 1 it reduces to a
 closed form on the single kernel generator and is computed exactly.  For
 larger nullity a multi-start coordinate ascent produces a certified lower
 bound: the certificate (X, S) always reproduces the reported value.  Each
-start moves through the step scales on its own schedule, and every sweep has
-the same steps, so one scoring batch per step holds every live start.
+start walks its own sweeps and step scales, and one scoring batch holds the
+next few probes of every live start's sweep.  ``probes`` counts the C the
+one-start-at-a-time ascent scores; the rows a batch holds after a start's
+first win in it are scored too, but are not probes.
 
 Recovery interpretation: h < 1 certifies that every k-row-sparse solution is
 the unique l_{2,p} minimizer for its own measurements.
@@ -37,6 +39,9 @@ MAX_SWEEPS = 40
 _SCALES = (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4)
 _STEPS = (-1.0, -0.5, 0.5, 1.0)
 
+#: Probes of its sweep each live start puts into one scoring batch.
+_WINDOW = 12
+
 
 @dataclass(frozen=True)
 class NscOptions:
@@ -58,10 +63,12 @@ class NscEstimate:
 
     ``value`` is exactly ``theta(p, certificate_x, certificate_support)``;
     ``exact`` is True only on the closed-form nullity-1 path.  ``probes``
-    counts the coefficient matrices C the estimate scored (each start once,
-    then every nonzero ascent probe; 1 on the exact path), and ``start`` is
-    the index of the winning start in the order unit, warm, seeded (-1 on
-    the exact path and for a certificate carried over by ``nsc_curve``).
+    counts the coefficient matrices C the serial ascent scores (each start
+    once, then every nonzero probe; 1 on the exact path); the rows a batch
+    holds after a start's first win in it are scored as well, but are not
+    probes.  ``start`` is the index of the winning start in the order unit,
+    warm, seeded (-1 on the exact path and for a certificate carried over by
+    ``nsc_curve``).
     """
 
     p: float
@@ -116,9 +123,25 @@ def _better(val: float, top: tuple, best_val: float, best_top: tuple) -> bool:
     return val > best_val or (val == best_val and top < best_top)
 
 
+def _stack_row_norms(xs: np.ndarray) -> np.ndarray:
+    """The row norms (P, n) of a stack of candidates X (P, n, r).
+
+    Below 8 columns the squares are added in column order, which is what
+    ``np.add.reduce`` does, bit for bit, at about half its cost; from 8 on
+    numpy adds in unrolled blocks, so the reduce itself runs there.
+    """
+    sq = xs * xs
+    if sq.shape[2] >= 8:
+        return np.sqrt(np.add.reduce(sq, axis=2))
+    total = sq[..., 0]
+    for col in range(1, sq.shape[2]):
+        total = total + sq[..., col]
+    return np.sqrt(total)
+
+
 def _top_theta(xs: np.ndarray, k: int, p: float, zero_tol: float):
     """``theta_top_k`` on the row norms of a stack of candidates X (P, n, r)."""
-    return theta_top_k(np.sqrt(np.add.reduce(xs * xs, axis=2)), k, p, zero_tol)
+    return theta_top_k(_stack_row_norms(xs), k, p, zero_tol)
 
 
 def nsc_estimate(
@@ -204,11 +227,17 @@ def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
     the start's value; C is renormalized after every sweep.  A start moves
     to its next scale after a sweep that brought no gain (or its
     ``MAX_SWEEPS``-th), and retires after its last scale or once its value
-    is +inf.  Every sweep has the same d*r*4 (j, step) steps whatever the
-    start's scale, so the probes of one step of every live start are scored
-    as one batch.  Returns the best start's (value, 0-based support, C,
-    start index, number of C scored); ties go to the smaller support, then
-    to the earlier start.
+    is +inf.
+
+    Every start keeps its own place in its sweep, and one scoring batch
+    holds the next ``_WINDOW`` probes (fewer at the sweep's end) of every
+    live start, all formed from that start's current C.  Up to and
+    including a start's first win they are the serial ascent's probes; the
+    start takes that win and goes on from the probe after it, and the rows
+    its window holds after the win are scored but are not probes.  A probe
+    that is C = 0 is neither scored nor counted.  Returns the best start's
+    (value, 0-based support, C, start index, number of probes); ties go to
+    the smaller support, then to the earlier start.
     """
     d = basis.shape[1]
     starts: list[np.ndarray] = []
@@ -230,45 +259,71 @@ def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
     top = np.zeros((len(starts), k), dtype=np.intp)
     val[valid], top[valid] = score(flat[valid])
     probes = valid.size
-    level = np.zeros(len(starts), dtype=np.intp)   # each start's scale index
-    sweeps = np.zeros(len(starts), dtype=np.intp)  # its sweeps at that scale
-    steps = np.multiply.outer(_SCALES, _STEPS)     # (scale, step) offsets
-    act = valid[val[valid] < np.inf]
-    while act.size:
-        work, cur_val, cur_top = flat[act], val[act], top[act]
-        offsets = steps[level[act]]
-        improved = np.zeros(act.size, dtype=bool)
-        for j in range(work.shape[1]):
-            old = work[:, j].copy()
-            cands = old[:, None] + offsets       # redone after a win
-            has_zero = (cands == 0.0).any(axis=0)
-            for s in range(len(_STEPS)):
-                cand = cands[:, s]
-                work[:, j] = cand
-                if has_zero[s]:                  # C = 0 is invalid
-                    rows = work.any(axis=1).nonzero()[0]
-                    cand_val, cand_top = score(work[rows])
-                    win = cand_val > cur_val[rows]
-                    won = rows[win]
-                else:
-                    cand_val, cand_top = score(work)
-                    win = cand_val > cur_val
-                    won = win.nonzero()[0]
-                probes += cand_val.size
-                if won.size:
-                    old[won] = cand[won]
-                    cur_val[won], cur_top[won] = cand_val[win], cand_top[win]
-                    improved[won] = True
-                    cands = old[:, None] + offsets
-                    has_zero = (cands == 0.0).any(axis=0)
-            work[:, j] = old
-        flat[act] = _normalize_rows(work)     # theta is scale-invariant: stop drift
-        val[act], top[act] = cur_val, cur_top
-        sweeps[act] += 1
-        moving = act[~(improved & (sweeps[act] < MAX_SWEEPS))]
-        level[moving] += 1
-        sweeps[moving] = 0
-        act = act[(val[act] < np.inf) & (level[act] < len(_SCALES))]
+    # Probe t of the window that starts at place q of a sweep is place
+    # q + t: step (q + t) % 4 on entry (q + t) // 4, if that is in the sweep.
+    n_entries = flat.shape[1]
+    sweep_len = n_entries * len(_STEPS)
+    window = np.arange(_WINDOW)
+    at = np.arange(sweep_len)[:, None] + window
+    inside = at < sweep_len                                  # (place, t)
+    span = inside.sum(axis=1)
+    entry, step = np.divmod(np.minimum(at, sweep_len - 1), len(_STEPS))
+    offsets = np.multiply.outer(_SCALES, _STEPS)[:, step]    # (scale, place, t)
+    cell = window * n_entries + entry       # the changed entry in a window's rows
+    rows = np.arange(len(starts))[:, None]
+    block = rows * (_WINDOW * n_entries)
+
+    # The live starts' state, in start order: C, value, support, place in
+    # the sweep, scale index, sweeps at that scale, whether the sweep won.
+    ids = valid[val[valid] < np.inf]
+    cs, cur, cur_top = flat[ids], val[ids], top[ids]
+    place = np.zeros(ids.size, dtype=np.intp)
+    level = np.zeros(ids.size, dtype=np.intp)
+    sweeps = np.zeros(ids.size, dtype=np.intp)
+    improved = np.zeros(ids.size, dtype=bool)
+    while ids.size:
+        live = ids.size
+        j = entry[place]
+        new = cs[rows[:live], j] + offsets[level, place]
+        work = np.repeat(cs, _WINDOW, axis=0)               # (start, t) rows of C
+        np.put(work, block[:live] + cell[place], new)
+        keep, zero = inside[place], None
+        if (new == 0.0).any():                               # C = 0 is invalid
+            zero = keep & ~work.any(axis=1).reshape(live, _WINDOW)
+            keep = keep & ~zero
+        cand_val, cand_top = score(work[keep.ravel()])
+        got = np.full(keep.shape, -np.inf)
+        got_top = np.zeros(keep.shape + (k,), dtype=np.intp)
+        got[keep], got_top[keep] = cand_val, cand_top
+        win = got > cur[:, None]
+        hit = win.any(axis=1)
+        used = np.where(hit, win.argmax(axis=1) + 1, span[place])
+        probes += int(used.sum())
+        if zero is not None:                     # nor is C = 0 a probe
+            probes -= int(np.count_nonzero(zero & (window < used[:, None])))
+        won = hit.nonzero()[0]
+        pick = won * _WINDOW + used[won] - 1
+        cs[won], cur[won] = work[pick], got.ravel()[pick]
+        cur_top[won] = got_top.reshape(-1, k)[pick]
+        improved[won] = True
+        place += used
+        done = place == sweep_len
+        if done.any():
+            cs[done] = _normalize_rows(cs[done])    # theta is scale-invariant: stop drift
+            sweeps += done
+            moving = done & ~(improved & (sweeps < MAX_SWEEPS))
+            level += moving
+            sweeps[moving] = 0
+            place[done] = 0
+            improved &= ~done
+            gone = done & ((cur == np.inf) | (level == len(_SCALES)))
+            if gone.any():
+                out = ids[gone]
+                flat[out], val[out], top[out] = cs[gone], cur[gone], cur_top[gone]
+                stay = ~gone
+                ids, cs, cur, cur_top = ids[stay], cs[stay], cur[stay], cur_top[stay]
+                place, level, sweeps, improved = (
+                    place[stay], level[stay], sweeps[stay], improved[stay])
 
     tops = [tuple(t) for t in top.tolist()]
     best = valid[0]

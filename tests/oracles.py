@@ -300,7 +300,7 @@ def nsc_sphere_oracle(a: np.ndarray, r: int, k: int, p: float, per_axis: int = 4
 
 
 def nsc_serial_ascent(a: np.ndarray, r: int, k: int, p: float, seed: int, restarts: int,
-                      warm_starts=(), zero_tol: float = 1e-8):
+                      warm_starts=(), zero_tol: float = 1e-8, wins: list | None = None):
     """``nsc_estimate``'s ascent, one start and one probe at a time.
 
     N is Ker(A)'s basis: the eigenvectors of A^T A (``eigh``) whose
@@ -319,7 +319,10 @@ def nsc_serial_ascent(a: np.ndarray, r: int, k: int, p: float, seed: int, restar
 
     Returns (value, 1-based support, certificate X, probes, start) as
     ``nsc_estimate`` reports them: X is N C of the best start normalized,
-    and the value is ``theta`` of X on the support.
+    and the value is ``theta`` of X on the support.  A ``wins`` list gets
+    (start, sweep, place) for every kept probe: the start's sweeps count
+    from 0 across its scales, and a probe's place in its sweep is
+    4 * entry + step index, C = 0 probes included.
     """
     a = np.array(a, dtype=float, order="C")
     evals, evecs = np.linalg.eigh(a.T @ a)
@@ -347,13 +350,14 @@ def nsc_serial_ascent(a: np.ndarray, r: int, k: int, p: float, seed: int, restar
             continue
         val, sup = score(c)
         probes += 1
+        sweep = 0
         for scale in (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4):
             if val == math.inf:
                 break
             for _ in range(40):
                 improved = False
                 for j in range(c.size):
-                    for step in (-1.0, -0.5, 0.5, 1.0):
+                    for s, step in enumerate((-1.0, -0.5, 0.5, 1.0)):
                         probe = c.copy()
                         probe.flat[j] = c.flat[j] + scale * step
                         if not probe.any():
@@ -362,6 +366,9 @@ def nsc_serial_ascent(a: np.ndarray, r: int, k: int, p: float, seed: int, restar
                         probes += 1
                         if probe_val > val:
                             c, val, sup, improved = probe, probe_val, probe_sup, True
+                            if wins is not None:
+                                wins.append((index, sweep, 4 * j + s))
+                sweep += 1
                 if np.linalg.norm(c) > 0:
                     c = c / np.linalg.norm(c)
                 if not improved or val == math.inf:

@@ -119,6 +119,18 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc_info.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "example1"],
+        ["gen", '{"kind": "gaussian", "m": 4, "n": 6, "r": 1, "k": 2, "seed": 1}'],
+    ], ids=["reproduce", "gen"])
+    def test_tol_is_refused_where_nothing_reads_it(self, capsys, argv):
+        # reproduce and gen read no tolerance; --tol 0.5 used to be accepted
+        # and ignored
+        with pytest.raises(SystemExit) as exc_info:
+            main([*argv, "--tol", "0.5"])
+        assert exc_info.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_irls_requires_p(self, capsys, example2_path):
         code, _, err = run(capsys, "solve", example2_path, "--method", "irls")
         assert code == EXIT_USAGE

@@ -11,7 +11,9 @@ from jointsparse.errors import DomainError, EnumerationTooLarge, TrivialNullspac
 from jointsparse.generators import GenSpec, PortableRng, gen_problem
 from jointsparse.norms import theta
 from jointsparse.nsc import (
+    _WINDOW,
     NscOptions,
+    _stack_row_norms,
     estimate_to_json,
     max_recoverable_k,
     nsc_curve,
@@ -99,6 +101,41 @@ def ascent_population():
     yield "nsc pool", pool, 2, 2, 0.1, 0, 64, ()
 
 
+def first_wins_at_ends(wins, sweep_len: int) -> set[str]:
+    """Where in the ascent's scoring windows the serial ascent's wins fall.
+
+    ``wins`` holds (start, sweep, place) as ``nsc_serial_ascent`` records
+    them.  A start's sweep opens a window at place 0, and after each window
+    the next opens on the probe after its win, or ``_WINDOW`` places on when
+    it had none.  Returns "window end" if a win is the last probe of a full
+    window before the sweep's end, and "sweep end" if a win is a sweep's
+    last probe.
+    """
+    sweeps: dict[tuple[int, int], list[int]] = {}
+    for start, sweep, place in wins:
+        sweeps.setdefault((start, sweep), []).append(place)
+    ends = set()
+    for places in sweeps.values():
+        opened = 0
+        for place in places:
+            opened += (place - opened) // _WINDOW * _WINDOW
+            if place == sweep_len - 1:
+                ends.add("sweep end")
+            elif place - opened == _WINDOW - 1:
+                ends.add("window end")
+            opened = place + 1
+    return ends
+
+
+# (m, n, r, k, GenSpec seed) of Gaussian matrices whose ascent at p = 0.5,
+# with the seed's one restart, takes a first win at the named place.
+WINDOW_CASES = {
+    "window end": ((2, 4, 3, 1, 2), {"window end"}),
+    "sweep end": ((2, 4, 3, 1, 3), {"sweep end"}),
+    "r 8, reduced row norms": ((2, 4, 8, 1, 0), set()),
+}
+
+
 class TestExactPath:
     def test_frozen_values(self, example2):
         for p, want in EX2_H.items():
@@ -159,13 +196,27 @@ class TestAscentPath:
         assert digest(est.certificate_x) == "840e708820bbf954"
 
     def test_every_batch_holds_every_live_start(self, scored):
-        # Each start moves through the scales on its own, so a step scores
-        # every live start at once.  While all starts shared one scale, a
-        # scale lasted until its slowest start left it, and the same 5050
-        # probes took 673 batches.
+        # A batch holds the next _WINDOW probes of every live start's sweep.
+        # The same 5050 probes took 673 batches while all starts shared one
+        # scale, and 529, one per (entry, step), while each start had its
+        # own scale; the rows after a start's first win in its window are
+        # scored but are not probes.
         est = nsc_estimate(gaussian_4x7(11), 2, 2, 0.5, NscOptions(seed=0, restarts=8))
-        assert sum(scored) == est.probes == 5050
-        assert len(scored) == 529
+        assert est.probes == 5050
+        assert (len(scored), sum(scored)) == (75, 7118)
+
+    @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+    def test_windows_match_the_serial_ascent(self, case):
+        (m, n, r, k, seed), ends = WINDOW_CASES[case]
+        a = gen_problem(GenSpec("gaussian", m, n, r, k, seed)).a
+        wins: list[tuple[int, int, int]] = []
+        value, support, x, probes, start = nsc_serial_ascent(a, r, k, 0.5, seed, 1, wins=wins)
+        assert first_wins_at_ends(wins, (n - m) * r * 4) >= ends
+        est = nsc_estimate(a, r, k, 0.5, NscOptions(seed=seed, restarts=1))
+        assert est.value == value
+        assert est.certificate_support.indices == support
+        assert digest(est.certificate_x) == digest(x)
+        assert (est.probes, est.start) == (probes, start)
 
     def test_population_matches_the_serial_ascent(self):
         values, seen = {}, set()
@@ -243,6 +294,16 @@ class TestAscentPath:
         opts = {"seed": 0, field: value}
         with pytest.raises(DomainError, match=field):
             NscOptions(**opts)
+
+
+@pytest.mark.parametrize("r", range(1, 10))
+def test_stack_row_norms_are_the_reduce_bit_for_bit(r):
+    # below 8 columns the squares are summed in column order, from 8 on by
+    # np.add.reduce itself, which switches to blocked summation there
+    rng = np.random.default_rng(4100 + r)
+    xs = rng.standard_normal((300, 7, r)) * rng.uniform(1e-3, 1e3, (300, 7, 1))
+    want = np.sqrt(np.add.reduce(xs * xs, axis=2))
+    assert np.array_equal(_stack_row_norms(xs), want)
 
 
 class TestCurve:
