@@ -23,8 +23,8 @@ import numpy as np
 from .errors import DomainError
 from .generators import PortableRng
 from .linalg import GramSpectrum, as_matrix, gram_spectrum, json_float
-from .norms import DEFAULT_ZERO_TOL, check_count, check_grid, check_real, mixed_norm_2p
-from .norms import norm_20, row_support
+from .norms import DEFAULT_ZERO_TOL, _power_sum, _row_norms, check_count, check_grid
+from .norms import check_real, check_zero_tol
 
 SQRT2_PLUS_1 = math.sqrt(2.0) + 1.0
 
@@ -105,7 +105,8 @@ def pstar(a: np.ndarray | GramSpectrum, b: np.ndarray,
         raise DomainError(f"need m >= 2 and n >= 3, got shape {spec.a.shape}")
     lam = spec.summary().ratio
     x0 = spec.min_norm(b)
-    s_star = len(row_support(x0, zero_tol))
+    check_zero_tol(zero_tol)
+    s_star = int(np.count_nonzero(_row_norms(x0) > zero_tol))
     k_m, k_n = corollary1_bounds(m, n)
     f_s = f_threshold(s_star, lam, n) if s_star >= 1 else math.inf
     f_m = f_threshold(k_m, lam, n)
@@ -157,9 +158,10 @@ def lemma1_check(x: np.ndarray, p_grid) -> bool:
     fro = float(np.linalg.norm(x))
     if fro == 0.0:
         raise DomainError("X must be nonzero")
-    s = norm_20(x, zero_tol=0.0)
+    norms = _row_norms(x)                       # once for the whole grid
+    s = int(np.count_nonzero(norms > 0.0))
     for q in grid:
-        lhs = mixed_norm_2p(x, q) ** (1.0 / q)
+        lhs = float(_power_sum(norms, q)) ** (1.0 / q)
         rhs = s ** (1.0 / q - 0.5) * fro
         if lhs > rhs * (1.0 + 1e-10):
             return False

@@ -212,7 +212,10 @@ def _zero_tol(args: argparse.Namespace) -> float:
 def cmd_pstar(args: argparse.Namespace) -> CommandResult:
     prob, raw = _load_problem(args.problem)
     zero_tol = _zero_tol(args)
-    rep = pstar(prob.spectrum, prob.b, zero_tol=zero_tol)
+    try:
+        rep = pstar(prob.spectrum, prob.b, zero_tol=zero_tol)
+    except DomainError as exc:              # a shape outside pstar's domain
+        raise UsageError(f"{args.problem}: {exc}") from None
     return pstar_report_to_json(rep), None, _digest(raw, f"zero_tol={zero_tol}".encode()), None
 
 

@@ -202,7 +202,7 @@ def gen_problem(spec: GenSpec):
 
     rng = PortableRng(spec.seed)
     if spec.kind == "gaussian":
-        a = as_matrix(rng.normal((spec.m, spec.n)), name="A")
+        a = rng.normal((spec.m, spec.n))
     else:
         nodes = spec.nodes if spec.nodes is not None else default_nodes(spec.n)
         a = gen_vandermonde(nodes, spec.m)
@@ -213,14 +213,9 @@ def gen_problem(spec: GenSpec):
         while float(np.sqrt(row @ row)) < 0.1 * spec.amplitude:
             row = rng.normal(spec.r) * spec.amplitude
         x[i] = row
-    with np.errstate(over="ignore", invalid="ignore"):   # inf or inf - inf: as_matrix refuses it
+    with np.errstate(over="ignore", invalid="ignore"):   # inf or inf - inf: MmvProblem refuses it
         b = a @ x
-    return MmvProblem(
-        a=a,
-        b=as_matrix(b, name="B"),
-        planted=as_matrix(x, name="planted"),
-        k=spec.k if spec.k > 0 else None,
-    )
+    return MmvProblem(a=a, b=b, planted=x, k=spec.k if spec.k > 0 else None)
 
 
 __all__ = [

@@ -3,6 +3,10 @@
 The central objects: the l_{2,p} quasi-norm (sum of p-th powers of row
 2-norms, p in (0, 1]), the row-counting l_{2,0} "norm", and the ratio
 theta(p, X, S) comparing mass inside an index set S against mass outside it.
+
+Each public function validates its own inputs once and then calls one of
+the unchecked cores ``_row_norms``, ``_power_sum`` and ``_theta``; the
+package's internal paths call the cores directly.
 """
 
 from __future__ import annotations
@@ -63,10 +67,32 @@ class RowSupport:
         return m
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norms along the last axis of x, unchecked: (n,) for one X
+    (n, r), (P, n) for a stack of them (P, n, r).
+
+    Below 8 columns the squares are added in column order, which is what
+    ``np.add.reduce`` does, bit for bit, at about half its cost; from 8 on
+    numpy adds in unrolled blocks, so the reduce itself runs there.
+    """
+    sq = x * x
+    if sq.shape[-1] >= 8:
+        return np.sqrt(np.add.reduce(sq, axis=-1))
+    total = sq[..., 0]
+    for col in range(1, sq.shape[-1]):
+        total = total + sq[..., col]
+    return np.sqrt(total)
+
+
+def _power_sum(norms: np.ndarray, p: float):
+    """sum_i norms_i^p along the last axis, unchecked: the l_{2,p}
+    objective of the row-norm profile(s) *norms*."""
+    return np.add.reduce(norms ** p, axis=-1)
+
+
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row."""
-    x = as_matrix(x, name="X")
-    return np.sqrt(np.add.reduce(x * x, axis=1))
+    return _row_norms(as_matrix(x, name="X"))
 
 
 def check_count(name: str, value, least: int, most: int | None = None) -> None:
@@ -153,8 +179,7 @@ def mixed_norm_2p(x: np.ndarray, p: float) -> float:
     solvers minimize and report.
     """
     p = check_real("p", p, 0, 1, strict=True)
-    norms = row_norms(x)
-    return float(np.add.reduce(norms ** p))
+    return float(_power_sum(row_norms(x), p))
 
 
 def _check_theta_args(p: float, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -189,7 +214,12 @@ def theta(p: float, x: np.ndarray, s: RowSupport, zero_tol: float = DEFAULT_ZERO
     check_zero_tol(zero_tol)
     if s.n != norms.size:
         raise DomainError(f"support is over n={s.n} rows but X has {norms.size}")
-    mask = s.mask()
+    return _theta(norms, s.mask(), p, zero_tol)
+
+
+def _theta(norms: np.ndarray, mask: np.ndarray, p: float, zero_tol: float) -> float:
+    """theta on one row-norm profile (n,) that is not all zero, S being the
+    rows where the boolean *mask* is set; nothing is validated."""
     contrib = _contributions(norms, norms.max(), p, zero_tol)
     num = float(np.add.reduce(contrib[mask]))
     den = float(np.add.reduce(contrib[~mask]))

@@ -8,7 +8,9 @@ bound: the certificate (X, S) always reproduces the reported value.  Each
 start walks its own sweeps and step scales, and one scoring batch holds the
 next few probes of every live start's sweep.  ``probes`` counts the C the
 one-start-at-a-time ascent scores; the rows a batch holds after a start's
-first win in it are scored too, but are not probes.
+first win in it are scored too, but are not probes.  Candidates are
+scored on row norms taken by ``norms``' unchecked core, and a certificate's
+value is ``norms.theta`` of it, taken by theta's unchecked core.
 
 Recovery interpretation: h < 1 certifies that every k-row-sparse solution is
 the unique l_{2,p} minimizer for its own measurements.
@@ -28,8 +30,8 @@ from .errors import DomainError, TrivialNullspace
 from .generators import PortableRng
 from .linalg import GramSpectrum, as_matrix, check_enumerable, column_stacks, gram_spectrum
 from .linalg import json_float, matrix_to_json, rank_covers
-from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_seed, check_zero_tol, theta
-from .norms import check_grid, check_real, theta_top_k
+from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_seed, check_zero_tol
+from .norms import _row_norms, _theta, check_grid, check_real, theta_top_k
 
 #: Most sweeps the ascent makes at one scale.
 MAX_SWEEPS = 40
@@ -103,15 +105,15 @@ def _normalize(x: np.ndarray) -> np.ndarray:
     return x / nrm if nrm > 0 else x
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """The 2-norm of each row of x (P, D), bit-identical to
-    ``np.linalg.norm`` of that row: both are the root of one dot product."""
+def _flat_norms(x: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each flattened C in x (P, d*r), bit-identical
+    to ``np.linalg.norm`` of that C: both are the root of one dot product."""
     return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
     """:func:`_normalize` applied to each row of x (P, D)."""
-    nrm = _row_norms(x)
+    nrm = _flat_norms(x)
     pos = nrm > 0
     out = x.copy()
     out[pos] /= nrm[pos, None]
@@ -123,25 +125,9 @@ def _better(val: float, top: tuple, best_val: float, best_top: tuple) -> bool:
     return val > best_val or (val == best_val and top < best_top)
 
 
-def _stack_row_norms(xs: np.ndarray) -> np.ndarray:
-    """The row norms (P, n) of a stack of candidates X (P, n, r).
-
-    Below 8 columns the squares are added in column order, which is what
-    ``np.add.reduce`` does, bit for bit, at about half its cost; from 8 on
-    numpy adds in unrolled blocks, so the reduce itself runs there.
-    """
-    sq = xs * xs
-    if sq.shape[2] >= 8:
-        return np.sqrt(np.add.reduce(sq, axis=2))
-    total = sq[..., 0]
-    for col in range(1, sq.shape[2]):
-        total = total + sq[..., col]
-    return np.sqrt(total)
-
-
 def _top_theta(xs: np.ndarray, k: int, p: float, zero_tol: float):
     """``theta_top_k`` on the row norms of a stack of candidates X (P, n, r)."""
-    return theta_top_k(_stack_row_norms(xs), k, p, zero_tol)
+    return theta_top_k(_row_norms(xs), k, p, zero_tol)
 
 
 def nsc_estimate(
@@ -182,11 +168,12 @@ def _kernel(spec: GramSpectrum, r, k) -> np.ndarray:
 def _certified(p: float, k: int, x: np.ndarray, top, zero_tol: float,
                **rest) -> NscEstimate:
     """The estimate whose certificate is X normalized, on the 0-based rows
-    ``top``; its value is theta of exactly that certificate."""
+    ``top``; its value is ``norms.theta`` of exactly that certificate, taken
+    by theta's unchecked core on the certificate's row norms."""
     cert = as_matrix(_normalize(x))
     support = RowSupport(indices=tuple(int(i) + 1 for i in top), n=cert.shape[0])
     return NscEstimate(p=p, k=k, r=cert.shape[1],
-                       value=theta(p, cert, support, zero_tol=zero_tol),
+                       value=_theta(_row_norms(cert), support.mask(), p, zero_tol),
                        certificate_x=cert, certificate_support=support, **rest)
 
 
@@ -254,7 +241,7 @@ def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
         return _top_theta(basis @ cs.reshape(-1, d, r), k, p, opts.zero_tol)
 
     flat = _normalize_rows(np.array([c0.ravel() for c0 in starts]))
-    valid = np.flatnonzero(_row_norms(flat) > 0.0)
+    valid = np.flatnonzero(_flat_norms(flat) > 0.0)
     val = np.full(len(starts), -np.inf)
     top = np.zeros((len(starts), k), dtype=np.intp)
     val[valid], top[valid] = score(flat[valid])

@@ -35,8 +35,8 @@ from .generators import PortableRng
 from .linalg import GramSpectrum, as_matrix, check_enumerable, column_stacks, gram_spectrum
 from .linalg import min_support_size, residual_covers
 from .linalg import matrix_from_json, matrix_to_json
-from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_zero_tol, mixed_norm_2p
-from .norms import check_real, check_seed, row_support
+from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_zero_tol, row_support
+from .norms import _power_sum, _row_norms, check_real, check_seed
 
 FEASIBILITY_TOL = 1e-8      # l20_solve's residual bound, times max(1, ||B||_F)
 MATCH_TOL = 1e-4            # check_equivalence's Frobenius match distance
@@ -150,8 +150,9 @@ class SparseSolution:
     ``x`` is never truncated; ``support`` is what survives ``zero_tol``,
     derived from ``x`` on access rather than stored, so that a solution
     holds no more than its array and a few scalars.
-    ``objective`` is the norms-module value at ``p`` of ``x`` with the rows
-    outside ``support`` zeroed (the row count for p = 0).
+    ``objective`` is ``norms.mixed_norm_2p`` at ``p`` of ``x`` with the rows
+    outside ``support`` zeroed (the row count for p = 0), read off one pass
+    of row norms in :func:`_finish`.
     """
 
     x: np.ndarray
@@ -183,10 +184,14 @@ def solution_to_json(sol: SparseSolution) -> dict:
 
 def _finish(x: np.ndarray, p: float, method: str, prob: MmvProblem,
             zero_tol: float, unique: bool | None = None) -> SparseSolution:
+    """The solution *x*, refused if not finite, with its objective read off
+    one pass of row norms.  A row outside the support stays in the sum as a
+    zero, so the sum is grouped as ``mixed_norm_2p`` groups it on *x* with
+    those rows zeroed."""
     x = as_matrix(x, name="X")
-    support = row_support(x, zero_tol)
-    objective = (float(len(support)) if p == 0.0
-                 else mixed_norm_2p(np.where(support.mask()[:, None], x, 0.0), p))
+    norms = _row_norms(x)
+    norms[norms <= zero_tol] = 0.0          # the rows outside the support
+    objective = float(np.count_nonzero(norms) if p == 0.0 else _power_sum(norms, p))
     return SparseSolution(
         x=x,
         zero_tol=zero_tol,
@@ -497,7 +502,7 @@ def _coordinate_descent(x0: np.ndarray, basis: np.ndarray, p: float, c0: np.ndar
     c = c0.astype(float).copy()
     d, r = c.shape
     kernel_cols = basis.T.tolist()
-    f_cur = mixed_norm_2p(x0 + basis @ c, p)
+    f_cur = float(_power_sum(_row_norms(x0 + basis @ c), p))
     for _ in range(DESCENT_MAX_SWEEPS):
         f_start = f_cur
         for i in range(d):
@@ -539,8 +544,7 @@ def _kink_polish(x0: np.ndarray, basis: np.ndarray, p: float, c0: np.ndarray,
     r = c.shape[1]
     for _ in range(6):
         f_enter = f_cur
-        x = x0 + basis @ c
-        norms = np.sqrt(np.sum(x * x, axis=1))
+        norms = _row_norms(x0 + basis @ c)
         scale = float(norms.max())
         if scale == 0.0:
             break
@@ -602,7 +606,7 @@ def _grid_best(x0, basis, p, d, r, grid_points):
     for start in range(0, coeffs.shape[0], chunk):
         cs = coeffs[start:start + chunk]
         xs = x0[None] + np.einsum("nd,pdr->pnr", basis, cs)
-        vals = np.sum(np.sqrt(np.sum(xs * xs, axis=2)) ** p, axis=1)
+        vals = _power_sum(_row_norms(xs), p)
         i = int(np.argmin(vals))                   # first index on ties
         if vals[i] < best_val:
             best_val = float(vals[i])

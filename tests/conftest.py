@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from jointsparse import bounds, cli, linalg, nsc, solvers
+import jointsparse
+from jointsparse import bounds, cli, generators, linalg, norms, nsc, solvers
 from jointsparse.solvers import MmvProblem, problem_from_json
 
 
@@ -126,3 +128,20 @@ def exact_solves(monkeypatch) -> list[int | None]:
     for mod in (solvers, cli):
         monkeypatch.setattr(mod, "l20_solve", spy)
     return caps
+
+
+@pytest.fixture()
+def validations(monkeypatch) -> Counter:
+    """Calls of ``linalg.as_matrix`` and of ``norms``' validating row-norm
+    functions made while the test runs, through any module, by name."""
+    calls: Counter = Counter()
+    for real in (linalg.as_matrix, norms.row_norms, norms.row_support,
+                 norms.mixed_norm_2p, norms.theta):
+        def spy(*args, _real=real, **kwargs):
+            calls[_real.__name__] += 1
+            return _real(*args, **kwargs)
+
+        for mod in (jointsparse, bounds, cli, generators, linalg, norms, nsc, solvers):
+            if getattr(mod, real.__name__, None) is real:
+                monkeypatch.setattr(mod, real.__name__, spy)
+    return calls

@@ -110,6 +110,19 @@ class TestExitCodes:
         assert code == EXIT_COMPUTE
         assert json.loads(err)["error"]["type"] == "RankDeficient"
 
+    @pytest.mark.parametrize("problem", [
+        {"A": [[1, 2, 3]], "B": [[1]]},                     # m < 2
+        {"A": [[1, 0], [0, 1]], "B": [[1], [2]]},           # n < 3
+    ])
+    def test_problem_outside_pstar_shapes_is_usage_error(self, capsys, tmp_path, problem):
+        # pstar's own refusal is bad input, not a computational failure
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(problem))
+        code, out, err = run(capsys, "pstar", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "UsageError" and "n >= 3" in error["message"]
+
     def test_csv_unsupported_for_pstar(self, capsys, example2_path):
         code, _, err = run(capsys, "pstar", example2_path, "--csv")
         assert code == EXIT_USAGE

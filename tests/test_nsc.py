@@ -9,11 +9,10 @@ import pytest
 
 from jointsparse.errors import DomainError, EnumerationTooLarge, TrivialNullspace
 from jointsparse.generators import GenSpec, PortableRng, gen_problem
-from jointsparse.norms import theta
+from jointsparse.norms import _row_norms, theta
 from jointsparse.nsc import (
     _WINDOW,
     NscOptions,
-    _stack_row_norms,
     estimate_to_json,
     max_recoverable_k,
     nsc_curve,
@@ -298,12 +297,15 @@ class TestAscentPath:
 
 @pytest.mark.parametrize("r", range(1, 10))
 def test_stack_row_norms_are_the_reduce_bit_for_bit(r):
-    # below 8 columns the squares are summed in column order, from 8 on by
-    # np.add.reduce itself, which switches to blocked summation there
+    # norms' row-norm core: below 8 columns the squares are summed in column
+    # order, from 8 on by np.add.reduce itself, which switches to blocked
+    # summation there.  It takes the ascent's stacks (P, n, r) and the single
+    # matrices (n, r) of row_norms and the solvers, in either memory order.
     rng = np.random.default_rng(4100 + r)
     xs = rng.standard_normal((300, 7, r)) * rng.uniform(1e-3, 1e3, (300, 7, 1))
-    want = np.sqrt(np.add.reduce(xs * xs, axis=2))
-    assert np.array_equal(_stack_row_norms(xs), want)
+    for x in (xs, xs[0], xs.reshape(-1, r), np.asfortranarray(xs.reshape(-1, r))):
+        want = np.sqrt(np.add.reduce(x * x, axis=-1))
+        assert np.array_equal(_row_norms(x), want)
 
 
 class TestCurve:

@@ -17,7 +17,8 @@ from jointsparse.errors import (
 )
 from jointsparse import solvers
 from jointsparse.generators import GenSpec, gen_problem
-from jointsparse.norms import mixed_norm_2p
+from jointsparse.norms import DEFAULT_ZERO_TOL, mixed_norm_2p, row_norms
+from jointsparse.nsc import NscOptions, nsc_estimate
 from jointsparse.linalg import gram_spectrum, min_norm_solution, min_support_size, nullspace_basis
 from jointsparse.linalg import residual_covers
 from jointsparse.solvers import (
@@ -873,6 +874,69 @@ class TestOneDecompositionPerProblem:
         assert l20_solve(example2).support.indices == (2, 5)
         dense = MmvProblem(a=example2.a, b=rng.standard_normal((4, 1)))
         assert len(l20_solve(dense).support) == 4           # min(m, n) = 4
+
+
+class TestValidatedOnce:
+    """On a built problem, the solvers and ``nsc_estimate`` take row norms by
+    ``norms``' unchecked cores, never by a validating function, and
+    ``as_matrix`` checks only what crosses the boundary: B in ``min_norm``,
+    the solution X, and for ``nsc_estimate`` A and the certificate."""
+
+    # the call, and the most as_matrix calls it may make
+    CALLS = {
+        "l20_solve": (lambda prob: l20_solve(prob), 1),
+        "irls_solve": (lambda prob: irls_solve(prob, 0.5), 2),
+        "nullspace_solve": (
+            lambda prob: nullspace_solve(prob, 0.5, DescentOptions(seed=1, restarts=2)), 2),
+        "nsc_estimate": (lambda prob: nsc_estimate(
+            np.array(prob.a), 1, 2, 0.5, NscOptions(seed=1, restarts=2)), 2),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_no_validating_row_norm_call(self, name, validations):
+        prob = gen_problem(GenSpec("gaussian", 4, 6, 1, 2, 11))
+        prob.spectrum
+        validations.clear()
+        call, most = self.CALLS[name]
+        call(prob)
+        assert validations["as_matrix"] <= most
+        names = ("row_norms", "row_support", "mixed_norm_2p", "theta")
+        assert [validations[f] for f in names] == [0, 0, 0, 0]
+
+    def test_gen_problem_checks_each_matrix_once(self, validations):
+        gen_problem(GenSpec("gaussian", 4, 6, 1, 2, 11))
+        assert validations["as_matrix"] == 3                # A, B and planted
+
+
+class TestObjectiveOverSupport:
+    """``objective`` is ``mixed_norm_2p`` of x with the rows outside its
+    support zeroed, and the row count for ``l20_solve``, also when a row
+    norm lies in (0, zero_tol]: zero_tol moves the support, not x."""
+
+    SOLVES = {
+        "l20": lambda prob, zero_tol: l20_solve(prob, zero_tol=zero_tol),
+        "irls": lambda prob, zero_tol: irls_solve(prob, 0.5, IrlsOptions(zero_tol=zero_tol)),
+        "nullspace": lambda prob, zero_tol: nullspace_solve(
+            prob, 0.5, DescentOptions(seed=1, restarts=2, zero_tol=zero_tol)),
+    }
+
+    @pytest.mark.parametrize("method", SOLVES)
+    @pytest.mark.parametrize("spec", [(4, 6, 1, 2, 11), (6, 9, 2, 2, 5)])
+    def test_objective_is_taken_over_the_support(self, method, spec):
+        prob = gen_problem(GenSpec("gaussian", *spec))
+        solve = self.SOLVES[method]
+        norms = row_norms(solve(prob, DEFAULT_ZERO_TOL).x)
+        smallest = float(norms[norms > 0.0].min())
+        for zero_tol in (DEFAULT_ZERO_TOL, smallest):
+            sol = solve(prob, zero_tol)
+            if method == "l20":
+                assert sol.objective == len(sol.support)
+            else:
+                kept = np.where(sol.support.mask()[:, None], sol.x, 0.0)
+                assert sol.objective == mixed_norm_2p(kept, 0.5)
+        # the last solve read its support with a row norm in (0, zero_tol]
+        assert np.count_nonzero(row_norms(sol.x) > 0.0) > len(sol.support)
+
 
 class TestSolutionContainer:
     def test_solution_json_fields(self, example2):
