@@ -104,7 +104,7 @@ def pstar(a: np.ndarray | GramSpectrum, b: np.ndarray,
     if m < 2 or n < 3:
         raise DomainError(f"need m >= 2 and n >= 3, got shape {spec.a.shape}")
     lam = spec.summary().ratio
-    x0 = spec.min_norm(b)
+    x0 = spec._min_norm(b)
     check_zero_tol(zero_tol)
     s_star = int(np.count_nonzero(_row_norms(x0) > zero_tol))
     k_m, k_n = corollary1_bounds(m, n)

@@ -274,8 +274,12 @@ class GramSpectrum:
 
         Raises RankDeficient unless A has full row rank (rank m).
         """
+        return self._min_norm(as_matrix(b, name="B"))
+
+    def _min_norm(self, b: np.ndarray) -> np.ndarray:
+        """:meth:`min_norm` of a B that ``as_matrix`` has already checked
+        (``MmvProblem.b``, say); its shape and A's rank are still checked."""
         a = self.a
-        b = as_matrix(b, name="B")
         if a.shape[0] != b.shape[0]:
             raise DomainError(f"row mismatch: A is {a.shape}, B is {b.shape}")
         if self.rank < a.shape[0]:

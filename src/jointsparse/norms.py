@@ -192,7 +192,8 @@ def _check_theta_args(p: float, x: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _contributions(norms: np.ndarray, peak, p: float, zero_tol: float) -> np.ndarray:
     """Each row's term in theta, for one row-norm profile (n,) whose largest
-    norm is ``peak``, or a batch of them (P, n) with ``peak`` (P, 1)."""
+    norm is ``peak``, or a batch of them laid out (P, n) with ``peak``
+    (P, 1) or (n, P) with ``peak`` (P,)."""
     if p == 0.0:
         return (norms > zero_tol).astype(float)
     # Normalize by a power of two before exponentiating: scaling X by 2**j
@@ -236,22 +237,43 @@ def theta_top_k(
     """theta on the best support of each row-norm profile in a batch.
 
     ``norms`` is (P, n), one profile of row 2-norms per row; returns the
-    values (P,) and the 0-based rows of each best support (P, k), ascending.
-    The best support holds the k largest norms, lower index first on ties.
+    values (P,) and the 0-based rows of each best support (P, k), not
+    sorted: sort a row for its support in ascending order.  The best
+    support holds the k largest norms, lower index first on ties, as one
+    stable argsort ranks them.
+
     Each value is bit-identical to ``theta`` of a matrix with those row
-    norms on that support: both sums run over their rows in ascending order,
-    as ``theta``'s masked sums do.  Nothing is validated: callers pass
-    1 <= k < n, p in [0, 1] and profiles that are not all zero.
+    norms on that support, whose masked sums add their terms in ascending
+    row order; numpy adds fewer than 8 terms along the last axis in that
+    order and more in unrolled blocks.  When both sides hold fewer than 8
+    rows and there are several profiles, the terms are laid out (n, P)
+    with the other side's rows zeroed and each sum runs down the outer
+    axis, one row of terms after another, so the zeros add nothing and
+    nothing is sorted.  Otherwise (and for a single profile, whose (n, 1)
+    layout numpy sums in blocks) each side's rows are sorted into
+    ascending order, gathered and summed along the last axis, as
+    ``theta`` does.  An all-zero profile scores 0.0, with no warning.
+    Nothing is validated: callers pass 1 <= k < n and p in [0, 1].
     """
+    count, n = norms.shape
     order = (-norms).argsort(axis=1, kind="stable")
-    rows = np.arange(norms.shape[0])[:, None]
-    contrib = _contributions(norms, norms[rows, order[:, :1]], p, zero_tol)
     top = order[:, :k]
-    top.sort(axis=1)                     # both sorts work on views of order
-    order[:, k:].sort(axis=1)
-    terms = contrib[rows, order]
-    num = np.add.reduce(terms[:, :k], axis=1)
-    den = np.add.reduce(terms[:, k:], axis=1)
+    if count == 1 or k >= 8 or n - k >= 8:
+        rows = np.arange(count)[:, None]
+        contrib = _contributions(norms, norms[rows, order[:, :1]], p, zero_tol)
+        top.sort(axis=1)                 # both sorts work on views of order
+        order[:, k:].sort(axis=1)
+        terms = contrib[rows, order]
+        num = np.add.reduce(terms[:, :k], axis=1)
+        den = np.add.reduce(terms[:, k:], axis=1)
+    else:
+        lay = np.ascontiguousarray(norms.T)                 # (n, P)
+        contrib = _contributions(lay, np.maximum.reduce(lay, axis=0), p, zero_tol)
+        inside = np.zeros(n * count, dtype=bool)
+        inside[(top * count + np.arange(count)[:, None]).ravel()] = True
+        inside = inside.reshape(n, count)
+        num = np.add.reduce(np.where(inside, contrib, 0.0), axis=0)
+        den = np.add.reduce(np.where(inside, 0.0, contrib), axis=0)
     value = np.where(num == 0.0, 0.0, np.inf)           # inf: den vanishes
     return np.divide(num, den, out=value, where=den != 0.0), top
 
@@ -269,4 +291,4 @@ def theta_max_over_S(
     n = norms.size
     check_count("k", k, 1, n - 1)
     values, top = theta_top_k(norms[None, :], k, p, zero_tol)
-    return float(values[0]), RowSupport(indices=tuple(int(i) + 1 for i in top[0]), n=n)
+    return float(values[0]), RowSupport(indices=tuple(sorted(int(i) + 1 for i in top[0])), n=n)

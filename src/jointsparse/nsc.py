@@ -6,11 +6,13 @@ closed form on the single kernel generator and is computed exactly.  For
 larger nullity a multi-start coordinate ascent produces a certified lower
 bound: the certificate (X, S) always reproduces the reported value.  Each
 start walks its own sweeps and step scales, and one scoring batch holds the
-next few probes of every live start's sweep.  ``probes`` counts the C the
-one-start-at-a-time ascent scores; the rows a batch holds after a start's
-first win in it are scored too, but are not probes.  Candidates are
-scored on row norms taken by ``norms``' unchecked core, and a certificate's
-value is ``norms.theta`` of it, taken by theta's unchecked core.
+next few probes of every live start's sweep; each batch is scored whole.
+``probes`` counts the C the one-start-at-a-time ascent scores, however
+many rows the batches hold: the rows a batch holds after a start's first
+win in it, past the end of its sweep or at C = 0 are scored too, but are
+not probes.  Candidates are scored on row norms taken by ``norms``'
+unchecked core, and a certificate's value is ``norms.theta`` of it, taken
+by theta's unchecked core.
 
 Recovery interpretation: h < 1 certifies that every k-row-sparse solution is
 the unique l_{2,p} minimizer for its own measurements.
@@ -66,11 +68,12 @@ class NscEstimate:
     ``value`` is exactly ``theta(p, certificate_x, certificate_support)``;
     ``exact`` is True only on the closed-form nullity-1 path.  ``probes``
     counts the coefficient matrices C the serial ascent scores (each start
-    once, then every nonzero probe; 1 on the exact path); the rows a batch
-    holds after a start's first win in it are scored as well, but are not
-    probes.  ``start`` is the index of the winning start in the order unit,
-    warm, seeded (-1 on the exact path and for a certificate carried over by
-    ``nsc_curve``).
+    once, then every nonzero probe; 1 on the exact path).  The ascent scores
+    each batch whole, so the rows a batch holds after a start's first win
+    in it, past the end of its sweep or at C = 0 are scored as well, but
+    are not probes.  ``start`` is the index of the winning start in the
+    order unit, warm, seeded (-1 on the exact path and for a certificate
+    carried over by ``nsc_curve``).
     """
 
     p: float
@@ -112,12 +115,10 @@ def _flat_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    """:func:`_normalize` applied to each row of x (P, D)."""
+    """:func:`_normalize` applied to each row of x (P, D); a zero row is
+    divided by 1.0, which leaves it as it is."""
     nrm = _flat_norms(x)
-    pos = nrm > 0
-    out = x.copy()
-    out[pos] /= nrm[pos, None]
-    return out
+    return x / np.where(nrm > 0, nrm, 1.0)[:, None]
 
 
 def _better(val: float, top: tuple, best_val: float, best_top: tuple) -> bool:
@@ -126,8 +127,16 @@ def _better(val: float, top: tuple, best_val: float, best_top: tuple) -> bool:
 
 
 def _top_theta(xs: np.ndarray, k: int, p: float, zero_tol: float):
-    """``theta_top_k`` on the row norms of a stack of candidates X (P, n, r)."""
+    """``theta_top_k`` on the row norms of a stack of candidates X (P, n, r);
+    the supports come back unsorted."""
     return theta_top_k(_row_norms(xs), k, p, zero_tol)
+
+
+def _best_of(x: np.ndarray, k: int, p: float, zero_tol: float) -> tuple[float, tuple]:
+    """theta_max of one candidate X (n, r): the value and the 0-based best
+    support, ascending."""
+    vals, tops = _top_theta(x[None], k, p, zero_tol)
+    return float(vals[0]), tuple(sorted(tops[0].tolist()))
 
 
 def nsc_estimate(
@@ -189,15 +198,14 @@ def _estimate(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
     if d == 1:
         x = np.zeros((n, r))
         x[:, 0] = basis[:, 0]
-        _, top = _top_theta(x[None], k, p, opts.zero_tol)
-        return _certified(p, k, x, top[0], opts.zero_tol,
+        _, top = _best_of(x, k, p, opts.zero_tol)
+        return _certified(p, k, x, top, opts.zero_tol,
                           restarts=0, exact=True, probes=1, start=-1)
     val, top, c, start, probes = _ascend(basis, r, k, p, opts, warm_starts)
     x = basis @ c
     for cert_c in carried:
         x_prev = basis @ cert_c
-        vals, tops = _top_theta(x_prev[None], k, p, opts.zero_tol)
-        cand = float(vals[0]), tuple(tops[0].tolist())
+        cand = _best_of(x_prev, k, p, opts.zero_tol)
         if _better(*cand, val, top):
             (val, top), x, start = cand, x_prev, -1
     return _certified(p, k, x, top, opts.zero_tol,
@@ -217,12 +225,15 @@ def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
     is +inf.
 
     Every start keeps its own place in its sweep, and one scoring batch
-    holds the next ``_WINDOW`` probes (fewer at the sweep's end) of every
-    live start, all formed from that start's current C.  Up to and
-    including a start's first win they are the serial ascent's probes; the
-    start takes that win and goes on from the probe after it, and the rows
-    its window holds after the win are scored but are not probes.  A probe
-    that is C = 0 is neither scored nor counted.  Returns the best start's
+    holds ``_WINDOW`` rows of every live start, all formed from that
+    start's current C: the next probes of its sweep, then (at the sweep's
+    end) copies of its last probe.  The batch is scored whole, and only
+    then are the rows past the sweep's end and the rows that are C = 0
+    kept out of the test for a win; C = 0 is never a probe.  Up to and
+    including a start's first win the rows are the serial ascent's probes;
+    the start takes that win and goes on from the probe after it, and the
+    rows its window holds after the win are scored but are not probes.
+    Supports are sorted once, after the ascent.  Returns the best start's
     (value, 0-based support, C, start index, number of probes); ties go to
     the smaller support, then to the earlier start.
     """
@@ -257,8 +268,7 @@ def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
     entry, step = np.divmod(np.minimum(at, sweep_len - 1), len(_STEPS))
     offsets = np.multiply.outer(_SCALES, _STEPS)[:, step]    # (scale, place, t)
     cell = window * n_entries + entry       # the changed entry in a window's rows
-    rows = np.arange(len(starts))[:, None]
-    block = rows * (_WINDOW * n_entries)
+    block = np.arange(len(starts))[:, None] * (_WINDOW * n_entries)
 
     # The live starts' state, in start order: C, value, support, place in
     # the sweep, scale index, sweeps at that scale, whether the sweep won.
@@ -270,19 +280,16 @@ def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
     improved = np.zeros(ids.size, dtype=bool)
     while ids.size:
         live = ids.size
-        j = entry[place]
-        new = cs[rows[:live], j] + offsets[level, place]
         work = np.repeat(cs, _WINDOW, axis=0)               # (start, t) rows of C
-        np.put(work, block[:live] + cell[place], new)
+        changed = block[:live] + cell[place]
+        new = work.take(changed) + offsets[level, place]
+        np.put(work, changed, new)
+        got, got_top = score(work)
         keep, zero = inside[place], None
         if (new == 0.0).any():                               # C = 0 is invalid
             zero = keep & ~work.any(axis=1).reshape(live, _WINDOW)
             keep = keep & ~zero
-        cand_val, cand_top = score(work[keep.ravel()])
-        got = np.full(keep.shape, -np.inf)
-        got_top = np.zeros(keep.shape + (k,), dtype=np.intp)
-        got[keep], got_top[keep] = cand_val, cand_top
-        win = got > cur[:, None]
+        win = keep & (got.reshape(live, _WINDOW) > cur[:, None])
         hit = win.any(axis=1)
         used = np.where(hit, win.argmax(axis=1) + 1, span[place])
         probes += int(used.sum())
@@ -290,8 +297,8 @@ def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
             probes -= int(np.count_nonzero(zero & (window < used[:, None])))
         won = hit.nonzero()[0]
         pick = won * _WINDOW + used[won] - 1
-        cs[won], cur[won] = work[pick], got.ravel()[pick]
-        cur_top[won] = got_top.reshape(-1, k)[pick]
+        cs[won], cur[won] = work[pick], got[pick]
+        cur_top[won] = got_top[pick]
         improved[won] = True
         place += used
         done = place == sweep_len
@@ -312,6 +319,7 @@ def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
                 place, level, sweeps, improved = (
                     place[stay], level[stay], sweeps[stay], improved[stay])
 
+    top.sort(axis=1)                        # each start's support, ascending
     tops = [tuple(t) for t in top.tolist()]
     best = valid[0]
     for i in valid[1:]:

@@ -35,7 +35,7 @@ from .generators import PortableRng
 from .linalg import GramSpectrum, as_matrix, check_enumerable, column_stacks, gram_spectrum
 from .linalg import min_support_size, residual_covers
 from .linalg import matrix_from_json, matrix_to_json
-from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_zero_tol, row_support
+from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_zero_tol
 from .norms import _power_sum, _row_norms, check_real, check_seed
 
 FEASIBILITY_TOL = 1e-8      # l20_solve's residual bound, times max(1, ||B||_F)
@@ -165,7 +165,11 @@ class SparseSolution:
 
     @property
     def support(self) -> RowSupport:
-        return row_support(self.x, self.zero_tol)
+        """``norms.row_support`` of ``x`` at ``zero_tol``, without its
+        checks: :func:`_finish` has refused a non-finite x."""
+        idx = np.flatnonzero(_row_norms(self.x) > self.zero_tol)
+        return RowSupport(indices=tuple(int(i) + 1 for i in idx), n=self.x.shape[0],
+                          zero_tol=float(self.zero_tol))
 
 
 def solution_to_json(sol: SparseSolution) -> dict:
@@ -361,7 +365,7 @@ def irls_solve(prob: MmvProblem, p: float, opts: IrlsOptions = IrlsOptions()) ->
     a, b = prob.a, prob.b
     at = a.T
     power = 1.0 - p / 2.0
-    x = np.array(prob.spectrum.min_norm(b))
+    x = np.array(prob.spectrum._min_norm(b))
     rowsq = np.add.reduce(x * x, axis=1)
     eps = IRLS_EPS0
     for iteration in range(1, IRLS_MAX_ITER + 1):
@@ -630,7 +634,7 @@ def nullspace_solve(prob: MmvProblem, p: float, opts: DescentOptions) -> SparseS
     """
     p = check_real("p", p, 0, 1, strict=True)
     spec = prob.spectrum
-    x0 = spec.min_norm(prob.b)
+    x0 = spec._min_norm(prob.b)
     basis = spec.kernel
     d, r = basis.shape[1], prob.r
     if d == 0:

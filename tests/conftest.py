@@ -85,9 +85,12 @@ def stacked(monkeypatch) -> list[int]:
 def scored(monkeypatch) -> list[int]:
     """Row counts of the ``theta_top_k`` calls ``nsc`` makes while the test
     runs.  An ascent makes one per scoring batch, so their number is the
-    number of batches and their sum the number of rows scored: the probes,
-    and the rows a start's window holds after its first win in it.  The
-    exact path and each carried certificate add a call of one row."""
+    number of batches and their sum the number of rows scored.  A batch is
+    scored whole, ``nsc._WINDOW`` rows per live start (the first, of the
+    starts themselves, one row each): the probes, and the rows a start's
+    window holds after its first win in it, past its sweep's end or at
+    C = 0.  The exact path and each carried certificate add a call of one
+    row."""
     batches: list[int] = []
 
     def spy(norms, *args, _real=nsc.theta_top_k, **kwargs):

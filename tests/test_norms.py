@@ -209,8 +209,10 @@ def profile_batches(draw):
     """(x, k, p): a stack x (P, n, r) whose rows repeat a few drawn rows, so
     ties and zero rows are common, and none of whose profiles is all zero.
     Rows below the zero tolerance exercise p = 0; with ``only_top`` every
-    row outside k drawn rows is zero, where theta is +inf."""
-    n = draw(st.integers(2, 14))
+    row outside k drawn rows is zero, where theta is +inf.  Up to 20 rows,
+    so that either side of the support can hold 8 or more (the sorted sums)
+    as well as both fewer (the outer-axis sums)."""
+    n = draw(st.integers(2, 20))
     r = draw(st.integers(1, 3))
     batch = draw(st.integers(1, 5))
     k = draw(st.integers(1, n - 1))
@@ -238,8 +240,7 @@ class TestThetaTopK:
         norms = np.array([row_norms(prof) for prof in x])
         values, top = theta_top_k(norms, k, p, DEFAULT_ZERO_TOL)
         assert top.shape == (len(x), k)
-        for prof, nrm, value, rows in zip(x, norms, values, top):
-            assert list(rows) == sorted(rows)
+        for prof, nrm, value, rows in zip(x, norms, values, np.sort(top, axis=1)):
             rest = np.setdiff1d(np.arange(len(nrm)), rows)
             # the k largest norms, lower index first on ties
             assert all(nrm[i] > nrm[j] or (nrm[i] == nrm[j] and i < j)
@@ -255,8 +256,34 @@ class TestThetaTopK:
                           [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
         for p in (0.0, 0.5, 1.0):
             values, top = theta_top_k(norms, 2, p, DEFAULT_ZERO_TOL)
-            assert values[0] == math.inf and top[0].tolist() == [1, 3]
-            assert values[1] == 2.0 / 7.0 and top[1].tolist() == [0, 1]
+            assert values[0] == math.inf and sorted(top[0].tolist()) == [1, 3]
+            assert values[1] == 2.0 / 7.0 and sorted(top[1].tolist()) == [0, 1]
+
+    @pytest.mark.parametrize("inside,outside", [(7, 7), (7, 8), (8, 7), (8, 8)])
+    def test_seven_and_eight_terms_a_side(self, inside, outside, rng):
+        # 7 terms a side are summed down the outer axis, 8 sorted along the
+        # last; either way each value is theta's, alone or in a batch
+        n, k = inside + outside, inside
+        x = rng.standard_normal((6, n, 2)) * 10.0 ** rng.integers(-6, 7, (6, n, 1))
+        norms = np.array([row_norms(prof) for prof in x])
+        for p in (0.0, 0.3, 1.0):
+            values, top = theta_top_k(norms, k, p, DEFAULT_ZERO_TOL)
+            for prof, nrm, value, rows in zip(x, norms, values, np.sort(top, axis=1)):
+                s = RowSupport(indices=tuple(int(i) + 1 for i in rows), n=n)
+                assert value == theta(p, prof, s)
+                alone, alone_top = theta_top_k(nrm[None], k, p, DEFAULT_ZERO_TOL)
+                assert alone[0] == value and sorted(alone_top[0]) == list(rows)
+
+    @pytest.mark.parametrize("n,k", [(5, 2), (14, 7), (16, 8)])
+    def test_all_zero_profile_scores_zero(self, n, k):
+        norms = np.zeros((3, n))
+        norms[1, 0] = 1.0
+        for p in (0.0, 0.5, 1.0):
+            with np.errstate(all="raise"):
+                values, _ = theta_top_k(norms, k, p, DEFAULT_ZERO_TOL)
+                alone, _ = theta_top_k(norms[:1], k, p, DEFAULT_ZERO_TOL)
+            assert values[0] == 0.0 and values[2] == 0.0 and alone[0] == 0.0
+            assert values[1] == math.inf
 
 
 class TestInterpolationInequality:

@@ -198,11 +198,14 @@ class TestAscentPath:
         # A batch holds the next _WINDOW probes of every live start's sweep.
         # The same 5050 probes took 673 batches while all starts shared one
         # scale, and 529, one per (entry, step), while each start had its
-        # own scale; the rows after a start's first win in its window are
-        # scored but are not probes.
+        # own scale.  Each batch is scored whole: after the 11 starts, 74
+        # batches of _WINDOW rows per live start, 660 windows in all, with
+        # the rows after a start's first win, past its sweep's end and at
+        # C = 0 scored but not probes (7118 rows while only the rows up to
+        # the sweep's end that were not C = 0 were scored).
         est = nsc_estimate(gaussian_4x7(11), 2, 2, 0.5, NscOptions(seed=0, restarts=8))
         assert est.probes == 5050
-        assert (len(scored), sum(scored)) == (75, 7118)
+        assert (len(scored), sum(scored)) == (75, 11 + 660 * 12)
 
     @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
     def test_windows_match_the_serial_ascent(self, case):

@@ -17,7 +17,7 @@ from jointsparse.errors import (
 )
 from jointsparse import solvers
 from jointsparse.generators import GenSpec, gen_problem
-from jointsparse.norms import DEFAULT_ZERO_TOL, mixed_norm_2p, row_norms
+from jointsparse.norms import DEFAULT_ZERO_TOL, mixed_norm_2p, row_norms, row_support
 from jointsparse.nsc import NscOptions, nsc_estimate
 from jointsparse.linalg import gram_spectrum, min_norm_solution, min_support_size, nullspace_basis
 from jointsparse.linalg import residual_covers
@@ -879,15 +879,17 @@ class TestOneDecompositionPerProblem:
 class TestValidatedOnce:
     """On a built problem, the solvers and ``nsc_estimate`` take row norms by
     ``norms``' unchecked cores, never by a validating function, and
-    ``as_matrix`` checks only what crosses the boundary: B in ``min_norm``,
-    the solution X, and for ``nsc_estimate`` A and the certificate."""
+    ``as_matrix`` checks only what crosses the boundary: the solution X, and
+    for ``nsc_estimate`` A and the certificate.  B was checked when the
+    problem was built, so the solvers' minimum-norm solve does not check it
+    again, and reading a solution's support checks nothing."""
 
     # the call, and the most as_matrix calls it may make
     CALLS = {
         "l20_solve": (lambda prob: l20_solve(prob), 1),
-        "irls_solve": (lambda prob: irls_solve(prob, 0.5), 2),
+        "irls_solve": (lambda prob: irls_solve(prob, 0.5), 1),
         "nullspace_solve": (
-            lambda prob: nullspace_solve(prob, 0.5, DescentOptions(seed=1, restarts=2)), 2),
+            lambda prob: nullspace_solve(prob, 0.5, DescentOptions(seed=1, restarts=2)), 1),
         "nsc_estimate": (lambda prob: nsc_estimate(
             np.array(prob.a), 1, 2, 0.5, NscOptions(seed=1, restarts=2)), 2),
     }
@@ -902,6 +904,15 @@ class TestValidatedOnce:
         assert validations["as_matrix"] <= most
         names = ("row_norms", "row_support", "mixed_norm_2p", "theta")
         assert [validations[f] for f in names] == [0, 0, 0, 0]
+
+    def test_reading_the_support_checks_nothing(self, validations):
+        prob = gen_problem(GenSpec("gaussian", 4, 6, 1, 2, 11))
+        sol = l20_solve(prob)
+        validations.clear()
+        support = sol.support
+        names = ("as_matrix", "row_support", "row_norms")
+        assert [validations[f] for f in names] == [0, 0, 0]
+        assert support == row_support(sol.x, sol.zero_tol)
 
     def test_gen_problem_checks_each_matrix_once(self, validations):
         gen_problem(GenSpec("gaussian", 4, 6, 1, 2, 11))
