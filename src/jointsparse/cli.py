@@ -441,7 +441,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="null-space constant curve with certificates")
     sp.add_argument("source", help="problem JSON, matrix JSON, or matrix CSV path")
     sp.add_argument("--k", type=int, required=True, help="sparsity level")
-    sp.add_argument("--r", type=int, default=1, help="number of columns (default 1)")
+    sp.add_argument("--r", type=int, default=1,
+                    help="number of columns (default 1).  It does not change the value: "
+                         "averaging the r = 1 inequality over Gaussian combinations of the "
+                         "columns gives h(p, A, r, k) = h(p, A, 1, k), so each certificate is "
+                         "the r = 1 one in column 0, with zeros in the other columns")
     sp.add_argument("--grid", default="0:1:0.1", help="p grid (default 0:1:0.1)")
     sp.add_argument("--restarts", type=int, default=64)
     sp.set_defaults(run=cmd_nsc)

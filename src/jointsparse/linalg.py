@@ -11,7 +11,8 @@ returns a spectrum it is given unchanged, so every entry point whose first
 step is that call (``bounds.pstar``, ``nsc.nsc_estimate``,
 ``nsc.nsc_curve``, ``MmvProblem``) takes A or its spectrum alike.
 :func:`subset_batches` enumerates column subsets, and :func:`column_stacks`
-applies the same cut to each one.
+applies the same cut to each one; :func:`circuits` builds A's circuit
+vectors on both, for the vertex start of ``nsc``.
 
 Two vouchers spare per-subset work where it cannot change the answer.  Each
 tests every subset of one size, the one with the fewest subsets in its
@@ -349,6 +350,53 @@ def column_stacks(a: np.ndarray, idx: np.ndarray, cut: float):
     sub = np.moveaxis(a[:, idx], 1, 0)                           # (c, m, card)
     gram = sub.transpose(0, 2, 1) @ sub                          # (c, card, card)
     return sub, gram, np.linalg.eigvalsh(gram)[:, 0] > cut
+
+
+def circuits(a: np.ndarray, cut: float) -> np.ndarray:
+    """The circuit vectors of A (m x n), one per row of a (count, n) array.
+
+    Each (m + 1)-subset C = {c_0 < ... < c_m} of the columns that A's cut
+    classes as rank m gives one row: ``(-1)**i * det(A_{C minus c_i})`` at
+    column c_i (the generalized cross product, which A_C maps to 0 by
+    Laplace expansion) and exact zeros off C.  C has rank m when one of its
+    m-subsets is full rank by :func:`column_stacks` against *cut*, A's
+    rank cut from :func:`gram_spectrum`; each m-subset is decomposed, and
+    its determinant taken, once for all the C that hold it.  Rows come in
+    lexicographic order of C; there are none when m + 1 > n, or when A's
+    rank is below m.  For A of full row rank these are the vertices of the
+    arrangement {x_i = 0} in Ker(A), up to scale: every kernel vector with
+    d - 1 independent zero coordinates (d the nullity) is one of them.  A
+    and *cut* are first scaled by the power of two that brings A's largest
+    entry into [0.5, 1), so that no determinant of a large or small A
+    overflows or underflows, and A and every power-of-two multiple of it
+    give the same rows.  Raises EnumerationTooLarge beyond
+    ``ENUMERATION_GUARD`` columns.
+    """
+    check_enumerable(a)
+    m, n = a.shape
+    out = [np.empty((0, n))]
+    if m + 1 > n:
+        return out[0]
+    shift = int(np.frexp(np.abs(a).max())[1])
+    a, cut = np.ldexp(a, -shift), math.ldexp(cut, -2 * shift)
+    # each m-subset's determinant and rank class, indexed by its column bit
+    # mask (column j is bit j)
+    bit = np.int64(1) << np.arange(n, dtype=np.int64)
+    det = np.zeros(1 << n)
+    full = np.zeros(1 << n, dtype=bool)
+    for idx in subset_batches(n, m):
+        sub, _, full_rank = column_stacks(a, idx, cut)
+        masks = bit[idx].sum(axis=1)
+        det[masks], full[masks] = np.linalg.det(sub), full_rank
+    signs = (-1.0) ** np.arange(m + 1)
+    for idx in subset_batches(n, m + 1):
+        minors = bit[idx].sum(axis=1)[:, None] - bit[idx]       # C minus c_i
+        rank_m = full[minors].any(axis=1)
+        idx, minors = idx[rank_m], minors[rank_m]
+        vecs = np.zeros((len(idx), n))
+        vecs[np.arange(len(idx))[:, None], idx] = det[minors] * signs
+        out.append(vecs)
+    return np.concatenate(out)
 
 
 def _covers(n: int, top: int, most: int, voucher):

@@ -1,15 +1,36 @@
 """Estimation of the joint null-space constant of a matrix.
 
 The constant h(p, A, r, k) is the supremum of theta(p, X, S) over nonzero
-X with all r columns in Ker(A) and |S| <= k.  For nullity 1 it reduces to a
-closed form on the single kernel generator and is computed exactly.  For
-larger nullity a multi-start coordinate ascent produces a certified lower
-bound: the certificate (X, S) always reproduces the reported value.  Each
-start walks its own sweeps and step scales, and one scoring batch holds the
+X with all r columns in Ker(A) and |S| <= k.  It does not depend on r.
+Take such an X, any S and g ~ N(0, I_r): Xg lies in Ker(A), and
+E|<x_i, g>|^p = E|Z|^p ||x_i||^p for every row i and p in (0, 1], while at
+p = 0 Xg has the nonzero rows of X for almost every g.  Averaging the
+r = 1 inequality sum_S |(Xg)_i|^p <= h(p, A, 1, k) sum_{S^c} |(Xg)_i|^p
+over g gives theta(p, X, S) <= h(p, A, 1, k), and x e_1^T attains every
+r = 1 value: the MMV/SMV null-space equivalence of Lai & Liu (*ACHA*
+2011).  So every estimate is made on kernel vectors x, and its certificate
+is x normalized, then embedded as the n x r matrix [x, 0, ..., 0]; theta
+of that matrix is the value bit for bit, whatever r is.
+
+For nullity 1 the constant reduces to a closed form on the single kernel
+generator and is computed exactly.  For larger nullity, and at most
+``linalg.ENUMERATION_GUARD`` columns, the circuits of A
+(``linalg.circuits``), which for A of full row rank are the vertices of
+the arrangement {x_i = 0} in Ker(A), are scored in one batch.  At p = 1
+theta on each sign cell is linear-fractional, so its maximum sits at a
+vertex (Charnes & Cooper, *Naval Res. Logist. Q.* 1962): the best circuit
+is the exact value and no ascent runs.  Otherwise the best circuit is a
+certified lower bound, both a start of the ascent and a candidate after
+it.
+
+The ascent is a multi-start coordinate ascent over the coefficients c of
+x = N c, N an orthonormal kernel basis, and produces a certified lower
+bound: the certificate always reproduces the reported value.  Each start
+walks its own sweeps and step scales, and one scoring batch holds the
 next few probes of every live start's sweep; each batch is scored whole.
-``probes`` counts the C the one-start-at-a-time ascent scores, however
+``probes`` counts the c the one-start-at-a-time ascent scores, however
 many rows the batches hold: the rows a batch holds after a start's first
-win in it, past the end of its sweep or at C = 0 are scored too, but are
+win in it, past the end of its sweep or at c = 0 are scored too, but are
 not probes.  Candidates are scored on row norms taken by ``norms``'
 unchecked core, and a certificate's value is ``norms.theta`` of it, taken
 by theta's unchecked core.
@@ -30,8 +51,8 @@ import numpy as np
 
 from .errors import DomainError, TrivialNullspace
 from .generators import PortableRng
-from .linalg import GramSpectrum, as_matrix, check_enumerable, column_stacks, gram_spectrum
-from .linalg import json_float, matrix_to_json, rank_covers
+from .linalg import ENUMERATION_GUARD, GramSpectrum, as_matrix, check_enumerable, circuits
+from .linalg import column_stacks, gram_spectrum, json_float, matrix_to_json, rank_covers
 from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_seed, check_zero_tol
 from .norms import _row_norms, _theta, check_grid, check_real, theta_top_k
 
@@ -65,15 +86,22 @@ class NscOptions:
 class NscEstimate:
     """A certified lower bound on (or exact value of) the null-space constant.
 
-    ``value`` is exactly ``theta(p, certificate_x, certificate_support)``;
-    ``exact`` is True only on the closed-form nullity-1 path.  ``probes``
-    counts the coefficient matrices C the serial ascent scores (each start
-    once, then every nonzero probe; 1 on the exact path).  The ascent scores
-    each batch whole, so the rows a batch holds after a start's first win
-    in it, past the end of its sweep or at C = 0 are scored as well, but
-    are not probes.  ``start`` is the index of the winning start in the
-    order unit, warm, seeded (-1 on the exact path and for a certificate
-    carried over by ``nsc_curve``).
+    ``value`` is exactly ``theta(p, certificate_x, certificate_support)``.
+    The constant does not depend on r (module docstring), so the estimate
+    is made on kernel vectors and ``certificate_x`` is the best one,
+    normalized, in column 0 of an n x r matrix whose other columns are
+    zero: value and support are the same for every r.  ``exact`` is True
+    on the closed-form nullity-1 path and at p = 1 when circuits were
+    scored.  ``vertices`` counts the circuits of A scored (0 at nullity 1
+    and beyond ``linalg.ENUMERATION_GUARD`` columns).  ``probes`` counts
+    the coefficient vectors c the serial ascent scores (each start once,
+    then every nonzero probe; 1 on the nullity-1 path, 0 when no ascent
+    runs at p = 1).  The ascent scores each batch whole, so the rows a
+    batch holds after a start's first win in it, past the end of its sweep
+    or at c = 0 are scored as well, but are not probes.  ``start`` is the
+    index of the winning start in the order unit, best circuit, warm,
+    seeded (-1 on the exact paths and for a certificate that is the best
+    circuit itself or was carried over by ``nsc_curve``).
     """
 
     p: float
@@ -86,6 +114,7 @@ class NscEstimate:
     exact: bool
     probes: int
     start: int
+    vertices: int
 
 
 def estimate_to_json(est: NscEstimate) -> dict:
@@ -100,6 +129,7 @@ def estimate_to_json(est: NscEstimate) -> dict:
         "exact": est.exact,
         "probes": est.probes,
         "start": est.start,
+        "vertices": est.vertices,
     }
 
 
@@ -109,8 +139,8 @@ def _normalize(x: np.ndarray) -> np.ndarray:
 
 
 def _flat_norms(x: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each flattened C in x (P, d*r), bit-identical
-    to ``np.linalg.norm`` of that C: both are the root of one dot product."""
+    """The 2-norm of each row of x (P, d), bit-identical to
+    ``np.linalg.norm`` of that row: both are the root of one dot product."""
     return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
@@ -126,15 +156,22 @@ def _better(val: float, top: tuple, best_val: float, best_top: tuple) -> bool:
     return val > best_val or (val == best_val and top < best_top)
 
 
+def _best_row(vals: np.ndarray, tops: np.ndarray) -> int:
+    """The index of the best of a batch of scored rows, by :func:`_better`'s
+    order on their values and ascending supports *tops*, then the first."""
+    tied = np.flatnonzero(vals == vals.max())
+    return int(tied[np.lexsort(np.sort(tops[tied], axis=1).T[::-1])[0]])
+
+
 def _top_theta(xs: np.ndarray, k: int, p: float, zero_tol: float):
-    """``theta_top_k`` on the row norms of a stack of candidates X (P, n, r);
-    the supports come back unsorted."""
+    """``theta_top_k`` on the row norms of a stack of kernel vectors
+    (P, n, 1); the supports come back unsorted."""
     return theta_top_k(_row_norms(xs), k, p, zero_tol)
 
 
 def _best_of(x: np.ndarray, k: int, p: float, zero_tol: float) -> tuple[float, tuple]:
-    """theta_max of one candidate X (n, r): the value and the 0-based best
-    support, ascending."""
+    """theta_max of one kernel vector x (n, 1): the value and the 0-based
+    best support, ascending."""
     vals, tops = _top_theta(x[None], k, p, zero_tol)
     return float(vals[0]), tuple(sorted(tops[0].tolist()))
 
@@ -147,111 +184,130 @@ def nsc_estimate(
     opts: NscOptions,
     warm_starts: tuple[np.ndarray, ...] = (),
 ) -> NscEstimate:
-    """Estimate h(p, A, r, k).
+    """Estimate h(p, A, r, k), which equals h(p, A, 1, k) (module docstring).
 
-    Nullity 1 is exact (single-generator closed form, independent of r).
-    Otherwise a coordinate ascent over coefficient matrices C (the candidate
-    is X = N C for an orthonormal kernel basis N) runs from deterministic
-    unit starts, any ``warm_starts``, and ``opts.restarts`` seeded Gaussian
-    draws; theta's scale invariance lets every iterate live on the unit
-    sphere.  A start stops early if its value reaches +inf.  *a* is A or
-    its :func:`linalg.gram_spectrum`, which is then not decomposed again.
+    Nullity 1 is exact (single-generator closed form).  Otherwise, within
+    the enumeration guard, A's circuits are scored, and at p = 1 the best
+    of them is exact.  Else a coordinate ascent over kernel coefficient
+    vectors c (the candidate is x = N c for an orthonormal kernel basis N)
+    runs from the deterministic unit starts, the best circuit's
+    coefficients, the nonzero columns of each of ``warm_starts`` (each a
+    (d, r) coefficient matrix, or d coefficients), and ``opts.restarts``
+    seeded Gaussian draws; theta's scale invariance lets every iterate live
+    on the unit sphere.  A start stops early if its value reaches +inf.
+    The best circuit itself replaces the ascent's winner if it is better.
+    *a* is A or its :func:`linalg.gram_spectrum`, which is then not
+    decomposed again.
     """
     spec = gram_spectrum(a)
     p = check_real("p", p, 0, 1)
-    return _estimate(_kernel(spec, r, k), int(r), k, p, opts, warm_starts)
+    basis, circ = _kernel(spec, r, k)
+    return _estimate(basis, circ, int(r), k, p, opts, warm_starts)
 
 
-def _kernel(spec: GramSpectrum, r, k) -> np.ndarray:
+def _kernel(spec: GramSpectrum, r, k) -> tuple[np.ndarray, np.ndarray]:
     """Ker(A)'s basis, read off A's spectrum after the checks nsc_estimate
-    and nsc_curve share."""
+    and nsc_curve share, and A's circuits, (count, n): none at nullity 1
+    or beyond the enumeration guard, where none are scored."""
     n = spec.a.shape[1]
     check_count("r", r, 1)
     check_count("k", k, 1, n - 1)
     basis = spec.kernel
     if basis.shape[1] == 0:
         raise TrivialNullspace("Ker(A) = {0}: the null-space constant is vacuous")
-    return basis
+    if basis.shape[1] == 1 or n > ENUMERATION_GUARD:
+        return basis, np.empty((0, n))
+    return basis, circuits(spec.a, spec.cut)
 
 
-def _certified(p: float, k: int, x: np.ndarray, top, zero_tol: float,
+def _certified(p: float, k: int, r: int, x: np.ndarray, top, zero_tol: float,
                **rest) -> NscEstimate:
-    """The estimate whose certificate is X normalized, on the 0-based rows
-    ``top``; its value is ``norms.theta`` of exactly that certificate, taken
-    by theta's unchecked core on the certificate's row norms."""
-    cert = as_matrix(_normalize(x))
+    """The estimate whose certificate is the kernel vector x (n, 1)
+    normalized and embedded in column 0 of an n x r matrix, on the 0-based
+    rows ``top``; its value is ``norms.theta`` of exactly that certificate,
+    taken by theta's unchecked core on the certificate's row norms."""
+    cert = np.zeros((x.shape[0], r))
+    cert[:, :1] = _normalize(x)
+    cert = as_matrix(cert)
     support = RowSupport(indices=tuple(int(i) + 1 for i in top), n=cert.shape[0])
-    return NscEstimate(p=p, k=k, r=cert.shape[1],
+    return NscEstimate(p=p, k=k, r=r,
                        value=_theta(_row_norms(cert), support.mask(), p, zero_tol),
                        certificate_x=cert, certificate_support=support, **rest)
 
 
-def _estimate(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
-              warm_starts: tuple[np.ndarray, ...],
+def _estimate(basis: np.ndarray, circ: np.ndarray, r: int, k: int, p: float,
+              opts: NscOptions, warm_starts: tuple[np.ndarray, ...],
               carried: tuple[np.ndarray, ...] = ()) -> NscEstimate:
-    """:func:`nsc_estimate` on validated arguments and a nontrivial kernel basis.
+    """:func:`nsc_estimate` on validated arguments, a nontrivial kernel
+    basis and the circuits *circ* to score.
 
-    Each ``carried`` coefficient matrix is scored as it is after the ascent
-    and replaces the winner if it is better.
+    After the ascent the best circuit, then each ``carried`` coefficient
+    vector (d, 1), is scored as it is and replaces the winner if it is
+    better.
     """
-    n, d = basis.shape
+    d = basis.shape[1]
     if d == 1:
-        x = np.zeros((n, r))
-        x[:, 0] = basis[:, 0]
-        _, top = _best_of(x, k, p, opts.zero_tol)
-        return _certified(p, k, x, top, opts.zero_tol,
-                          restarts=0, exact=True, probes=1, start=-1)
-    val, top, c, start, probes = _ascend(basis, r, k, p, opts, warm_starts)
-    x = basis @ c
-    for cert_c in carried:
-        x_prev = basis @ cert_c
-        cand = _best_of(x_prev, k, p, opts.zero_tol)
+        _, top = _best_of(basis, k, p, opts.zero_tol)
+        return _certified(p, k, r, basis, top, opts.zero_tol,
+                          restarts=0, exact=True, probes=1, start=-1, vertices=0)
+    starts = list(np.eye(d))                # deterministic single-generator starts
+    candidates = [basis @ c for c in carried]
+    if len(circ):
+        vals, tops = _top_theta(circ[:, :, None], k, p, opts.zero_tol)
+        i = _best_row(vals, tops)
+        vertex = circ[i]
+        if p == 1.0:                        # linear-fractional: a vertex is best
+            return _certified(p, k, r, vertex[:, None], sorted(tops[i].tolist()),
+                              opts.zero_tol, restarts=0, exact=True, probes=0, start=-1,
+                              vertices=len(circ))
+        starts.append(basis.T @ vertex)
+        candidates.insert(0, vertex[:, None])
+    for w in warm_starts:
+        starts.extend(col for col in np.asarray(w, dtype=float).reshape(d, -1).T if col.any())
+    rng = PortableRng(opts.seed)
+    starts.extend(rng.normal((d,)) for _ in range(opts.restarts))
+    val, top, c, start, probes = _ascend(basis, k, p, opts, starts)
+    x = basis @ c[:, None]
+    for x_cand in candidates:
+        cand = _best_of(x_cand, k, p, opts.zero_tol)
         if _better(*cand, val, top):
-            (val, top), x, start = cand, x_prev, -1
-    return _certified(p, k, x, top, opts.zero_tol,
-                      restarts=opts.restarts, exact=False, probes=probes, start=start)
+            (val, top), x, start = cand, x_cand, -1
+    return _certified(p, k, r, x, top, opts.zero_tol, restarts=opts.restarts,
+                      exact=False, probes=probes, start=start, vertices=len(circ))
 
 
-def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
-            warm_starts: tuple[np.ndarray, ...]):
-    """Coordinate ascent of theta_max over C, every start on its own schedule.
+def _ascend(basis: np.ndarray, k: int, p: float, opts: NscOptions,
+            starts: list[np.ndarray]):
+    """Coordinate ascent of theta_max over c, every start on its own schedule.
 
-    Each start follows the serial order: for each scale, up to
-    ``MAX_SWEEPS`` sweeps over the entries j of C, each trying the steps in
-    ``_STEPS`` from the entry's current value and keeping a probe that beats
-    the start's value; C is renormalized after every sweep.  A start moves
-    to its next scale after a sweep that brought no gain (or its
-    ``MAX_SWEEPS``-th), and retires after its last scale or once its value
-    is +inf.
+    *starts* are coefficient vectors (d,), each normalized first; one that
+    is zero after that is skipped.  Each start follows the serial order:
+    for each scale, up to ``MAX_SWEEPS`` sweeps over the entries j of c,
+    each trying the steps in ``_STEPS`` from the entry's current value and
+    keeping a probe that beats the start's value; c is renormalized after
+    every sweep.  A start moves to its next scale after a sweep that
+    brought no gain (or its ``MAX_SWEEPS``-th), and retires after its last
+    scale or once its value is +inf.
 
     Every start keeps its own place in its sweep, and one scoring batch
     holds ``_WINDOW`` rows of every live start, all formed from that
-    start's current C: the next probes of its sweep, then (at the sweep's
+    start's current c: the next probes of its sweep, then (at the sweep's
     end) copies of its last probe.  The batch is scored whole, and only
-    then are the rows past the sweep's end and the rows that are C = 0
-    kept out of the test for a win; C = 0 is never a probe.  Up to and
+    then are the rows past the sweep's end and the rows that are c = 0
+    kept out of the test for a win; c = 0 is never a probe.  Up to and
     including a start's first win the rows are the serial ascent's probes;
     the start takes that win and goes on from the probe after it, and the
     rows its window holds after the win are scored but are not probes.
     Supports are sorted once, after the ascent.  Returns the best start's
-    (value, 0-based support, C, start index, number of probes); ties go to
+    (value, 0-based support, c, start index, number of probes); ties go to
     the smaller support, then to the earlier start.
     """
     d = basis.shape[1]
-    starts: list[np.ndarray] = []
-    for j in range(d):                       # deterministic single-generator starts
-        c = np.zeros((d, r))
-        c[j, 0] = 1.0
-        starts.append(c)
-    starts.extend(np.asarray(w, dtype=float).reshape(d, r) for w in warm_starts)
-    rng = PortableRng(opts.seed)
-    for _ in range(opts.restarts):
-        starts.append(rng.normal((d, r)))
 
     def score(cs: np.ndarray):
-        return _top_theta(basis @ cs.reshape(-1, d, r), k, p, opts.zero_tol)
+        return _top_theta(basis @ cs[:, :, None], k, p, opts.zero_tol)
 
-    flat = _normalize_rows(np.array([c0.ravel() for c0 in starts]))
+    flat = _normalize_rows(np.array(starts))
     valid = np.flatnonzero(_flat_norms(flat) > 0.0)
     val = np.full(len(starts), -np.inf)
     top = np.zeros((len(starts), k), dtype=np.intp)
@@ -259,18 +315,17 @@ def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
     probes = valid.size
     # Probe t of the window that starts at place q of a sweep is place
     # q + t: step (q + t) % 4 on entry (q + t) // 4, if that is in the sweep.
-    n_entries = flat.shape[1]
-    sweep_len = n_entries * len(_STEPS)
+    sweep_len = d * len(_STEPS)
     window = np.arange(_WINDOW)
     at = np.arange(sweep_len)[:, None] + window
     inside = at < sweep_len                                  # (place, t)
     span = inside.sum(axis=1)
     entry, step = np.divmod(np.minimum(at, sweep_len - 1), len(_STEPS))
     offsets = np.multiply.outer(_SCALES, _STEPS)[:, step]    # (scale, place, t)
-    cell = window * n_entries + entry       # the changed entry in a window's rows
-    block = np.arange(len(starts))[:, None] * (_WINDOW * n_entries)
+    cell = window * d + entry               # the changed entry in a window's rows
+    block = np.arange(len(starts))[:, None] * (_WINDOW * d)
 
-    # The live starts' state, in start order: C, value, support, place in
+    # The live starts' state, in start order: c, value, support, place in
     # the sweep, scale index, sweeps at that scale, whether the sweep won.
     ids = valid[val[valid] < np.inf]
     cs, cur, cur_top = flat[ids], val[ids], top[ids]
@@ -280,20 +335,20 @@ def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
     improved = np.zeros(ids.size, dtype=bool)
     while ids.size:
         live = ids.size
-        work = np.repeat(cs, _WINDOW, axis=0)               # (start, t) rows of C
+        work = np.repeat(cs, _WINDOW, axis=0)               # (start, t) rows of c
         changed = block[:live] + cell[place]
         new = work.take(changed) + offsets[level, place]
         np.put(work, changed, new)
         got, got_top = score(work)
         keep, zero = inside[place], None
-        if (new == 0.0).any():                               # C = 0 is invalid
+        if (new == 0.0).any():                               # c = 0 is invalid
             zero = keep & ~work.any(axis=1).reshape(live, _WINDOW)
             keep = keep & ~zero
         win = keep & (got.reshape(live, _WINDOW) > cur[:, None])
         hit = win.any(axis=1)
         used = np.where(hit, win.argmax(axis=1) + 1, span[place])
         probes += int(used.sum())
-        if zero is not None:                     # nor is C = 0 a probe
+        if zero is not None:                     # nor is c = 0 a probe
             probes -= int(np.count_nonzero(zero & (window < used[:, None])))
         won = hit.nonzero()[0]
         pick = won * _WINDOW + used[won] - 1
@@ -320,12 +375,8 @@ def _ascend(basis: np.ndarray, r: int, k: int, p: float, opts: NscOptions,
                     place[stay], level[stay], sweeps[stay], improved[stay])
 
     top.sort(axis=1)                        # each start's support, ascending
-    tops = [tuple(t) for t in top.tolist()]
-    best = valid[0]
-    for i in valid[1:]:
-        if _better(val[i], tops[i], val[best], tops[best]):
-            best = i
-    return float(val[best]), tops[best], flat[best].reshape(d, r), int(best), probes
+    best = _best_row(val, top)
+    return float(val[best]), tuple(top[best].tolist()), flat[best], best, probes
 
 
 def nsc_curve(
@@ -341,20 +392,23 @@ def nsc_curve(
     in addition to a fresh estimate, so the reported curve is nondecreasing
     whenever those certificates have no rows in the open interval
     (0, zero_tol] (re-evaluation at a larger p can only grow theta there).
-    One kernel basis of A serves the whole grid.  *a* is A or its
-    :func:`linalg.gram_spectrum`, which is then not decomposed again.
+    The certificates are carried as r = 1 coefficient vectors, each both a
+    warm start and a candidate after the ascent.  One kernel basis of A,
+    and one enumeration of its circuits, serve the whole grid.  *a* is A or
+    its :func:`linalg.gram_spectrum`, which is then not decomposed again.
     """
     grid = check_grid("p_grid", p_grid, 0, 1)
     if any(b <= a_ for a_, b in zip(grid, grid[1:])):
         raise DomainError("p_grid must be strictly ascending")
-    basis = _kernel(gram_spectrum(a), r, k)
+    basis, circ = _kernel(gram_spectrum(a), r, k)
     out: list[NscEstimate] = []
-    carried: list[np.ndarray] = []          # certificates, as coefficient matrices
+    carried: list[np.ndarray] = []          # certificates, as coefficient vectors (d, 1)
     for p in grid:
-        best = _estimate(basis, int(r), k, p, opts, tuple(carried), tuple(carried))
+        best = _estimate(basis, circ, int(r), k, p, opts, tuple(carried), tuple(carried))
         out.append(best)
         if not math.isinf(best.value):
-            carried.append(basis.T @ best.certificate_x)
+            # column 0 copied out, so that every r forms the same product
+            carried.append(basis.T @ np.ascontiguousarray(best.certificate_x[:, :1]))
     return out
 
 

@@ -5,9 +5,10 @@ characteristic polynomial (Faddeev-LeVerrier coefficients + bisection),
 linear solves from a plain textbook elimination, sparsest solutions from
 one-support-at-a-time least-squares re-enumerations, spark from a
 one-subset-at-a-time rank test, l_{2,p} optima from the basic solutions,
-null-space-constant maxima from dense sphere grids in coefficient space, and
-the null-space-constant ascent from a one-probe-at-a-time loop that scores
-each probe by the public ``theta_max_over_S``.
+null-space-constant maxima from dense sphere grids in coefficient space,
+circuits from the SVD of each column subset, and the null-space-constant
+ascent from a one-probe-at-a-time loop that scores each probe by the
+public ``theta_max_over_S``.
 """
 
 from __future__ import annotations
@@ -299,30 +300,54 @@ def nsc_sphere_oracle(a: np.ndarray, r: int, k: int, p: float, per_axis: int = 4
     return best
 
 
-def nsc_serial_ascent(a: np.ndarray, r: int, k: int, p: float, seed: int, restarts: int,
-                      warm_starts=(), zero_tol: float = 1e-8, wins: list | None = None):
-    """``nsc_estimate``'s ascent, one start and one probe at a time.
+def circuit_oracle(a: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
+    """The circuits of A (m x n) by the textbook route: for every (m + 1)-subset
+    C, one at a time with plain ``itertools``, the SVD of A_C.  C counts
+    when its m-th singular value squared clears A's rank cut (1e-10 times
+    lambda_max(A^T A)); its circuit is the right singular vector of the
+    zero singular value, spread onto the n columns.  Returns {C: vector}."""
+    a = np.asarray(a, dtype=float)
+    m, n = a.shape
+    cut = 1e-10 * max(float(np.linalg.eigvalsh(a.T @ a)[-1]), 0.0)
+    out = {}
+    for sub in itertools.combinations(range(n), m + 1):
+        _, sigma, vt = np.linalg.svd(a[:, sub])
+        if sigma[m - 1] ** 2 > cut:
+            x = np.zeros(n)
+            x[list(sub)] = vt[m]
+            out[sub] = x
+    return out
+
+
+def nsc_serial_ascent(a: np.ndarray, k: int, p: float, seed: int, restarts: int,
+                      warm_starts=(), candidates=(), zero_tol: float = 1e-8,
+                      wins: list | None = None):
+    """``nsc_estimate``'s ascent on kernel vectors, one start and one probe
+    at a time.
 
     N is Ker(A)'s basis: the eigenvectors of A^T A (``eigh``) whose
     eigenvalues, clipped at 0, are at or below 1e-10 lambda_max, each sign
     fixed so the column's first largest-magnitude entry is positive, stored
-    row major (the layout decides which BLAS kernel forms N C).  The
-    starts are the unit matrices e_j e_1^T, the warm starts, then
-    ``restarts`` ``PortableRng(seed)`` draws, each normalized; one that is
-    zero after that is skipped.  A start scores C by ``theta_max_over_S``
-    on N C.  For each scale, up to 40 sweeps over the entries of C (row
-    major) try each step from the entry's current value; a probe that is
-    not C = 0 is scored, and kept when it beats the start's value.  C is
-    renormalized after each sweep; the start leaves the scale after a sweep
-    without a gain and stops once its value is +inf.  The best start has
-    the largest value, then the smaller support, then the lower index.
+    row major (the layout decides which BLAS kernel forms N c).  The
+    starts are the unit vectors e_j, the nonzero columns of each warm start
+    (a (d, r) matrix or d coefficients), then ``restarts``
+    ``PortableRng(seed)`` draws of d normals, each normalized; one that is
+    zero after that is skipped.  A start scores c, a (d, 1) matrix, by
+    ``theta_max_over_S`` on N c.  For each scale, up to 40 sweeps over the
+    entries of c try each step from the entry's current value; a probe
+    that is not c = 0 is scored, and kept when it beats the start's value.
+    c is renormalized after each sweep; the start leaves the scale after a
+    sweep without a gain and stops once its value is +inf.  The best start
+    has the largest value, then the smaller support, then the lower index.
+    Then each of ``candidates``, kernel vectors (n, 1), is scored as it is
+    and replaces the winner, as start -1, when it is better by that order.
 
-    Returns (value, 1-based support, certificate X, probes, start) as
-    ``nsc_estimate`` reports them: X is N C of the best start normalized,
-    and the value is ``theta`` of X on the support.  A ``wins`` list gets
-    (start, sweep, place) for every kept probe: the start's sweeps count
-    from 0 across its scales, and a probe's place in its sweep is
-    4 * entry + step index, C = 0 probes included.
+    Returns (value, 1-based support, certificate x, probes, start) as
+    ``nsc_estimate`` reports them at r = 1: x (n, 1) is the winner
+    normalized, and the value is ``theta`` of x on the support.  A ``wins``
+    list gets (start, sweep, place) for every kept probe: the start's
+    sweeps count from 0 across its scales, and a probe's place in its
+    sweep is 4 * entry + step index, c = 0 probes included.
     """
     a = np.array(a, dtype=float, order="C")
     evals, evecs = np.linalg.eigh(a.T @ a)
@@ -333,11 +358,13 @@ def nsc_serial_ascent(a: np.ndarray, r: int, k: int, p: float, seed: int, restar
             basis[:, j] = -basis[:, j]
     d = basis.shape[1]
     rng = PortableRng(seed)
-    starts = [np.zeros((d, r)) for _ in range(d)]
+    starts = [np.zeros((d, 1)) for _ in range(d)]
     for j, c in enumerate(starts):
         c[j, 0] = 1.0
-    starts += [np.asarray(w, dtype=float).reshape(d, r) for w in warm_starts]
-    starts += [rng.normal((d, r)) for _ in range(restarts)]
+    for w in warm_starts:
+        cols = np.asarray(w, dtype=float).reshape(d, -1)
+        starts += [cols[:, [j]] for j in range(cols.shape[1]) if cols[:, j].any()]
+    starts += [rng.normal((d, 1)) for _ in range(restarts)]
 
     def score(c):
         return theta_max_over_S(p, basis @ c, k, zero_tol)
@@ -374,8 +401,11 @@ def nsc_serial_ascent(a: np.ndarray, r: int, k: int, p: float, seed: int, restar
                 if not improved or val == math.inf:
                     break
         if best is None or val > best[0] or (val == best[0] and sup.indices < best[1].indices):
-            best = val, sup, c, index
-    _, sup, c, index = best
-    x = basis @ c
+            best = val, sup, basis @ c, index
+    for x in candidates:
+        val, sup = theta_max_over_S(p, x, k, zero_tol)
+        if val > best[0] or (val == best[0] and sup.indices < best[1].indices):
+            best = val, sup, x, -1
+    _, sup, x, index = best
     x = x / np.linalg.norm(x)
     return theta(p, x, sup, zero_tol), sup.indices, x, probes, index

@@ -303,6 +303,18 @@ class TestOutputs:
         assert outs["curve"][0]["value"] == pytest.approx(1.9285862938389415, abs=1e-9)
         certs = outs["certificates"]
         assert certs[0]["certificate_support"] == [1, 3]
+        assert [cert["vertices"] for cert in certs] == [0, 0]       # nullity 1
+
+    def test_nsc_certificates_count_the_circuits(self, capsys, tmp_path):
+        # a generated 4x7 has C(7, 5) = 21 circuits, and at p = 1 the best
+        # of them is the exact value, with no ascent
+        dest = tmp_path / "gen.json"
+        run_json(capsys, "gen", '{"kind": "gaussian", "m": 4, "n": 7, "r": 2, "k": 2, "seed": 3}',
+                 "--out", str(dest))
+        certs = run_json(capsys, "nsc", str(dest), "--k", "2", "--grid", "0.5,1",
+                         "--restarts", "2")["outputs"]["certificates"]
+        assert [(c["vertices"], c["exact"]) for c in certs] == [(21, False), (21, True)]
+        assert certs[1]["probes"] == 0
 
     def test_nsc_infinite_constant_is_encoded_in_curve_and_certificates(self, capsys,
                                                                          tmp_path):

@@ -22,6 +22,7 @@ from jointsparse.linalg import (
     SubsetCover,
     as_matrix,
     check_enumerable,
+    circuits,
     column_stacks,
     eig_summary,
     gram_eigenvalues,
@@ -46,7 +47,7 @@ from jointsparse.solvers import (
     nullspace_solve,
 )
 
-from oracles import charpoly_eigenvalues, min_norm_oracle
+from oracles import charpoly_eigenvalues, circuit_oracle, min_norm_oracle
 
 # Spectrum of A^T A for the bundled 4x5 instance, frozen from the
 # characteristic-polynomial oracle.
@@ -375,6 +376,54 @@ class TestSubsetBatches:
         # sizes above n/2 come from the complements of the smaller size
         rows = [tuple(r) for b in subset_batches(ENUMERATION_GUARD, 17) for r in b.tolist()]
         assert rows == list(itertools.combinations(range(ENUMERATION_GUARD), 17))
+
+
+def circuit_cases() -> dict[str, np.ndarray]:
+    """Seeded Gaussian matrices, and ones with a duplicated column, a zero
+    column, a repeated row (rank below m, so no circuit) and n = m (no
+    (m + 1)-subset)."""
+    rng = np.random.default_rng(1962)
+    cases = {f"{m}x{n}": rng.standard_normal((m, n)) for m, n in ((1, 4), (2, 5), (3, 6), (4, 7))}
+    dup = rng.standard_normal((3, 6))
+    dup[:, 4] = dup[:, 1]
+    cases["3x6 column 4 = column 1"] = dup
+    zero = rng.standard_normal((3, 6))
+    zero[:, 2] = 0.0
+    cases["3x6 zero column"] = zero
+    cases["4x6 repeated row"] = np.vstack([rng.standard_normal((3, 6))] * 2)[:4]
+    cases["4x4"] = rng.standard_normal((4, 4))
+    return cases
+
+
+CIRCUIT_CASES = circuit_cases()
+
+
+class TestCircuits:
+    @pytest.mark.parametrize("name", sorted(CIRCUIT_CASES))
+    def test_matches_the_svd_oracle(self, name):
+        a = CIRCUIT_CASES[name]
+        got = circuits(a, gram_spectrum(a).cut)
+        want = circuit_oracle(a)
+        assert got.shape == (len(want), a.shape[1])
+        for x, (sub, y) in zip(got, want.items()):
+            off = np.setdiff1d(np.arange(a.shape[1]), sub)
+            assert not x[off].any(), (name, sub)            # exact zeros off C
+            x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+            sign = np.sign(x @ y)
+            assert np.allclose(x, sign * y, rtol=0, atol=1e-9), (name, sub)
+            assert np.linalg.norm(a @ x) <= 1e-12 * np.linalg.norm(a)
+
+    def test_scale_moves_nothing(self):
+        # 5x8 scaled by 2**210: each 5x5 determinant would reach 2**1050
+        a = np.random.default_rng(5).standard_normal((5, 8))
+        want = circuits(a, gram_spectrum(a).cut)
+        for scale in (2.0 ** 210, 2.0 ** -210):
+            big = a * scale
+            assert np.array_equal(circuits(big, gram_spectrum(big).cut), want)
+
+    def test_guard(self):
+        with pytest.raises(EnumerationTooLarge):
+            circuits(np.ones((2, ENUMERATION_GUARD + 1)), 0.0)
 
 
 class TestCloseDownward:

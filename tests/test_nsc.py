@@ -9,7 +9,8 @@ import pytest
 
 from jointsparse.errors import DomainError, EnumerationTooLarge, TrivialNullspace
 from jointsparse.generators import GenSpec, PortableRng, gen_problem
-from jointsparse.norms import _row_norms, theta
+from jointsparse.linalg import circuits, gram_spectrum
+from jointsparse.norms import RowSupport, _row_norms, theta, theta_max_over_S
 from jointsparse.nsc import (
     _WINDOW,
     NscOptions,
@@ -30,37 +31,45 @@ DEFAULT_GRID = [round(0.1 * i, 1) for i in range(11)]
 
 # nsc_curve on the generated Gaussian 4x7 matrices of GenSpec seeds 1 and 2
 # (nullity 3; r = 2, k = 2, NscOptions(seed=<same>, restarts=8)) over the
-# default grid, as the one-start-at-a-time ascent computed it.  Per p: the
-# value, the support, the first 16 hex digits of sha256 over the
-# certificate's bytes, and the number of C the ascent scored.
+# default grid.  Per p: the value, the support, the first 16 hex digits of
+# sha256 over the certificate's bytes, and the number of c the
+# one-start-at-a-time ascent scored (none at p = 1, where the best of the
+# 21 circuits is exact).
 FROZEN_CURVES = {
     1: [
-        (0.0, 0.4, (1, 3), "df0f7e15a67f16d5", 2384),
-        (0.1, 0.6705266913045249, (6, 7), "6b0cb6a8165922dc", 5938),
-        (0.2, 1.0134504943248719, (6, 7), "68e2be5bb58bd19a", 5987),
-        (0.3, 1.5184312996593385, (6, 7), "ff03c7b4ec1b03c3", 6780),
-        (0.4, 2.0548722739240883, (6, 7), "0bf149508f06cf8c", 6805),
-        (0.5, 2.86905656163185, (6, 7), "2c533bc7f25088e1", 7286),
-        (0.6, 3.788609335526712, (6, 7), "5746a389e5fd655b", 8007),
-        (0.7, 4.967292188298877, (6, 7), "5746a389e5fd655b", 7912),
-        (0.8, 6.480240650184669, (6, 7), "5746a389e5fd655b", 8608),
-        (0.9, 8.422023740532909, (6, 7), "5746a389e5fd655b", 9929),
-        (1.0, 11.100864972188667, (6, 7), "34c60dccb4bbe76b", 15211),
+        (0.0, 0.6666666666666666, (1, 4), "b6fccbc7b41bc53c", 1305),
+        (0.1, 0.9076070816453923, (6, 7), "5b0b1c188671cc80", 2591),
+        (0.2, 1.22538018440052, (6, 7), "5b0b1c188671cc80", 2640),
+        (0.3, 1.6417689355782836, (6, 7), "5b0b1c188671cc80", 2989),
+        (0.4, 2.1844264105475553, (6, 7), "5b0b1c188671cc80", 3049),
+        (0.5, 2.8885316530017957, (6, 7), "5b0b1c188671cc80", 3302),
+        (0.6, 3.7989206517253518, (6, 7), "5b0b1c188671cc80", 3327),
+        (0.7, 4.972819370605339, (6, 7), "5b0b1c188671cc80", 3401),
+        (0.8, 6.483341875873324, (6, 7), "5b0b1c188671cc80", 3749),
+        (0.9, 8.423963581132623, (6, 7), "5b0b1c188671cc80", 3738),
+        (1.0, 11.101190580830764, (6, 7), "c8aaf936bbdac79f", 0),
     ],
     2: [
-        (0.0, 0.4, (1, 2), "aeb256d8eded1bbe", 2384),
-        (0.1, 0.635804195687675, (6, 7), "96d8c842dfbc85a1", 5361),
-        (0.2, 0.958848599683749, (2, 3), "d732063f65a9f5e8", 5482),
-        (0.3, 1.3190102771726357, (2, 3), "6b29251492e1d057", 5819),
-        (0.4, 1.838925001641566, (2, 3), "905b97dfac7c8b95", 6323),
-        (0.5, 2.3747307462183835, (2, 3), "0b5c2594d84d8c91", 6757),
-        (0.6, 3.0729585312387386, (2, 3), "023eccd3aa8062c3", 7286),
-        (0.7, 3.9529924757620636, (2, 3), "ac00c1b72d4620c4", 7502),
-        (0.8, 5.0792654785330855, (2, 3), "ac00c1b72d4620c4", 8201),
-        (0.9, 6.52195341733493, (2, 3), "ac00c1b72d4620c4", 8706),
-        (1.0, 8.370756697566437, (2, 3), "4b5a17b3d9b79a7d", 16603),
+        (0.0, 0.6666666666666666, (1, 2), "76a7b417678aa9af", 1305),
+        (0.1, 0.900015752834095, (2, 3), "4be23f8dbe2bfeef", 2397),
+        (0.2, 1.1771101279822092, (2, 3), "4be23f8dbe2bfeef", 2531),
+        (0.3, 1.5018950087868104, (2, 3), "4be23f8dbe2bfeef", 2712),
+        (0.4, 1.8819304568210933, (2, 3), "4be23f8dbe2bfeef", 2880),
+        (0.5, 2.3918607460687777, (2, 3), "cf077f9c9985285d", 3097),
+        (0.6, 3.0768793491471444, (2, 3), "cf077f9c9985285d", 3375),
+        (0.7, 3.954881815762664, (2, 3), "cf077f9c9985285d", 3615),
+        (0.8, 5.080131592151116, (2, 3), "cf077f9c9985285d", 3582),
+        (0.9, 6.522278167433919, (2, 3), "cf077f9c9985285d", 4327),
+        (1.0, 8.370761429850107, (2, 3), "cf077f9c9985285d", 0),
     ],
 }
+
+
+# nsc_estimate(gaussian_4x7(11), 2, 2, 0.5, NscOptions(seed=0, restarts=8)):
+# its probes, support and certificate digest, and its theta_top_k calls
+# and the rows the ascent's batches scored.
+PROBES, PROBES_SUPPORT, PROBES_DIGEST = 2423, (1, 6), "3254982fa5d8302b"
+BATCHES = (44, 4236)
 
 
 def gaussian_4x7(seed: int) -> np.ndarray:
@@ -71,17 +80,58 @@ def digest(x: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()[:16]
 
 
+def best_vertex(a: np.ndarray, k: int, p: float):
+    """The circuit of A that ``nsc_estimate`` scores best, found one circuit
+    at a time by the public ``theta_max_over_S``: the largest value, then
+    the smaller support, then the first.  (circuit, value, 1-based
+    support), or None when A has no circuit."""
+    spec = gram_spectrum(a)
+    best = None
+    for x in circuits(spec.a, spec.cut):
+        val, sup = theta_max_over_S(p, x[:, None], k)
+        if best is None or val > best[1] or (val == best[1] and sup.indices < best[2]):
+            best = x, val, sup.indices
+    return best
+
+
+def serial(a: np.ndarray, k: int, p: float, seed: int, restarts: int, warm=(),
+           wins: list | None = None):
+    """What ``nsc_estimate`` reports at r = 1 for A of nullity 2 or more,
+    by the serial oracle: the best circuit normalized at p = 1, else the
+    ascent with that circuit's kernel coefficients as the first warm start
+    and the circuit itself as a candidate after the ascent."""
+    vertex = best_vertex(a, k, p)
+    if vertex is None:
+        return nsc_serial_ascent(a, k, p, seed, restarts, warm, wins=wins)
+    x, _, support = vertex
+    if p == 1.0:
+        x = x[:, None] / np.linalg.norm(x)
+        return theta(p, x, RowSupport(support, n=x.shape[0])), support, x, 0, -1
+    coeffs = gram_spectrum(a).kernel.T @ x
+    return nsc_serial_ascent(a, k, p, seed, restarts, (coeffs,) + tuple(warm), (x[:, None],),
+                             wins=wins)
+
+
+def assert_embeds(est, value, support, x, probes, start, name=""):
+    """*est* is the r = 1 result (value, support, x, probes, start) with x
+    in column 0 of its certificate and zeros in the other columns."""
+    assert est.value == value, name
+    assert est.certificate_support.indices == support, name
+    assert digest(est.certificate_x[:, :1]) == digest(x), name
+    assert not est.certificate_x[:, 1:].any(), name
+    assert (est.probes, est.start) == (probes, start), name
+
+
 def ascent_population():
     """Seeded (name, A, r, k, p, seed, restarts, warm starts) for the ascent.
 
     40 Gaussian 2x4 and 3x5 matrices (nullity 2) run through every pair of
     r in 1..3 and p in {0, 0.1, 0.5, 1}, with k 1 or 2, some seeded
-    restarts, and warm starts (a zero one among them, which is skipped).
-    Then a matrix with zero columns whose value is +inf: its unit starts
-    are +inf from the outset, and its warm start reaches +inf in its first
-    sweep.  Last, the third instance of the ``nsc`` benchmark pool (seed
-    3): 4x7, nullity 3, where the winning start makes all 40 sweeps at
-    scale 1.0.
+    restarts, and warm starts (a zero one among them, which adds no start,
+    and (d, r) ones whose columns are starts of their own).  Then a matrix
+    with zero columns whose value is +inf: its unit starts and its circuits
+    are +inf from the outset.  Last, the third instance of the ``nsc``
+    benchmark pool (seed 3): 4x7, nullity 3, with r = 2.
     """
     rng = np.random.default_rng(909)
     for i in range(40):
@@ -94,7 +144,7 @@ def ascent_population():
         if i % 14 == 10:
             warm += (np.zeros((n - m, r)),)
         yield f"gaussian {i}", a, r, 1 + i % 2, p, i, int(i % 5 == 2), warm
-    half = (np.full((4, 1), 0.5),)      # one step from a C on 3 rows
+    half = (np.full((4, 1), 0.5),)      # one step from a c on 3 rows
     yield "zero columns", np.array([[1.0, 0, 0, 0, 0]]), 1, 3, 0.5, 0, 0, half
     pool = gen_problem(GenSpec("gaussian", 4, 7, 2, 2, 3064721759105622167)).a
     yield "nsc pool", pool, 2, 2, 0.1, 0, 64, ()
@@ -127,10 +177,11 @@ def first_wins_at_ends(wins, sweep_len: int) -> set[str]:
 
 
 # (m, n, r, k, GenSpec seed) of Gaussian matrices whose ascent at p = 0.5,
-# with the seed's one restart, takes a first win at the named place.
+# with the seed's one restart, takes a first win at the named place; the
+# estimate runs at r, the serial oracle at r = 1.
 WINDOW_CASES = {
-    "window end": ((2, 4, 3, 1, 2), {"window end"}),
-    "sweep end": ((2, 4, 3, 1, 3), {"sweep end"}),
+    "window end": ((2, 6, 3, 1, 0), {"window end"}),
+    "sweep end": ((2, 4, 3, 1, 1), {"sweep end"}),
     "r 8, reduced row norms": ((2, 4, 8, 1, 0), set()),
 }
 
@@ -187,70 +238,77 @@ class TestAscentPath:
             assert again == est.value
 
     def test_probes_match_the_serial_score_calls(self):
-        # 5050 theta_max_over_S calls scored this instance when the ascent
-        # ran one start and one probe at a time
-        est = nsc_estimate(gaussian_4x7(11), 2, 2, 0.5, NscOptions(seed=0, restarts=8))
-        assert est.probes == 5050
-        assert est.certificate_support.indices == (1, 6)
-        assert digest(est.certificate_x) == "840e708820bbf954"
+        # PROBES probes scored this instance when the ascent ran one start
+        # and one probe at a time (5050 while the ascent searched r = 2
+        # coefficient matrices)
+        a = gaussian_4x7(11)
+        est = nsc_estimate(a, 2, 2, 0.5, NscOptions(seed=0, restarts=8))
+        assert_embeds(est, *serial(a, 2, 0.5, 0, 8))
+        assert est.probes == PROBES
+        assert est.certificate_support.indices == PROBES_SUPPORT
+        assert digest(est.certificate_x) == PROBES_DIGEST
 
     def test_every_batch_holds_every_live_start(self, scored):
         # A batch holds the next _WINDOW probes of every live start's sweep.
-        # The same 5050 probes took 673 batches while all starts shared one
-        # scale, and 529, one per (entry, step), while each start had its
-        # own scale.  Each batch is scored whole: after the 11 starts, 74
-        # batches of _WINDOW rows per live start, 660 windows in all, with
-        # the rows after a start's first win, past its sweep's end and at
-        # C = 0 scored but not probes (7118 rows while only the rows up to
-        # the sweep's end that were not C = 0 were scored).
+        # Each batch is scored whole: the rows after a start's first win,
+        # past its sweep's end and at c = 0 are scored but are not probes.
+        # Before the ascent, one call scores A's 21 circuits; after it,
+        # one scores the best circuit as a candidate.
         est = nsc_estimate(gaussian_4x7(11), 2, 2, 0.5, NscOptions(seed=0, restarts=8))
-        assert est.probes == 5050
-        assert (len(scored), sum(scored)) == (75, 11 + 660 * 12)
+        assert est.probes == PROBES and est.vertices == 21
+        assert scored[0] == 21 and scored[1] == 3 + 1 + 8 and scored[-1] == 1
+        assert (len(scored), sum(scored[2:-1])) == BATCHES
 
     @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
     def test_windows_match_the_serial_ascent(self, case):
         (m, n, r, k, seed), ends = WINDOW_CASES[case]
-        a = gen_problem(GenSpec("gaussian", m, n, r, k, seed)).a
+        a = gen_problem(GenSpec("gaussian", m, n, 1, 1, seed)).a
         wins: list[tuple[int, int, int]] = []
-        value, support, x, probes, start = nsc_serial_ascent(a, r, k, 0.5, seed, 1, wins=wins)
-        assert first_wins_at_ends(wins, (n - m) * r * 4) >= ends
-        est = nsc_estimate(a, r, k, 0.5, NscOptions(seed=seed, restarts=1))
-        assert est.value == value
-        assert est.certificate_support.indices == support
-        assert digest(est.certificate_x) == digest(x)
-        assert (est.probes, est.start) == (probes, start)
+        got = serial(a, k, 0.5, seed, 1, wins=wins)
+        assert first_wins_at_ends(wins, (n - m) * 4) >= ends
+        assert_embeds(nsc_estimate(a, r, k, 0.5, NscOptions(seed=seed, restarts=1)), *got)
 
     def test_population_matches_the_serial_ascent(self):
         values, seen = {}, set()
         for name, a, r, k, p, seed, restarts, warm in ascent_population():
-            value, support, x, probes, start = nsc_serial_ascent(
-                a, r, k, p, seed, restarts, warm)
+            got = serial(a, k, p, seed, restarts, warm)
             est = nsc_estimate(a, r, k, p, NscOptions(seed=seed, restarts=restarts), warm)
-            assert est.value == value, name
-            assert est.certificate_support.indices == support, name
-            assert digest(est.certificate_x) == digest(x), name
-            assert (est.probes, est.start) == (probes, start), name
-            values[name] = value
+            assert_embeds(est, *got, name=name)
+            assert est.exact is (p == 1.0), name
+            values[name] = est.value
             seen.add((r, p))
         assert len(values) == 42 and len(seen) == 12
         assert math.isinf(values["zero columns"])
 
     def test_winning_start_ascends_alone_to_the_same_certificate(self):
         # starts do not interact: the winner, rerun as the only warm start
-        # next to the unit starts, wins again with the same certificate
-        a, d, r = gaussian_4x7(11), 3, 2
+        # next to the unit starts, wins again with the same certificate.  A
+        # is rank deficient, so it has no circuit to start from or to win.
+        g = gaussian_4x7(11)
+        a, d = np.vstack([g, g[0] + g[1]]), 3
         opts = NscOptions(seed=4, restarts=8)
-        for p, start in ((0.2, 6), (0.6, 9), (1.0, 1)):
-            est = nsc_estimate(a, r, 2, p, opts)
-            assert est.start == start
+        for p, start in ((0.2, 5), (0.4, 7), (0.9, 0)):
+            est = nsc_estimate(a, 2, 2, p, opts)
+            assert (est.start, est.vertices) == (start, 0)
             rng = PortableRng(opts.seed)
-            draws = [rng.normal((d, r)) for _ in range(start - d + 1)]
+            draws = [rng.normal((d,)) for _ in range(start - d + 1)]
             warm = (draws[-1],) if start >= d else ()
-            alone = nsc_estimate(a, r, 2, p, NscOptions(seed=4, restarts=0),
+            alone = nsc_estimate(a, 2, 2, p, NscOptions(seed=4, restarts=0),
                                  warm_starts=warm)
             assert alone.start == min(start, d)
             assert alone.value == est.value
             assert np.array_equal(alone.certificate_x, est.certificate_x)
+
+    def test_warm_start_columns_are_starts_of_their_own(self):
+        # a (d, r) warm start is its nonzero columns, each a start, so its
+        # columns side by side or one by one give the same estimate
+        a = gaussian_4x7(11)
+        cols = PortableRng(6).normal((3, 3))
+        cols[:, 1] = 0.0
+        opts = NscOptions(seed=0, restarts=0)
+        whole = nsc_estimate(a, 3, 2, 0.3, opts, warm_starts=(cols,))
+        apart = nsc_estimate(a, 3, 2, 0.3, opts, warm_starts=(cols[:, 0], cols[:, 2]))
+        assert estimate_to_json(whole) == estimate_to_json(apart)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -302,13 +360,99 @@ class TestAscentPath:
 def test_stack_row_norms_are_the_reduce_bit_for_bit(r):
     # norms' row-norm core: below 8 columns the squares are summed in column
     # order, from 8 on by np.add.reduce itself, which switches to blocked
-    # summation there.  It takes the ascent's stacks (P, n, r) and the single
-    # matrices (n, r) of row_norms and the solvers, in either memory order.
+    # summation there.  It takes stacks (P, n, r), as the ascent's (P, n, 1),
+    # and single matrices (n, r), as nsc's certificates and those of
+    # row_norms and the solvers, in either memory order.
     rng = np.random.default_rng(4100 + r)
     xs = rng.standard_normal((300, 7, r)) * rng.uniform(1e-3, 1e3, (300, 7, 1))
     for x in (xs, xs[0], xs.reshape(-1, r), np.asfortranarray(xs.reshape(-1, r))):
         want = np.sqrt(np.add.reduce(x * x, axis=-1))
         assert np.array_equal(_row_norms(x), want)
+
+
+def generic_gaussians():
+    """Seeded Gaussian (name, A) of nullity 3 or 4 and spark m + 1."""
+    rng = np.random.default_rng(2011)
+    for m, n in ((3, 6), (4, 7), (3, 7), (4, 8), (5, 9)):
+        for i in range(2):
+            yield f"{m}x{n} {i}", rng.standard_normal((m, n))
+
+
+class TestVertices:
+    def test_p1_ascent_never_beats_the_best_circuit(self):
+        # at p = 1 theta is linear-fractional on each sign cell, so no
+        # kernel vector beats the best vertex: the serial ascent, run from
+        # its unit and seeded starts alone, comes within rounding of it
+        for name, a in generic_gaussians():
+            for k in (1, 2):
+                est = nsc_estimate(a, 1, k, 1.0, NscOptions(seed=5))
+                assert est.exact and (est.probes, est.start) == (0, -1), name
+                assert est.vertices == math.comb(a.shape[1], a.shape[0] + 1), name
+                assert_embeds(est, *serial(a, k, 1.0, 5, 0), name=name)
+                value = nsc_serial_ascent(a, k, 1.0, 5, 2)[0]
+                assert value <= est.value * (1 + 1e-12), (name, k, value, est.value)
+
+    def test_p0_best_circuit_is_the_spark_closed_form(self):
+        # theta at p = 0 counts rows, and the sparsest kernel vector has
+        # spark(A) of them: h(0) = k / (spark - k), which the best circuit
+        # attains and the estimate reports
+        for name, a in generic_gaussians():
+            for k in (1, 2):
+                want = k / (spark(a) - k)
+                assert best_vertex(a, k, 0.0)[1] == want, name
+                assert nsc_estimate(a, 2, k, 0.0, NscOptions(seed=0, restarts=4)).value == want
+
+    def test_no_circuit_scored_beyond_the_guard(self, scored):
+        a = np.random.default_rng(3).standard_normal((18, 21))
+        est = nsc_estimate(a, 1, 1, 1.0, NscOptions(seed=0, restarts=0))
+        assert (est.vertices, est.exact) == (0, False)
+        assert scored[0] == 3                   # the unit starts, no circuit
+
+
+class TestRFree:
+    """h(p, A, r, k) = h(p, A, 1, k): the estimate is made at r = 1 and its
+    certificate embedded in column 0 of an n x r matrix."""
+
+    MATRICES = {
+        "4x7 pool": gen_problem(GenSpec("gaussian", 4, 7, 2, 2, 3064721759105622167)).a,
+        "3x6": np.random.default_rng(8).standard_normal((3, 6)),
+        "rank deficient 4x6": np.vstack([np.random.default_rng(9).standard_normal((3, 6))] * 2)[:4],
+    }
+
+    @pytest.mark.parametrize("name", sorted(MATRICES))
+    def test_every_r_gives_the_r1_estimate_embedded(self, name):
+        a, opts = self.MATRICES[name], NscOptions(seed=2, restarts=8)
+        grid = [0.0, 0.1, 0.5, 1.0]
+        curves = {r: nsc_curve(a, r, 2, grid, opts) for r in (1, 2, 3)}
+        singles = {r: nsc_estimate(a, r, 2, 0.3, opts) for r in (1, 2, 3)}
+        for r in (2, 3):
+            for est, one in [*zip(curves[r], curves[1]), (singles[r], singles[1])]:
+                assert est.certificate_x.shape == (a.shape[1], r)
+                assert est.value == one.value
+                assert est.certificate_support == one.certificate_support
+                assert np.array_equal(est.certificate_x[:, :1], one.certificate_x)
+                assert not est.certificate_x[:, 1:].any()
+                assert theta(est.p, est.certificate_x, est.certificate_support) == est.value
+                assert (est.probes, est.start, est.vertices) == (
+                    one.probes, one.start, one.vertices)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_some_gaussian_combination_of_the_columns_does_as_well(self, r):
+        # E over g ~ N(0, I_r) of |<x_i, g>|^p is E|Z|^p ||x_i||^p, so for X
+        # with columns in Ker(A) some Xg has theta(Xg, S) >= theta(X, S)
+        rng = np.random.default_rng(40 + r)
+        for m, n in ((3, 6), (4, 7), (2, 6)):
+            a = rng.standard_normal((m, n))
+            basis = gram_spectrum(a).kernel
+            for p in (0.0, 0.1, 0.5, 1.0):
+                x = basis @ rng.standard_normal((n - m, r))
+                s = RowSupport(tuple(sorted(rng.choice(n, 2, replace=False) + 1)), n=n)
+                ys = x @ rng.standard_normal((r, 4096))           # (n, g)
+                terms = (np.abs(ys) > 1e-8) if p == 0.0 else np.abs(ys) ** p
+                inside = s.mask()
+                ratio = terms[inside].sum(axis=0) / terms[~inside].sum(axis=0)
+                y = ys[:, [int(np.argmax(ratio))]]
+                assert theta(p, y, s) >= theta(p, x, s), (m, n, p)
 
 
 class TestCurve:
@@ -350,7 +494,7 @@ class TestCurve:
         assert obj["value"] == pytest.approx(EX2_H[0.5], abs=1e-9)
         assert obj["certificate_support"] == [1, 3]
         assert obj["exact"] is True
-        assert (obj["probes"], obj["start"]) == (1, -1)
+        assert (obj["probes"], obj["start"], obj["vertices"]) == (1, -1, 0)
 
     @pytest.mark.parametrize("seed", sorted(FROZEN_CURVES))
     def test_frozen_curves(self, seed):
@@ -358,7 +502,7 @@ class TestCurve:
                          NscOptions(seed=seed, restarts=8))
         assert len(ests) == len(FROZEN_CURVES[seed])
         for est, (p, value, support, cert, probes) in zip(ests, FROZEN_CURVES[seed]):
-            assert est.p == p and est.exact is False
+            assert est.p == p and est.exact is (p == 1.0)
             assert est.certificate_support.indices == support
             assert digest(est.certificate_x) == cert
             assert est.value == pytest.approx(value, rel=1e-12)
