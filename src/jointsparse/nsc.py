@@ -12,15 +12,19 @@ r = 1 value: the MMV/SMV null-space equivalence of Lai & Liu (*ACHA*
 is x normalized, then embedded as the n x r matrix [x, 0, ..., 0]; theta
 of that matrix is the value bit for bit, whatever r is.
 
-For nullity 1 the constant reduces to a closed form on the single kernel
-generator and is computed exactly.  For larger nullity, and at most
-``linalg.ENUMERATION_GUARD`` columns, the circuits of A
-(``linalg.circuits``), which for A of full row rank are the vertices of
-the arrangement {x_i = 0} in Ker(A), are scored in one batch.  At p = 1
-theta on each sign cell is linear-fractional, so its maximum sits at a
-vertex (Charnes & Cooper, *Naval Res. Logist. Q.* 1962): the best circuit
-is the exact value and no ascent runs.  Otherwise the best circuit is a
-certified lower bound, both a start of the ascent and a candidate after
+Every exact case is the best of a set of vertices, scored in batches of
+``linalg._CHUNK`` rows.  At nullity 1 the kernel is one line, and its
+generator is the only vertex: the best vertex is exact at every p.  For
+larger nullity, and at most ``linalg.ENUMERATION_GUARD`` columns, the
+vertices are the circuits of A (``linalg.circuits``), which for A of full
+row rank are the vertices of the arrangement {x_i = 0} in Ker(A).  At
+p = 1 theta on each sign cell is linear-fractional, so its maximum sits at
+a vertex (Charnes & Cooper, *Naval Res. Logist. Q.* 1962).  At p = 0 theta
+counts rows, and the sparsest kernel vectors, with spark(A) rows, are
+circuits, so the best circuit attains k / (spark - k).  In these cases
+the best vertex is reported as exact and no ascent runs.  Otherwise
+(0 < p < 1 at nullity 2 or more, or no circuit scored) the best circuit is
+a certified lower bound, both a start of the ascent and a candidate after
 it.
 
 The ascent is a multi-start coordinate ascent over the coefficients c of
@@ -31,7 +35,10 @@ next few probes of every live start's sweep; each batch is scored whole.
 ``probes`` counts the c the one-start-at-a-time ascent scores, however
 many rows the batches hold: the rows a batch holds after a start's first
 win in it, past the end of its sweep or at c = 0 are scored too, but are
-not probes.  Candidates are scored on row norms taken by ``norms``'
+not probes.  The ascent's winner, the best circuit and the certificates
+``nsc_curve`` carries over are then one batch, whose best row, by one
+order (larger value, then smaller support, then the earlier row), is the
+estimate.  Candidates are scored on row norms taken by ``norms``'
 unchecked core, and a certificate's value is ``norms.theta`` of it, taken
 by theta's unchecked core.
 
@@ -51,7 +58,7 @@ import numpy as np
 
 from .errors import DomainError, TrivialNullspace
 from .generators import PortableRng
-from .linalg import ENUMERATION_GUARD, GramSpectrum, as_matrix, check_enumerable, circuits
+from .linalg import _CHUNK, ENUMERATION_GUARD, GramSpectrum, as_matrix, check_enumerable, circuits
 from .linalg import column_stacks, gram_spectrum, json_float, matrix_to_json, rank_covers
 from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_seed, check_zero_tol
 from .norms import _row_norms, _theta, check_grid, check_real, theta_top_k
@@ -91,17 +98,18 @@ class NscEstimate:
     is made on kernel vectors and ``certificate_x`` is the best one,
     normalized, in column 0 of an n x r matrix whose other columns are
     zero: value and support are the same for every r.  ``exact`` is True
-    on the closed-form nullity-1 path and at p = 1 when circuits were
-    scored.  ``vertices`` counts the circuits of A scored (0 at nullity 1
-    and beyond ``linalg.ENUMERATION_GUARD`` columns).  ``probes`` counts
-    the coefficient vectors c the serial ascent scores (each start once,
-    then every nonzero probe; 1 on the nullity-1 path, 0 when no ascent
-    runs at p = 1).  The ascent scores each batch whole, so the rows a
-    batch holds after a start's first win in it, past the end of its sweep
-    or at c = 0 are scored as well, but are not probes.  ``start`` is the
-    index of the winning start in the order unit, best circuit, warm,
-    seeded (-1 on the exact paths and for a certificate that is the best
-    circuit itself or was carried over by ``nsc_curve``).
+    when the best vertex is reported with no ascent: at nullity 1, and at
+    p = 0 and p = 1 when circuits were scored.  ``vertices`` counts the
+    vertices scored: 1 at nullity 1, else A's circuits (0 beyond
+    ``linalg.ENUMERATION_GUARD`` columns and when A's rank is below its
+    row count).  ``probes`` counts the coefficient vectors c the serial
+    ascent scores (each start once, then every nonzero probe; 0 on every
+    exact path).  The ascent scores each batch whole, so the rows a batch
+    holds after a start's first win in it, past the end of its sweep or at
+    c = 0 are scored as well, but are not probes.  ``start`` is the index
+    of the winning start in the order unit, best circuit, carried, seeded
+    (-1 on the exact paths and for a certificate that is the best circuit
+    itself or was carried over by ``nsc_curve``).
     """
 
     p: float
@@ -151,14 +159,10 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.where(nrm > 0, nrm, 1.0)[:, None]
 
 
-def _better(val: float, top: tuple, best_val: float, best_top: tuple) -> bool:
-    """Tie-break order: larger value, then lexicographically smaller support."""
-    return val > best_val or (val == best_val and top < best_top)
-
-
 def _best_row(vals: np.ndarray, tops: np.ndarray) -> int:
-    """The index of the best of a batch of scored rows, by :func:`_better`'s
-    order on their values and ascending supports *tops*, then the first."""
+    """The index of the best of a batch of scored rows: the largest value,
+    then the lexicographically smallest support (each row of *tops*
+    sorted), then the first."""
     tied = np.flatnonzero(vals == vals.max())
     return int(tied[np.lexsort(np.sort(tops[tied], axis=1).T[::-1])[0]])
 
@@ -169,11 +173,19 @@ def _top_theta(xs: np.ndarray, k: int, p: float, zero_tol: float):
     return theta_top_k(_row_norms(xs), k, p, zero_tol)
 
 
-def _best_of(x: np.ndarray, k: int, p: float, zero_tol: float) -> tuple[float, tuple]:
-    """theta_max of one kernel vector x (n, 1): the value and the 0-based
-    best support, ascending."""
-    vals, tops = _top_theta(x[None], k, p, zero_tol)
-    return float(vals[0]), tuple(sorted(tops[0].tolist()))
+def _best_vertex(verts: np.ndarray, k: int, p: float, zero_tol: float):
+    """The best of the vertices *verts* (count, n) by :func:`_best_row`'s
+    order: its value, 0-based support (unsorted) and row of *verts*.  They
+    are scored ``_CHUNK`` rows at a time, so memory stays bounded however
+    many there are; a chunk's best goes on, and the first chunk's wins a
+    tie with a later one's."""
+    best = []
+    for lo in range(0, len(verts), _CHUNK):
+        vals, tops = _top_theta(verts[lo:lo + _CHUNK, :, None], k, p, zero_tol)
+        i = _best_row(vals, tops)
+        best.append((vals[i], tops[i], lo + i))
+    vals, tops, _ = zip(*best)
+    return best[_best_row(np.array(vals), np.array(tops))]
 
 
 def nsc_estimate(
@@ -182,98 +194,93 @@ def nsc_estimate(
     k: int,
     p: float,
     opts: NscOptions,
-    warm_starts: tuple[np.ndarray, ...] = (),
 ) -> NscEstimate:
     """Estimate h(p, A, r, k), which equals h(p, A, 1, k) (module docstring).
 
-    Nullity 1 is exact (single-generator closed form).  Otherwise, within
-    the enumeration guard, A's circuits are scored, and at p = 1 the best
-    of them is exact.  Else a coordinate ascent over kernel coefficient
-    vectors c (the candidate is x = N c for an orthonormal kernel basis N)
-    runs from the deterministic unit starts, the best circuit's
-    coefficients, the nonzero columns of each of ``warm_starts`` (each a
-    (d, r) coefficient matrix, or d coefficients), and ``opts.restarts``
-    seeded Gaussian draws; theta's scale invariance lets every iterate live
-    on the unit sphere.  A start stops early if its value reaches +inf.
-    The best circuit itself replaces the ascent's winner if it is better.
-    *a* is A or its :func:`linalg.gram_spectrum`, which is then not
-    decomposed again.
+    The exact cases report the best vertex with ``exact`` True and no
+    probes: nullity 1 (the kernel generator is the only vertex), and p = 0
+    and p = 1 when A's circuits were scored (within the enumeration
+    guard, A of full row rank).  Otherwise a coordinate ascent over kernel
+    coefficient vectors c (the candidate is x = N c for an orthonormal
+    kernel basis N) runs from the deterministic unit starts, the best
+    circuit's coefficients and ``opts.restarts`` seeded Gaussian draws;
+    theta's scale invariance lets every iterate live on the unit sphere.
+    A start stops early if its value reaches +inf.  The best circuit
+    itself replaces the ascent's winner if it is better.  There are no
+    other starts: only ``nsc_curve`` carries certificates from one p to
+    the next.  *a* is A or its :func:`linalg.gram_spectrum`, which is then
+    not decomposed again.
     """
     spec = gram_spectrum(a)
     p = check_real("p", p, 0, 1)
-    basis, circ = _kernel(spec, r, k)
-    return _estimate(basis, circ, int(r), k, p, opts, warm_starts)
+    basis, verts = _kernel(spec, r, k)
+    return _estimate(basis, verts, int(r), k, p, opts)
 
 
 def _kernel(spec: GramSpectrum, r, k) -> tuple[np.ndarray, np.ndarray]:
     """Ker(A)'s basis, read off A's spectrum after the checks nsc_estimate
-    and nsc_curve share, and A's circuits, (count, n): none at nullity 1
-    or beyond the enumeration guard, where none are scored."""
+    and nsc_curve share, and the vertices to score, (count, n): at nullity
+    1 the kernel generator, else A's circuits (none beyond the enumeration
+    guard)."""
     n = spec.a.shape[1]
     check_count("r", r, 1)
     check_count("k", k, 1, n - 1)
     basis = spec.kernel
     if basis.shape[1] == 0:
         raise TrivialNullspace("Ker(A) = {0}: the null-space constant is vacuous")
-    if basis.shape[1] == 1 or n > ENUMERATION_GUARD:
-        return basis, np.empty((0, n))
-    return basis, circuits(spec.a, spec.cut)
+    if basis.shape[1] == 1:
+        return basis, basis.T
+    return basis, circuits(spec.a, spec.cut) if n <= ENUMERATION_GUARD else np.empty((0, n))
 
 
 def _certified(p: float, k: int, r: int, x: np.ndarray, top, zero_tol: float,
                **rest) -> NscEstimate:
     """The estimate whose certificate is the kernel vector x (n, 1)
     normalized and embedded in column 0 of an n x r matrix, on the 0-based
-    rows ``top``; its value is ``norms.theta`` of exactly that certificate,
-    taken by theta's unchecked core on the certificate's row norms."""
+    rows ``top`` (in any order); its value is ``norms.theta`` of exactly
+    that certificate, taken by theta's unchecked core on the certificate's
+    row norms."""
     cert = np.zeros((x.shape[0], r))
     cert[:, :1] = _normalize(x)
     cert = as_matrix(cert)
-    support = RowSupport(indices=tuple(int(i) + 1 for i in top), n=cert.shape[0])
+    support = RowSupport(indices=tuple(int(i) + 1 for i in sorted(top)), n=cert.shape[0])
     return NscEstimate(p=p, k=k, r=r,
                        value=_theta(_row_norms(cert), support.mask(), p, zero_tol),
                        certificate_x=cert, certificate_support=support, **rest)
 
 
-def _estimate(basis: np.ndarray, circ: np.ndarray, r: int, k: int, p: float,
-              opts: NscOptions, warm_starts: tuple[np.ndarray, ...],
-              carried: tuple[np.ndarray, ...] = ()) -> NscEstimate:
+def _estimate(basis: np.ndarray, verts: np.ndarray, r: int, k: int, p: float,
+              opts: NscOptions, carried: tuple[np.ndarray, ...] = ()) -> NscEstimate:
     """:func:`nsc_estimate` on validated arguments, a nontrivial kernel
-    basis and the circuits *circ* to score.
+    basis and the vertices *verts* to score.
 
-    After the ascent the best circuit, then each ``carried`` coefficient
-    vector (d, 1), is scored as it is and replaces the winner if it is
-    better.
+    Each ``carried`` coefficient vector (d, 1) is a start of the ascent,
+    after the best circuit's, and a candidate after it: the ascent's
+    winner, the best circuit and the carried vectors are scored as they
+    are, and the best of them by :func:`_best_row` is the estimate.
     """
     d = basis.shape[1]
-    if d == 1:
-        _, top = _best_of(basis, k, p, opts.zero_tol)
-        return _certified(p, k, r, basis, top, opts.zero_tol,
-                          restarts=0, exact=True, probes=1, start=-1, vertices=0)
     starts = list(np.eye(d))                # deterministic single-generator starts
-    candidates = [basis @ c for c in carried]
-    if len(circ):
-        vals, tops = _top_theta(circ[:, :, None], k, p, opts.zero_tol)
-        i = _best_row(vals, tops)
-        vertex = circ[i]
-        if p == 1.0:                        # linear-fractional: a vertex is best
-            return _certified(p, k, r, vertex[:, None], sorted(tops[i].tolist()),
-                              opts.zero_tol, restarts=0, exact=True, probes=0, start=-1,
-                              vertices=len(circ))
-        starts.append(basis.T @ vertex)
-        candidates.insert(0, vertex[:, None])
-    for w in warm_starts:
-        starts.extend(col for col in np.asarray(w, dtype=float).reshape(d, -1).T if col.any())
+    cands = []                              # (x, value, support) beside the ascent's winner
+    if len(verts):
+        val, top, i = _best_vertex(verts, k, p, opts.zero_tol)
+        if d == 1 or p in (0.0, 1.0):       # the best vertex is exact
+            return _certified(p, k, r, verts[i][:, None], top, opts.zero_tol, restarts=0,
+                              exact=True, probes=0, start=-1, vertices=len(verts))
+        starts.append(basis.T @ verts[i])
+        cands.append((verts[i][:, None], val, top))
+    starts.extend(w[:, 0] for w in carried)
     rng = PortableRng(opts.seed)
     starts.extend(rng.normal((d,)) for _ in range(opts.restarts))
     val, top, c, start, probes = _ascend(basis, k, p, opts, starts)
-    x = basis @ c[:, None]
-    for x_cand in candidates:
-        cand = _best_of(x_cand, k, p, opts.zero_tol)
-        if _better(*cand, val, top):
-            (val, top), x, start = cand, x_cand, -1
-    return _certified(p, k, r, x, top, opts.zero_tol, restarts=opts.restarts,
-                      exact=False, probes=probes, start=start, vertices=len(circ))
+    if carried:
+        held = np.stack([basis @ w for w in carried])
+        cands.extend(zip(held, *_top_theta(held, k, p, opts.zero_tol)))
+    xs, vals, tops = zip((basis @ c[:, None], val, top), *cands)
+    i = _best_row(np.array(vals), np.array(tops))
+    return _certified(p, k, r, xs[i], tops[i], opts.zero_tol, restarts=opts.restarts,
+                      exact=False, probes=probes, start=start if i == 0 else -1,
+                      vertices=len(verts))
 
 
 def _ascend(basis: np.ndarray, k: int, p: float, opts: NscOptions,
@@ -298,9 +305,9 @@ def _ascend(basis: np.ndarray, k: int, p: float, opts: NscOptions,
     including a start's first win the rows are the serial ascent's probes;
     the start takes that win and goes on from the probe after it, and the
     rows its window holds after the win are scored but are not probes.
-    Supports are sorted once, after the ascent.  Returns the best start's
-    (value, 0-based support, c, start index, number of probes); ties go to
-    the smaller support, then to the earlier start.
+    Returns the best start's (value, 0-based support in any order, c,
+    start index, number of probes) by :func:`_best_row`'s order: ties go
+    to the smaller support, then to the earlier start.
     """
     d = basis.shape[1]
 
@@ -374,9 +381,8 @@ def _ascend(basis: np.ndarray, k: int, p: float, opts: NscOptions,
                 place, level, sweeps, improved = (
                     place[stay], level[stay], sweeps[stay], improved[stay])
 
-    top.sort(axis=1)                        # each start's support, ascending
     best = _best_row(val, top)
-    return float(val[best]), tuple(top[best].tolist()), flat[best], best, probes
+    return float(val[best]), top[best], flat[best], best, probes
 
 
 def nsc_curve(
@@ -388,23 +394,27 @@ def nsc_curve(
 ) -> list[NscEstimate]:
     """Estimates along an ascending grid of p values, sharing certificates.
 
-    Each point considers every earlier certificate re-evaluated at its own p
-    in addition to a fresh estimate, so the reported curve is nondecreasing
-    whenever those certificates have no rows in the open interval
-    (0, zero_tol] (re-evaluation at a larger p can only grow theta there).
-    The certificates are carried as r = 1 coefficient vectors, each both a
-    warm start and a candidate after the ascent.  One kernel basis of A,
-    and one enumeration of its circuits, serve the whole grid.  *a* is A or
-    its :func:`linalg.gram_spectrum`, which is then not decomposed again.
+    A point where the estimate is exact (nullity 1, or p = 0 or p = 1 with
+    A's circuits scored) reports the best vertex, with no probes.  Every
+    other point considers every earlier certificate re-evaluated at its own
+    p in addition to a fresh estimate, so the reported curve is
+    nondecreasing whenever those certificates have no rows in the open
+    interval (0, zero_tol] (re-evaluation at a larger p can only grow theta
+    there).  The certificates are carried as r = 1 coefficient vectors,
+    each both a start of the ascent and a candidate after it; this is the
+    only way a start other than the unit, best-circuit and seeded ones
+    reaches the ascent.  One kernel basis of A, and one set of vertices,
+    serve the whole grid.  *a* is A or its :func:`linalg.gram_spectrum`,
+    which is then not decomposed again.
     """
     grid = check_grid("p_grid", p_grid, 0, 1)
     if any(b <= a_ for a_, b in zip(grid, grid[1:])):
         raise DomainError("p_grid must be strictly ascending")
-    basis, circ = _kernel(gram_spectrum(a), r, k)
+    basis, verts = _kernel(gram_spectrum(a), r, k)
     out: list[NscEstimate] = []
     carried: list[np.ndarray] = []          # certificates, as coefficient vectors (d, 1)
     for p in grid:
-        best = _estimate(basis, circ, int(r), k, p, opts, tuple(carried), tuple(carried))
+        best = _estimate(basis, verts, int(r), k, p, opts, tuple(carried))
         out.append(best)
         if not math.isinf(best.value):
             # column 0 copied out, so that every r forms the same product

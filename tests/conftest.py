@@ -89,10 +89,11 @@ def scored(monkeypatch) -> list[int]:
     scored whole, ``nsc._WINDOW`` rows per live start (the first, of the
     starts themselves, one row each): the probes, and the rows a start's
     window holds after its first win in it, past its sweep's end or at
-    c = 0.  An estimate that scores A's circuits does so in one call
-    before any other, one row per circuit.  The nullity-1 path, and after
-    an ascent the best circuit and each carried certificate, add a call of
-    one row."""
+    c = 0.  An estimate scores its vertices (the kernel generator at
+    nullity 1, else A's circuits) before any other call, one row per
+    vertex, in calls of up to ``linalg._CHUNK`` rows.  After an ascent, the
+    certificates ``nsc_curve`` carried in, if any, are scored in one more
+    call; the best circuit's score is reused."""
     batches: list[int] = []
 
     def spy(norms, *args, _real=nsc.theta_top_k, **kwargs):

@@ -329,10 +329,10 @@ def nsc_serial_ascent(a: np.ndarray, k: int, p: float, seed: int, restarts: int,
     eigenvalues, clipped at 0, are at or below 1e-10 lambda_max, each sign
     fixed so the column's first largest-magnitude entry is positive, stored
     row major (the layout decides which BLAS kernel forms N c).  The
-    starts are the unit vectors e_j, the nonzero columns of each warm start
-    (a (d, r) matrix or d coefficients), then ``restarts``
-    ``PortableRng(seed)`` draws of d normals, each normalized; one that is
-    zero after that is skipped.  A start scores c, a (d, 1) matrix, by
+    starts are the unit vectors e_j, each warm start (d coefficients, flat
+    or as a (d, 1) matrix), then ``restarts`` ``PortableRng(seed)`` draws
+    of d normals, each normalized; one that is zero after that is skipped,
+    but keeps its index.  A start scores c, a (d, 1) matrix, by
     ``theta_max_over_S`` on N c.  For each scale, up to 40 sweeps over the
     entries of c try each step from the entry's current value; a probe
     that is not c = 0 is scored, and kept when it beats the start's value.
@@ -361,9 +361,7 @@ def nsc_serial_ascent(a: np.ndarray, k: int, p: float, seed: int, restarts: int,
     starts = [np.zeros((d, 1)) for _ in range(d)]
     for j, c in enumerate(starts):
         c[j, 0] = 1.0
-    for w in warm_starts:
-        cols = np.asarray(w, dtype=float).reshape(d, -1)
-        starts += [cols[:, [j]] for j in range(cols.shape[1]) if cols[:, j].any()]
+    starts += [np.asarray(w, dtype=float).reshape(d, 1) for w in warm_starts]
     starts += [rng.normal((d, 1)) for _ in range(restarts)]
 
     def score(c):

@@ -303,7 +303,8 @@ class TestOutputs:
         assert outs["curve"][0]["value"] == pytest.approx(1.9285862938389415, abs=1e-9)
         certs = outs["certificates"]
         assert certs[0]["certificate_support"] == [1, 3]
-        assert [cert["vertices"] for cert in certs] == [0, 0]       # nullity 1
+        # nullity 1: the kernel generator is the only vertex, and exact
+        assert [(c["vertices"], c["probes"], c["exact"]) for c in certs] == [(1, 0, True)] * 2
 
     def test_nsc_certificates_count_the_circuits(self, capsys, tmp_path):
         # a generated 4x7 has C(7, 5) = 21 circuits, and at p = 1 the best

@@ -14,6 +14,8 @@ from jointsparse.norms import RowSupport, _row_norms, theta, theta_max_over_S
 from jointsparse.nsc import (
     _WINDOW,
     NscOptions,
+    _estimate,
+    _kernel,
     estimate_to_json,
     max_recoverable_k,
     nsc_curve,
@@ -33,11 +35,11 @@ DEFAULT_GRID = [round(0.1 * i, 1) for i in range(11)]
 # (nullity 3; r = 2, k = 2, NscOptions(seed=<same>, restarts=8)) over the
 # default grid.  Per p: the value, the support, the first 16 hex digits of
 # sha256 over the certificate's bytes, and the number of c the
-# one-start-at-a-time ascent scored (none at p = 1, where the best of the
-# 21 circuits is exact).
+# one-start-at-a-time ascent scored (none at p = 0 and p = 1, where the
+# best of the 21 circuits is exact).
 FROZEN_CURVES = {
     1: [
-        (0.0, 0.6666666666666666, (1, 4), "b6fccbc7b41bc53c", 1305),
+        (0.0, 0.6666666666666666, (1, 4), "b693e7ed9936c900", 0),
         (0.1, 0.9076070816453923, (6, 7), "5b0b1c188671cc80", 2591),
         (0.2, 1.22538018440052, (6, 7), "5b0b1c188671cc80", 2640),
         (0.3, 1.6417689355782836, (6, 7), "5b0b1c188671cc80", 2989),
@@ -50,7 +52,7 @@ FROZEN_CURVES = {
         (1.0, 11.101190580830764, (6, 7), "c8aaf936bbdac79f", 0),
     ],
     2: [
-        (0.0, 0.6666666666666666, (1, 2), "76a7b417678aa9af", 1305),
+        (0.0, 0.6666666666666666, (1, 2), "5fb9f1aa9861bc75", 0),
         (0.1, 0.900015752834095, (2, 3), "4be23f8dbe2bfeef", 2397),
         (0.2, 1.1771101279822092, (2, 3), "4be23f8dbe2bfeef", 2531),
         (0.3, 1.5018950087868104, (2, 3), "4be23f8dbe2bfeef", 2712),
@@ -69,7 +71,7 @@ FROZEN_CURVES = {
 # its probes, support and certificate digest, and its theta_top_k calls
 # and the rows the ascent's batches scored.
 PROBES, PROBES_SUPPORT, PROBES_DIGEST = 2423, (1, 6), "3254982fa5d8302b"
-BATCHES = (44, 4236)
+BATCHES = (43, 4236)
 
 
 def gaussian_4x7(seed: int) -> np.ndarray:
@@ -94,22 +96,31 @@ def best_vertex(a: np.ndarray, k: int, p: float):
     return best
 
 
-def serial(a: np.ndarray, k: int, p: float, seed: int, restarts: int, warm=(),
+def estimate(a: np.ndarray, r: int, k: int, p: float, opts: NscOptions, carried=()):
+    """``nsc_estimate`` with the coefficient vectors (d, 1) *carried* passed
+    in, as ``nsc_curve`` passes its earlier certificates."""
+    basis, verts = _kernel(gram_spectrum(a), r, k)
+    return _estimate(basis, verts, r, k, p, opts, carried)
+
+
+def serial(a: np.ndarray, k: int, p: float, seed: int, restarts: int, carried=(),
            wins: list | None = None):
-    """What ``nsc_estimate`` reports at r = 1 for A of nullity 2 or more,
-    by the serial oracle: the best circuit normalized at p = 1, else the
-    ascent with that circuit's kernel coefficients as the first warm start
-    and the circuit itself as a candidate after the ascent."""
+    """What :func:`estimate` reports at r = 1 for A of nullity 2 or more,
+    by the serial oracle: the best circuit normalized at p = 0 and p = 1,
+    else the ascent with that circuit's kernel coefficients, then the
+    *carried* coefficient vectors, as warm starts, and the circuit, then
+    the carried vectors' kernel vectors, as candidates after the ascent."""
+    basis = gram_spectrum(a).kernel
+    cands = tuple(basis @ w for w in carried)
     vertex = best_vertex(a, k, p)
     if vertex is None:
-        return nsc_serial_ascent(a, k, p, seed, restarts, warm, wins=wins)
+        return nsc_serial_ascent(a, k, p, seed, restarts, carried, cands, wins=wins)
     x, _, support = vertex
-    if p == 1.0:
+    if p in (0.0, 1.0):
         x = x[:, None] / np.linalg.norm(x)
         return theta(p, x, RowSupport(support, n=x.shape[0])), support, x, 0, -1
-    coeffs = gram_spectrum(a).kernel.T @ x
-    return nsc_serial_ascent(a, k, p, seed, restarts, (coeffs,) + tuple(warm), (x[:, None],),
-                             wins=wins)
+    return nsc_serial_ascent(a, k, p, seed, restarts, (basis.T @ x,) + tuple(carried),
+                             (x[:, None],) + cands, wins=wins)
 
 
 def assert_embeds(est, value, support, x, probes, start, name=""):
@@ -123,27 +134,25 @@ def assert_embeds(est, value, support, x, probes, start, name=""):
 
 
 def ascent_population():
-    """Seeded (name, A, r, k, p, seed, restarts, warm starts) for the ascent.
+    """Seeded (name, A, r, k, p, seed, restarts, carried) for the ascent.
 
     40 Gaussian 2x4 and 3x5 matrices (nullity 2) run through every pair of
     r in 1..3 and p in {0, 0.1, 0.5, 1}, with k 1 or 2, some seeded
-    restarts, and warm starts (a zero one among them, which adds no start,
-    and (d, r) ones whose columns are starts of their own).  Then a matrix
-    with zero columns whose value is +inf: its unit starts and its circuits
-    are +inf from the outset.  Last, the third instance of the ``nsc``
-    benchmark pool (seed 3): 4x7, nullity 3, with r = 2.
+    restarts, and r carried coefficient vectors (d, 1) on some of them.
+    Then a matrix with zero columns whose value is +inf: its unit starts
+    and its circuits are +inf from the outset.  Last, the third instance of
+    the ``nsc`` benchmark pool (seed 3): 4x7, nullity 3, with r = 2.
     """
     rng = np.random.default_rng(909)
     for i in range(40):
         r, p = 1 + (i // 4) % 3, (0.0, 0.1, 0.5, 1.0)[i % 4]
         m, n = (2, 4) if i % 3 else (3, 5)
         a = rng.standard_normal((m, n))
-        warm = ()
+        carried = ()
         if i % 7 == 3:
-            warm = (rng.standard_normal((n - m, r)),)
-        if i % 14 == 10:
-            warm += (np.zeros((n - m, r)),)
-        yield f"gaussian {i}", a, r, 1 + i % 2, p, i, int(i % 5 == 2), warm
+            w = rng.standard_normal((n - m, r))
+            carried = tuple(w[:, [j]] for j in range(r))
+        yield f"gaussian {i}", a, r, 1 + i % 2, p, i, int(i % 5 == 2), carried
     half = (np.full((4, 1), 0.5),)      # one step from a c on 3 rows
     yield "zero columns", np.array([[1.0, 0, 0, 0, 0]]), 1, 3, 0.5, 0, 0, half
     pool = gen_problem(GenSpec("gaussian", 4, 7, 2, 2, 3064721759105622167)).a
@@ -252,12 +261,12 @@ class TestAscentPath:
         # A batch holds the next _WINDOW probes of every live start's sweep.
         # Each batch is scored whole: the rows after a start's first win,
         # past its sweep's end and at c = 0 are scored but are not probes.
-        # Before the ascent, one call scores A's 21 circuits; after it,
-        # one scores the best circuit as a candidate.
+        # Before the ascent, one call scores A's 21 circuits; the best
+        # circuit's score from that call is reused after it.
         est = nsc_estimate(gaussian_4x7(11), 2, 2, 0.5, NscOptions(seed=0, restarts=8))
         assert est.probes == PROBES and est.vertices == 21
-        assert scored[0] == 21 and scored[1] == 3 + 1 + 8 and scored[-1] == 1
-        assert (len(scored), sum(scored[2:-1])) == BATCHES
+        assert scored[0] == 21 and scored[1] == 3 + 1 + 8
+        assert (len(scored), sum(scored[2:])) == BATCHES
 
     @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
     def test_windows_match_the_serial_ascent(self, case):
@@ -270,20 +279,21 @@ class TestAscentPath:
 
     def test_population_matches_the_serial_ascent(self):
         values, seen = {}, set()
-        for name, a, r, k, p, seed, restarts, warm in ascent_population():
-            got = serial(a, k, p, seed, restarts, warm)
-            est = nsc_estimate(a, r, k, p, NscOptions(seed=seed, restarts=restarts), warm)
+        for name, a, r, k, p, seed, restarts, carried in ascent_population():
+            got = serial(a, k, p, seed, restarts, carried)
+            est = estimate(a, r, k, p, NscOptions(seed=seed, restarts=restarts), carried)
             assert_embeds(est, *got, name=name)
-            assert est.exact is (p == 1.0), name
+            assert est.exact is (p in (0.0, 1.0)), name
             values[name] = est.value
             seen.add((r, p))
         assert len(values) == 42 and len(seen) == 12
         assert math.isinf(values["zero columns"])
 
     def test_winning_start_ascends_alone_to_the_same_certificate(self):
-        # starts do not interact: the winner, rerun as the only warm start
-        # next to the unit starts, wins again with the same certificate.  A
-        # is rank deficient, so it has no circuit to start from or to win.
+        # starts do not interact: the winner, rerun as the only carried
+        # start next to the unit starts, wins again with the same
+        # certificate.  A is rank deficient, so it has no circuit to start
+        # from or to win.
         g = gaussian_4x7(11)
         a, d = np.vstack([g, g[0] + g[1]]), 3
         opts = NscOptions(seed=4, restarts=8)
@@ -292,23 +302,11 @@ class TestAscentPath:
             assert (est.start, est.vertices) == (start, 0)
             rng = PortableRng(opts.seed)
             draws = [rng.normal((d,)) for _ in range(start - d + 1)]
-            warm = (draws[-1],) if start >= d else ()
-            alone = nsc_estimate(a, 2, 2, p, NscOptions(seed=4, restarts=0),
-                                 warm_starts=warm)
+            carried = (draws[-1][:, None],) if start >= d else ()
+            alone = estimate(a, 2, 2, p, NscOptions(seed=4, restarts=0), carried)
             assert alone.start == min(start, d)
             assert alone.value == est.value
             assert np.array_equal(alone.certificate_x, est.certificate_x)
-
-    def test_warm_start_columns_are_starts_of_their_own(self):
-        # a (d, r) warm start is its nonzero columns, each a start, so its
-        # columns side by side or one by one give the same estimate
-        a = gaussian_4x7(11)
-        cols = PortableRng(6).normal((3, 3))
-        cols[:, 1] = 0.0
-        opts = NscOptions(seed=0, restarts=0)
-        whole = nsc_estimate(a, 3, 2, 0.3, opts, warm_starts=(cols,))
-        apart = nsc_estimate(a, 3, 2, 0.3, opts, warm_starts=(cols[:, 0], cols[:, 2]))
-        assert estimate_to_json(whole) == estimate_to_json(apart)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -395,12 +393,13 @@ class TestVertices:
     def test_p0_best_circuit_is_the_spark_closed_form(self):
         # theta at p = 0 counts rows, and the sparsest kernel vector has
         # spark(A) of them: h(0) = k / (spark - k), which the best circuit
-        # attains and the estimate reports
+        # attains and the estimate reports as exact, with no ascent
         for name, a in generic_gaussians():
             for k in (1, 2):
                 want = k / (spark(a) - k)
                 assert best_vertex(a, k, 0.0)[1] == want, name
-                assert nsc_estimate(a, 2, k, 0.0, NscOptions(seed=0, restarts=4)).value == want
+                est = nsc_estimate(a, 2, k, 0.0, NscOptions(seed=0, restarts=4))
+                assert (est.value, est.exact, est.probes) == (want, True, 0), name
 
     def test_no_circuit_scored_beyond_the_guard(self, scored):
         a = np.random.default_rng(3).standard_normal((18, 21))
@@ -494,7 +493,7 @@ class TestCurve:
         assert obj["value"] == pytest.approx(EX2_H[0.5], abs=1e-9)
         assert obj["certificate_support"] == [1, 3]
         assert obj["exact"] is True
-        assert (obj["probes"], obj["start"], obj["vertices"]) == (1, -1, 0)
+        assert (obj["probes"], obj["start"], obj["vertices"]) == (0, -1, 1)
 
     @pytest.mark.parametrize("seed", sorted(FROZEN_CURVES))
     def test_frozen_curves(self, seed):
@@ -502,7 +501,7 @@ class TestCurve:
                          NscOptions(seed=seed, restarts=8))
         assert len(ests) == len(FROZEN_CURVES[seed])
         for est, (p, value, support, cert, probes) in zip(ests, FROZEN_CURVES[seed]):
-            assert est.p == p and est.exact is (p == 1.0)
+            assert est.p == p and est.exact is (p in (0.0, 1.0))
             assert est.certificate_support.indices == support
             assert digest(est.certificate_x) == cert
             assert est.value == pytest.approx(value, rel=1e-12)
