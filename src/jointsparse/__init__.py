@@ -39,7 +39,6 @@ from .linalg import (
 from .norms import (
     RowSupport,
     mixed_norm_2p,
-    norm_20,
     row_support,
     theta,
     theta_max_over_S,
@@ -66,7 +65,7 @@ __all__ = [
     "EigSummary", "NullspaceBasis", "eig_summary", "min_norm_solution",
     "nullspace_basis",
     # norms
-    "RowSupport", "mixed_norm_2p", "norm_20", "row_support", "theta",
+    "RowSupport", "mixed_norm_2p", "row_support", "theta",
     "theta_max_over_S",
     # solvers
     "MmvProblem", "SparseSolution", "IrlsOptions", "DescentOptions",

@@ -291,9 +291,9 @@ def cmd_nsc(args: argparse.Namespace) -> CommandResult:
         raise UsageError(f"--k must lie in 1..{n - 1} for this matrix, got {k}")
     opts = NscOptions(seed=args.seed, restarts=restarts, zero_tol=_zero_tol(args))
     spec = gram_spectrum(a)                 # one decomposition for both
-    curve = nsc_curve(spec, r, k, p_grid, opts)
+    curve = nsc_curve(spec, k, p_grid, opts)
     lam = spec.summary().ratio
-    certificates = [estimate_to_json(est) for est in curve]
+    certificates = [estimate_to_json(est, r) for est in curve]
     rows = []
     for est, cert in zip(curve, certificates):
         try:
@@ -447,7 +447,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          "columns gives h(p, A, r, k) = h(p, A, 1, k), so each certificate is "
                          "the r = 1 one in column 0, with zeros in the other columns")
     sp.add_argument("--grid", default="0:1:0.1", help="p grid (default 0:1:0.1)")
-    sp.add_argument("--restarts", type=int, default=64)
+    sp.add_argument("--restarts", type=int, default=64,
+                    help="seeded Gaussian starts of the ascent, after the unit and "
+                         "best-circuit starts (default 64; the exact points run none)")
     sp.set_defaults(run=cmd_nsc)
 
     sp = sub.add_parser("reproduce", parents=[common],

@@ -374,9 +374,8 @@ def circuits(a: np.ndarray, cut: float) -> np.ndarray:
     """
     check_enumerable(a)
     m, n = a.shape
-    out = [np.empty((0, n))]
     if m + 1 > n:
-        return out[0]
+        return np.empty((0, n))
     shift = int(np.frexp(np.abs(a).max())[1])
     a, cut = np.ldexp(a, -shift), math.ldexp(cut, -2 * shift)
     # each m-subset's determinant and rank class, indexed by its column bit
@@ -389,14 +388,17 @@ def circuits(a: np.ndarray, cut: float) -> np.ndarray:
         masks = bit[idx].sum(axis=1)
         det[masks], full[masks] = np.linalg.det(sub), full_rank
     signs = (-1.0) ** np.arange(m + 1)
+    # room for every C, written in place: the pages of rows never written
+    # (the C of rank below m) are zeros that are never touched
+    out, count = np.zeros((math.comb(n, m + 1), n)), 0
     for idx in subset_batches(n, m + 1):
         minors = bit[idx].sum(axis=1)[:, None] - bit[idx]       # C minus c_i
         rank_m = full[minors].any(axis=1)
         idx, minors = idx[rank_m], minors[rank_m]
-        vecs = np.zeros((len(idx), n))
-        vecs[np.arange(len(idx))[:, None], idx] = det[minors] * signs
-        out.append(vecs)
-    return np.concatenate(out)
+        rows = np.arange(count, count + len(idx))
+        out[rows[:, None], idx] = det[minors] * signs
+        count += len(idx)
+    return out[:count]
 
 
 def _covers(n: int, top: int, most: int, voucher):

@@ -1,8 +1,9 @@
 """Row-wise mixed norms and support ratios for multichannel matrices.
 
 The central objects: the l_{2,p} quasi-norm (sum of p-th powers of row
-2-norms, p in (0, 1]), the row-counting l_{2,0} "norm", and the ratio
-theta(p, X, S) comparing mass inside an index set S against mass outside it.
+2-norms, p in (0, 1]), the row-counting l_{2,0} "norm" (the length of a
+``row_support``), and the ratio theta(p, X, S) comparing mass inside an
+index set S against mass outside it.
 
 Each public function validates its own inputs once and then calls one of
 the unchecked cores ``_row_norms``, ``_power_sum`` and ``_theta``; the
@@ -165,11 +166,6 @@ def row_support(x: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> RowSupport
     norms = row_norms(x)
     idx = tuple(int(i) + 1 for i in np.nonzero(norms > zero_tol)[0])
     return RowSupport(indices=idx, n=int(norms.size), zero_tol=float(zero_tol))
-
-
-def norm_20(x: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> int:
-    """Number of rows with 2-norm above zero_tol (the l_{2,0} row count)."""
-    return len(row_support(x, zero_tol))
 
 
 def mixed_norm_2p(x: np.ndarray, p: float) -> float:

@@ -1,16 +1,18 @@
 """Estimation of the joint null-space constant of a matrix.
 
-The constant h(p, A, r, k) is the supremum of theta(p, X, S) over nonzero
-X with all r columns in Ker(A) and |S| <= k.  It does not depend on r.
-Take such an X, any S and g ~ N(0, I_r): Xg lies in Ker(A), and
+The joint constant h(p, A, r, k) is the supremum of theta(p, X, S) over
+nonzero X with all r columns in Ker(A) and |S| <= k.  It does not depend
+on r.  Take such an X, any S and g ~ N(0, I_r): Xg lies in Ker(A), and
 E|<x_i, g>|^p = E|Z|^p ||x_i||^p for every row i and p in (0, 1], while at
 p = 0 Xg has the nonzero rows of X for almost every g.  Averaging the
 r = 1 inequality sum_S |(Xg)_i|^p <= h(p, A, 1, k) sum_{S^c} |(Xg)_i|^p
 over g gives theta(p, X, S) <= h(p, A, 1, k), and x e_1^T attains every
 r = 1 value: the MMV/SMV null-space equivalence of Lai & Liu (*ACHA*
-2011).  So every estimate is made on kernel vectors x, and its certificate
-is x normalized, then embedded as the n x r matrix [x, 0, ..., 0]; theta
-of that matrix is the value bit for bit, whatever r is.
+2011).  So this module computes h(p, A, k) = h(p, A, 1, k) on kernel
+vectors x, and no function here takes r: a certificate is one kernel
+vector, normalized, (n, 1).  A report on n x r matrices writes it as
+[x, 0, ..., 0] (:func:`estimate_to_json`), whose theta is the value bit
+for bit: the zero columns add exact zeros to every squared row norm.
 
 Every exact case is the best of a set of vertices, scored in batches of
 ``linalg._CHUNK`` rows.  At nullity 1 the kernel is one line, and its
@@ -20,12 +22,25 @@ vertices are the circuits of A (``linalg.circuits``), which for A of full
 row rank are the vertices of the arrangement {x_i = 0} in Ker(A).  At
 p = 1 theta on each sign cell is linear-fractional, so its maximum sits at
 a vertex (Charnes & Cooper, *Naval Res. Logist. Q.* 1962).  At p = 0 theta
-counts rows, and the sparsest kernel vectors, with spark(A) rows, are
-circuits, so the best circuit attains k / (spark - k).  In these cases
-the best vertex is reported as exact and no ascent runs.  Otherwise
+counts rows, and the sparsest kernel vectors are circuits.  In these
+cases the best vertex is reported as exact and no ascent runs.  Otherwise
 (0 < p < 1 at nullity 2 or more, or no circuit scored) the best circuit is
 a certified lower bound, both a start of the ascent and a candidate after
 it.
+
+At p = 0 two rules count zeros, and the estimate follows theta's.  theta
+counts a row when its norm exceeds ``zero_tol``: a circuit is exactly
+zero off its m + 1 columns, and each of its minors, normalized, that
+exceeds ``zero_tol`` is a row however small it is.  :func:`spark` counts
+columns as dependent by A's rank cut (a Gram eigenvalue at or below
+1e-10 lambda_max).  The value at p = 0 is theta of the best circuit by
+``zero_tol``, and it equals k / (spark - k) when the two rules agree, as
+on generic matrices and on exactly dependent columns.  On nearly
+dependent columns they can disagree: with column 1 set to column 0 plus
+eps times Gaussian noise in Gaussian 3 x 7 and 4 x 8 matrices, the cut
+finds a dependent set of 2 or 3 columns while the circuits through it
+keep minors above ``zero_tol``, at eps from about 1e-8 to 1e-4, and the
+reported value is below k / (spark - k).
 
 The ascent is a multi-start coordinate ascent over the coefficients c of
 x = N c, N an orthonormal kernel basis, and produces a certified lower
@@ -96,8 +111,7 @@ class NscEstimate:
     ``value`` is exactly ``theta(p, certificate_x, certificate_support)``.
     The constant does not depend on r (module docstring), so the estimate
     is made on kernel vectors and ``certificate_x`` is the best one,
-    normalized, in column 0 of an n x r matrix whose other columns are
-    zero: value and support are the same for every r.  ``exact`` is True
+    normalized: an (n, 1) read-only matrix.  ``exact`` is True
     when the best vertex is reported with no ascent: at nullity 1, and at
     p = 0 and p = 1 when circuits were scored.  ``vertices`` counts the
     vertices scored: 1 at nullity 1, else A's circuits (0 beyond
@@ -114,7 +128,6 @@ class NscEstimate:
 
     p: float
     k: int
-    r: int
     value: float
     certificate_x: np.ndarray
     certificate_support: RowSupport
@@ -125,13 +138,17 @@ class NscEstimate:
     vertices: int
 
 
-def estimate_to_json(est: NscEstimate) -> dict:
+def estimate_to_json(est: NscEstimate, r: int) -> dict:
+    """*est* for a report on n x r matrices X: its certificate is written as
+    [x, 0, ..., 0], the kernel vector x in column 0 and zeros in the other
+    r - 1 columns, whose theta is the value bit for bit (module docstring)."""
+    pad = [0.0] * (r - 1)
     return {
         "p": est.p,
         "k": est.k,
-        "r": est.r,
+        "r": r,
         "value": json_float(est.value),
-        "certificate_X": matrix_to_json(est.certificate_x),
+        "certificate_X": [row + pad for row in matrix_to_json(est.certificate_x)],
         "certificate_support": list(est.certificate_support.indices),
         "restarts": est.restarts,
         "exact": est.exact,
@@ -190,19 +207,21 @@ def _best_vertex(verts: np.ndarray, k: int, p: float, zero_tol: float):
 
 def nsc_estimate(
     a: np.ndarray | GramSpectrum,
-    r: int,
     k: int,
     p: float,
     opts: NscOptions,
 ) -> NscEstimate:
-    """Estimate h(p, A, r, k), which equals h(p, A, 1, k) (module docstring).
+    """Estimate h(p, A, k), the null-space constant, which is the joint
+    constant h(p, A, r, k) for every r (module docstring).
 
     The exact cases report the best vertex with ``exact`` True and no
     probes: nullity 1 (the kernel generator is the only vertex), and p = 0
     and p = 1 when A's circuits were scored (within the enumeration
-    guard, A of full row rank).  Otherwise a coordinate ascent over kernel
-    coefficient vectors c (the candidate is x = N c for an orthonormal
-    kernel basis N) runs from the deterministic unit starts, the best
+    guard, A of full row rank).  At p = 0 rows count by ``opts.zero_tol``,
+    not by :func:`spark`'s rank cut, so on nearly dependent columns the
+    value can be below k / (spark - k) (module docstring).  Otherwise a
+    coordinate ascent over kernel coefficient vectors c (the candidate is
+    x = N c for an orthonormal kernel basis N) runs from the deterministic unit starts, the best
     circuit's coefficients and ``opts.restarts`` seeded Gaussian draws;
     theta's scale invariance lets every iterate live on the unit sphere.
     A start stops early if its value reaches +inf.  The best circuit
@@ -213,17 +232,16 @@ def nsc_estimate(
     """
     spec = gram_spectrum(a)
     p = check_real("p", p, 0, 1)
-    basis, verts = _kernel(spec, r, k)
-    return _estimate(basis, verts, int(r), k, p, opts)
+    basis, verts = _kernel(spec, k)
+    return _estimate(basis, verts, k, p, opts)
 
 
-def _kernel(spec: GramSpectrum, r, k) -> tuple[np.ndarray, np.ndarray]:
+def _kernel(spec: GramSpectrum, k) -> tuple[np.ndarray, np.ndarray]:
     """Ker(A)'s basis, read off A's spectrum after the checks nsc_estimate
     and nsc_curve share, and the vertices to score, (count, n): at nullity
     1 the kernel generator, else A's circuits (none beyond the enumeration
     guard)."""
     n = spec.a.shape[1]
-    check_count("r", r, 1)
     check_count("k", k, 1, n - 1)
     basis = spec.kernel
     if basis.shape[1] == 0:
@@ -233,24 +251,21 @@ def _kernel(spec: GramSpectrum, r, k) -> tuple[np.ndarray, np.ndarray]:
     return basis, circuits(spec.a, spec.cut) if n <= ENUMERATION_GUARD else np.empty((0, n))
 
 
-def _certified(p: float, k: int, r: int, x: np.ndarray, top, zero_tol: float,
+def _certified(p: float, k: int, x: np.ndarray, top, zero_tol: float,
                **rest) -> NscEstimate:
     """The estimate whose certificate is the kernel vector x (n, 1)
-    normalized and embedded in column 0 of an n x r matrix, on the 0-based
-    rows ``top`` (in any order); its value is ``norms.theta`` of exactly
-    that certificate, taken by theta's unchecked core on the certificate's
-    row norms."""
-    cert = np.zeros((x.shape[0], r))
-    cert[:, :1] = _normalize(x)
-    cert = as_matrix(cert)
+    normalized, on the 0-based rows ``top`` (in any order); its value is
+    ``norms.theta`` of exactly that certificate, taken by theta's unchecked
+    core on the certificate's row norms."""
+    cert = as_matrix(_normalize(x))
     support = RowSupport(indices=tuple(int(i) + 1 for i in sorted(top)), n=cert.shape[0])
-    return NscEstimate(p=p, k=k, r=r,
+    return NscEstimate(p=p, k=k,
                        value=_theta(_row_norms(cert), support.mask(), p, zero_tol),
                        certificate_x=cert, certificate_support=support, **rest)
 
 
-def _estimate(basis: np.ndarray, verts: np.ndarray, r: int, k: int, p: float,
-              opts: NscOptions, carried: tuple[np.ndarray, ...] = ()) -> NscEstimate:
+def _estimate(basis: np.ndarray, verts: np.ndarray, k: int, p: float, opts: NscOptions,
+              carried: tuple[np.ndarray, ...] = ()) -> NscEstimate:
     """:func:`nsc_estimate` on validated arguments, a nontrivial kernel
     basis and the vertices *verts* to score.
 
@@ -265,7 +280,7 @@ def _estimate(basis: np.ndarray, verts: np.ndarray, r: int, k: int, p: float,
     if len(verts):
         val, top, i = _best_vertex(verts, k, p, opts.zero_tol)
         if d == 1 or p in (0.0, 1.0):       # the best vertex is exact
-            return _certified(p, k, r, verts[i][:, None], top, opts.zero_tol, restarts=0,
+            return _certified(p, k, verts[i][:, None], top, opts.zero_tol, restarts=0,
                               exact=True, probes=0, start=-1, vertices=len(verts))
         starts.append(basis.T @ verts[i])
         cands.append((verts[i][:, None], val, top))
@@ -278,7 +293,7 @@ def _estimate(basis: np.ndarray, verts: np.ndarray, r: int, k: int, p: float,
         cands.extend(zip(held, *_top_theta(held, k, p, opts.zero_tol)))
     xs, vals, tops = zip((basis @ c[:, None], val, top), *cands)
     i = _best_row(np.array(vals), np.array(tops))
-    return _certified(p, k, r, xs[i], tops[i], opts.zero_tol, restarts=opts.restarts,
+    return _certified(p, k, xs[i], tops[i], opts.zero_tol, restarts=opts.restarts,
                       exact=False, probes=probes, start=start if i == 0 else -1,
                       vertices=len(verts))
 
@@ -286,6 +301,12 @@ def _estimate(basis: np.ndarray, verts: np.ndarray, r: int, k: int, p: float,
 def _ascend(basis: np.ndarray, k: int, p: float, opts: NscOptions,
             starts: list[np.ndarray]):
     """Coordinate ascent of theta_max over c, every start on its own schedule.
+
+    The ascent moves the coefficients c, never x = N c itself: every
+    c != 0 maps to a kernel vector, within rounding of N's columns, while
+    a step on x whose entries cancel leaves rounding noise that is not in
+    Ker(A), and at small p such a row outweighs the exact zeros it stands
+    for.
 
     *starts* are coefficient vectors (d,), each normalized first; one that
     is zero after that is skipped.  Each start follows the serial order:
@@ -387,7 +408,6 @@ def _ascend(basis: np.ndarray, k: int, p: float, opts: NscOptions,
 
 def nsc_curve(
     a: np.ndarray | GramSpectrum,
-    r: int,
     k: int,
     p_grid,
     opts: NscOptions,
@@ -400,7 +420,7 @@ def nsc_curve(
     p in addition to a fresh estimate, so the reported curve is
     nondecreasing whenever those certificates have no rows in the open
     interval (0, zero_tol] (re-evaluation at a larger p can only grow theta
-    there).  The certificates are carried as r = 1 coefficient vectors,
+    there).  The certificates are carried as coefficient vectors (d, 1),
     each both a start of the ascent and a candidate after it; this is the
     only way a start other than the unit, best-circuit and seeded ones
     reaches the ascent.  One kernel basis of A, and one set of vertices,
@@ -410,15 +430,14 @@ def nsc_curve(
     grid = check_grid("p_grid", p_grid, 0, 1)
     if any(b <= a_ for a_, b in zip(grid, grid[1:])):
         raise DomainError("p_grid must be strictly ascending")
-    basis, verts = _kernel(gram_spectrum(a), r, k)
+    basis, verts = _kernel(gram_spectrum(a), k)
     out: list[NscEstimate] = []
     carried: list[np.ndarray] = []          # certificates, as coefficient vectors (d, 1)
     for p in grid:
-        best = _estimate(basis, verts, int(r), k, p, opts, tuple(carried))
+        best = _estimate(basis, verts, k, p, opts, tuple(carried))
         out.append(best)
         if not math.isinf(best.value):
-            # column 0 copied out, so that every r forms the same product
-            carried.append(basis.T @ np.ascontiguousarray(best.certificate_x[:, :1]))
+            carried.append(basis.T @ best.certificate_x)
     return out
 
 

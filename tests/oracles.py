@@ -343,7 +343,7 @@ def nsc_serial_ascent(a: np.ndarray, k: int, p: float, seed: int, restarts: int,
     and replaces the winner, as start -1, when it is better by that order.
 
     Returns (value, 1-based support, certificate x, probes, start) as
-    ``nsc_estimate`` reports them at r = 1: x (n, 1) is the winner
+    ``nsc_estimate`` reports them: x (n, 1) is the winner
     normalized, and the value is ``theta`` of x on the support.  A ``wins``
     list gets (start, sweep, place) for every kept probe: the start's
     sweeps count from 0 across its scales, and a probe's place in its

@@ -36,7 +36,7 @@ from jointsparse.norms import (
     theta,
     theta_max_over_S,
 )
-from jointsparse.nsc import NscOptions, nsc_curve, nsc_estimate
+from jointsparse.nsc import NscOptions, estimate_to_json, nsc_curve, nsc_estimate
 from jointsparse.solvers import (
     DescentOptions,
     IrlsOptions,
@@ -148,14 +148,16 @@ def test_criterion_3_joint_vs_columnwise():
 def test_criterion_4_nsc_closed_form():
     a = _packaged_problem("example2").a
     opts = NscOptions(seed=0)
-    at_zero = nsc_estimate(a, 1, 2, 0.0, opts)
+    at_zero = nsc_estimate(a, 2, 0.0, opts)
     exact_two_thirds = at_zero.value == 2.0 / 3.0 and at_zero.exact
-    curves = {r: [e.value for e in nsc_curve(a, r, 2, NSC_GRID, opts)]
-              for r in (1, 2, 5)}
-    nondecreasing = all(v1 <= v2 for v1, v2 in zip(curves[1], curves[1][1:]))
+    curve = nsc_curve(a, 2, NSC_GRID, opts)
+    values = [e.value for e in curve]
+    nondecreasing = all(v1 <= v2 for v1, v2 in zip(values, values[1:]))
+    # the constant at r columns is theta of the certificate reported at r
     spread = max(
-        abs(curves[r][i] - curves[1][i])
-        for r in (2, 5) for i in range(len(NSC_GRID))
+        abs(theta(e.p, np.array(estimate_to_json(e, r)["certificate_X"]),
+                  e.certificate_support) - e.value)
+        for r in (1, 2, 5) for e in curve
     )
     ok = exact_two_thirds and nondecreasing and spread <= 1e-12
     detail = (f"value(p=0, k=2) == 2/3 exactly: {exact_two_thirds}; "

@@ -317,6 +317,27 @@ class TestOutputs:
         assert [(c["vertices"], c["exact"]) for c in certs] == [(21, False), (21, True)]
         assert certs[1]["probes"] == 0
 
+    def test_nsc_every_r_reports_the_r1_constant(self, capsys, tmp_path):
+        # --r shapes the reported certificates and nothing else: the library
+        # takes no r, and the CLI embeds each n x 1 certificate in column 0
+        dest = tmp_path / "gen.json"
+        run_json(capsys, "gen", '{"kind": "gaussian", "m": 4, "n": 7, "r": 2, "k": 2, "seed": 3}',
+                 "--out", str(dest))
+        outs = {r: run_json(capsys, "nsc", str(dest), "--k", "2", "--grid", "0,0.1,1",
+                            "--restarts", "4", "--r", str(r))["outputs"] for r in (1, 2, 3)}
+        keep = ("p", "value", "exact", "support", "theorem4_bound")
+        for r in (2, 3):
+            assert outs[r]["r"] == r
+            for row, one in zip(outs[r]["curve"], outs[1]["curve"]):
+                assert {f: row[f] for f in keep} == {f: one[f] for f in keep}
+            for cert, one in zip(outs[r]["certificates"], outs[1]["certificates"]):
+                assert cert["r"] == r
+                assert [row[0] for row in cert["certificate_X"]] == [
+                    row[0] for row in one["certificate_X"]]
+                assert all(row[1:] == [0.0] * (r - 1) for row in cert["certificate_X"])
+                assert {**cert, "r": 1, "certificate_X": None} == {
+                    **one, "certificate_X": None}
+
     def test_nsc_infinite_constant_is_encoded_in_curve_and_certificates(self, capsys,
                                                                          tmp_path):
         # columns 1 and 4 are equal, so the constant at p = 0 is +inf

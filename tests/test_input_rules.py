@@ -75,8 +75,7 @@ REFUSED = {
     "lemma2_r_float": lambda ex: lemma2_check(ex.a, 2, trials=3, seed=0, r=1.5),
     "lemma2_r_zero": lambda ex: lemma2_check(ex.a, 2, trials=3, seed=0, r=0),
     "lemma2_k_float": lambda ex: lemma2_check(ex.a, 1.5, trials=3, seed=0),
-    "nsc_k_float": lambda ex: nsc_estimate(ex.a, 1, 1.5, 0.5, NscOptions(seed=0)),
-    "nsc_r_bool": lambda ex: nsc_estimate(ex.a, True, 1, 0.5, NscOptions(seed=0)),
+    "nsc_k_float": lambda ex: nsc_estimate(ex.a, 1.5, 0.5, NscOptions(seed=0)),
     "l20_k_max_float": lambda ex: l20_solve(ex, 2.5),
     "l20_k_max_bool": lambda ex: l20_solve(ex, True),
     "problem_k_float": lambda ex: MmvProblem(a=ex.a, b=ex.b, k=1.5),
@@ -112,13 +111,13 @@ REFUSED = {
     "mixed_norm_p_array": lambda ex: mixed_norm_2p(ex.planted, np.array([0.5])),
     "theta_p_str": lambda ex: theta("0.5", ex.planted, RowSupport((2,), n=5)),
     "theta_max_p_str": lambda ex: theta_max_over_S("0.5", ex.planted, 1),
-    "nsc_p_str": lambda ex: nsc_estimate(ex.a, 1, 1, "0.5", NscOptions(seed=0)),
-    "nsc_p_bool": lambda ex: nsc_estimate(ex.a, 1, 1, True, NscOptions(seed=0)),
+    "nsc_p_str": lambda ex: nsc_estimate(ex.a, 1, "0.5", NscOptions(seed=0)),
+    "nsc_p_bool": lambda ex: nsc_estimate(ex.a, 1, True, NscOptions(seed=0)),
     "theorem4_p_str": lambda ex: theorem4_bound("0.5", 5, 2, 2.0),
     # p grids: a non-empty iterable, not a string, of exponents
-    "nsc_curve_grid_scalar": lambda ex: nsc_curve(ex.a, 1, 1, 0.5, NscOptions(seed=0)),
-    "nsc_curve_grid_none": lambda ex: nsc_curve(ex.a, 1, 1, [None], NscOptions(seed=0)),
-    "nsc_curve_grid_str_entry": lambda ex: nsc_curve(ex.a, 1, 1, ["0.5"], NscOptions(seed=0)),
+    "nsc_curve_grid_scalar": lambda ex: nsc_curve(ex.a, 1, 0.5, NscOptions(seed=0)),
+    "nsc_curve_grid_none": lambda ex: nsc_curve(ex.a, 1, [None], NscOptions(seed=0)),
+    "nsc_curve_grid_str_entry": lambda ex: nsc_curve(ex.a, 1, ["0.5"], NscOptions(seed=0)),
     "lemma1_grid_scalar": lambda ex: lemma1_check(ex.planted, 0.5),
     "lemma1_grid_none": lambda ex: lemma1_check(ex.planted, [None]),
     "lemma1_grid_str_entries": lambda ex: lemma1_check(ex.planted, ["0.5", b"0.9"]),
@@ -184,14 +183,14 @@ def test_edge_values_inside_the_domains_are_accepted(example2):
     assert type(prob.k) is int
     assert l20_solve(prob, np.int64(2), zero_tol=0.0).support.indices == (2, 5)
     assert lemma2_check(example2.a, np.int64(1), np.int64(2), top, r=np.int64(1)).trials == 2
-    assert nsc_estimate(example2.a, np.int64(1), np.int64(2), 0.5, NscOptions(seed=0)).exact
+    assert nsc_estimate(example2.a, np.int64(2), 0.5, NscOptions(seed=0)).exact
     assert theorem4_bound(0.5, 5, 2, 2.0) > 0.0
     assert np.array_equal(irls_solve(example2, 1).x, irls_solve(example2, 1.0).x)
     assert mixed_norm_2p(example2.planted, np.float32(0.5)) > 0.0
     assert theta(0, example2.planted, RowSupport((2,), n=5)) == 1.0
-    assert nsc_estimate(example2.a, 1, 1, 0, NscOptions(seed=0)).exact
+    assert nsc_estimate(example2.a, 1, 0, NscOptions(seed=0)).exact
     assert lemma1_check(example2.planted, np.array([0.5, 1.0]))
-    assert len(nsc_curve(example2.a, 1, 1, np.array([0.0, 0.5]), NscOptions(seed=0))) == 2
+    assert len(nsc_curve(example2.a, 1, np.array([0.0, 0.5]), NscOptions(seed=0))) == 2
     assert DescentOptions(seed=0, tol=5e-324).tol == 5e-324
     assert RowSupport((i for i in (1, 2)), n=np.int64(3)).indices == (1, 2)
     assert type(check_real("x", np.float32(0.5), 0, 1)) is float
@@ -216,7 +215,7 @@ def test_an_exponent_runs_and_is_recorded_as_its_float(example2):
     assert type(got.p) is float and type(got.irls.p) is float
     assert np.array_equal(got.irls.x, want.irls.x) and got.distance == want.distance
     a = gen_problem(GenSpec(**spec(m=4, n=7, k=2, seed=3))).a
-    got, want = (nsc_estimate(a, 2, 2, q, NscOptions(seed=0, restarts=4)) for q in (p32, p))
+    got, want = (nsc_estimate(a, 2, q, NscOptions(seed=0, restarts=4)) for q in (p32, p))
     assert type(got.p) is float and (got.value, got.probes) == (want.value, want.probes)
     x = example2.planted
     s = RowSupport((2,), n=5)

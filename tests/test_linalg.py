@@ -652,9 +652,9 @@ class TestOneDecompositionPerCall:
     CALLS = {
         "pstar": lambda ex: pstar(ex.a, ex.b),
         "nsc_estimate": lambda ex: nsc_estimate(
-            ex.a[:3], 1, 1, 0.5, NscOptions(seed=0, restarts=1)),
+            ex.a[:3], 1, 0.5, NscOptions(seed=0, restarts=1)),
         "nsc_curve": lambda ex: nsc_curve(
-            ex.a[:3], 1, 1, [0.2, 0.5, 0.8], NscOptions(seed=0, restarts=1)),
+            ex.a[:3], 1, [0.2, 0.5, 0.8], NscOptions(seed=0, restarts=1)),
         "cli nsc": lambda ex: cli_nsc(ex.a[:3]),
         "nullspace_solve": lambda ex: nullspace_solve(
             MmvProblem(a=ex.a, b=ex.b[:, [0]]), 0.5, DescentOptions(seed=0, restarts=1)),
@@ -684,10 +684,10 @@ class TestSpectrumInput:
     CALLS = {
         "pstar": (lambda ex: ex.a, lambda a, ex: pstar(a, ex.b), repr),
         "nsc_estimate": (lambda ex: ex.a[:3], lambda a, ex: nsc_estimate(
-            a, 1, 1, 0.5, TestSpectrumInput.OPTS), estimate_to_json),
+            a, 1, 0.5, TestSpectrumInput.OPTS), lambda est: estimate_to_json(est, 1)),
         "nsc_curve": (lambda ex: ex.a[:3], lambda a, ex: nsc_curve(
-            a, 1, 1, [0.2, 0.5, 0.8], TestSpectrumInput.OPTS),
-            lambda curve: [estimate_to_json(est) for est in curve]),
+            a, 1, [0.2, 0.5, 0.8], TestSpectrumInput.OPTS),
+            lambda curve: [estimate_to_json(est, 1) for est in curve]),
         "MmvProblem": (lambda ex: ex.a, lambda a, ex: nullspace_solve(
             MmvProblem(a=a, b=ex.b[:, [0]]), 0.5, DescentOptions(seed=0, restarts=1)),
             lambda sol: sol.x.tolist()),

@@ -10,7 +10,7 @@ import pytest
 from jointsparse.errors import DomainError, EnumerationTooLarge, TrivialNullspace
 from jointsparse.generators import GenSpec, PortableRng, gen_problem
 from jointsparse.linalg import circuits, gram_spectrum
-from jointsparse.norms import RowSupport, _row_norms, theta, theta_max_over_S
+from jointsparse.norms import RowSupport, _row_norms, row_support, theta, theta_max_over_S
 from jointsparse.nsc import (
     _WINDOW,
     NscOptions,
@@ -32,9 +32,10 @@ EX2_H = {0.0: 2.0 / 3.0, 0.5: 1.9285862938389415, 1.0: 5.089554457757596}
 DEFAULT_GRID = [round(0.1 * i, 1) for i in range(11)]
 
 # nsc_curve on the generated Gaussian 4x7 matrices of GenSpec seeds 1 and 2
-# (nullity 3; r = 2, k = 2, NscOptions(seed=<same>, restarts=8)) over the
-# default grid.  Per p: the value, the support, the first 16 hex digits of
-# sha256 over the certificate's bytes, and the number of c the
+# (nullity 3; k = 2, NscOptions(seed=<same>, restarts=8)) over the default
+# grid.  Per p: the value, the support, the first 16 hex digits of sha256
+# over the bytes of the certificate as reported at r = 2 (n x 2, its
+# second column zero), and the number of c the
 # one-start-at-a-time ascent scored (none at p = 0 and p = 1, where the
 # best of the 21 circuits is exact).
 FROZEN_CURVES = {
@@ -67,9 +68,9 @@ FROZEN_CURVES = {
 }
 
 
-# nsc_estimate(gaussian_4x7(11), 2, 2, 0.5, NscOptions(seed=0, restarts=8)):
-# its probes, support and certificate digest, and its theta_top_k calls
-# and the rows the ascent's batches scored.
+# nsc_estimate(gaussian_4x7(11), 2, 0.5, NscOptions(seed=0, restarts=8)):
+# its probes, support and certificate digest (as reported at r = 2), and
+# its theta_top_k calls and the rows the ascent's batches scored.
 PROBES, PROBES_SUPPORT, PROBES_DIGEST = 2423, (1, 6), "3254982fa5d8302b"
 BATCHES = (43, 4236)
 
@@ -80,6 +81,17 @@ def gaussian_4x7(seed: int) -> np.ndarray:
 
 def digest(x: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()[:16]
+
+
+def embedded(est, r: int) -> np.ndarray:
+    """The n x r certificate ``estimate_to_json`` writes for *est*."""
+    return np.array(estimate_to_json(est, r)["certificate_X"])
+
+
+def nsc_pool(seed: int) -> list[np.ndarray]:
+    """The 16 Gaussian 4x7 matrices of the ``nsc`` benchmark pool at *seed*."""
+    return [gen_problem(GenSpec("gaussian", 4, 7, 2, 2, int(w >> 2))).a
+            for w in PortableRng(seed, 3).raw(16)]
 
 
 def best_vertex(a: np.ndarray, k: int, p: float):
@@ -96,17 +108,17 @@ def best_vertex(a: np.ndarray, k: int, p: float):
     return best
 
 
-def estimate(a: np.ndarray, r: int, k: int, p: float, opts: NscOptions, carried=()):
+def estimate(a: np.ndarray, k: int, p: float, opts: NscOptions, carried=()):
     """``nsc_estimate`` with the coefficient vectors (d, 1) *carried* passed
     in, as ``nsc_curve`` passes its earlier certificates."""
-    basis, verts = _kernel(gram_spectrum(a), r, k)
-    return _estimate(basis, verts, r, k, p, opts, carried)
+    basis, verts = _kernel(gram_spectrum(a), k)
+    return _estimate(basis, verts, k, p, opts, carried)
 
 
 def serial(a: np.ndarray, k: int, p: float, seed: int, restarts: int, carried=(),
            wins: list | None = None):
-    """What :func:`estimate` reports at r = 1 for A of nullity 2 or more,
-    by the serial oracle: the best circuit normalized at p = 0 and p = 1,
+    """What :func:`estimate` reports for A of nullity 2 or more, by the
+    serial oracle: the best circuit normalized at p = 0 and p = 1,
     else the ascent with that circuit's kernel coefficients, then the
     *carried* coefficient vectors, as warm starts, and the circuit, then
     the carried vectors' kernel vectors, as candidates after the ascent."""
@@ -123,25 +135,25 @@ def serial(a: np.ndarray, k: int, p: float, seed: int, restarts: int, carried=()
                              (x[:, None],) + cands, wins=wins)
 
 
-def assert_embeds(est, value, support, x, probes, start, name=""):
-    """*est* is the r = 1 result (value, support, x, probes, start) with x
-    in column 0 of its certificate and zeros in the other columns."""
+def assert_matches(est, value, support, x, probes, start, name=""):
+    """*est* is the serial result (value, support, x, probes, start), x
+    its (n, 1) certificate bit for bit."""
     assert est.value == value, name
     assert est.certificate_support.indices == support, name
-    assert digest(est.certificate_x[:, :1]) == digest(x), name
-    assert not est.certificate_x[:, 1:].any(), name
+    assert est.certificate_x.shape == x.shape == (x.shape[0], 1), name
+    assert digest(est.certificate_x) == digest(x), name
     assert (est.probes, est.start) == (probes, start), name
 
 
 def ascent_population():
-    """Seeded (name, A, r, k, p, seed, restarts, carried) for the ascent.
+    """Seeded (name, A, k, p, seed, restarts, carried) for the ascent.
 
-    40 Gaussian 2x4 and 3x5 matrices (nullity 2) run through every pair of
-    r in 1..3 and p in {0, 0.1, 0.5, 1}, with k 1 or 2, some seeded
-    restarts, and r carried coefficient vectors (d, 1) on some of them.
-    Then a matrix with zero columns whose value is +inf: its unit starts
-    and its circuits are +inf from the outset.  Last, the third instance of
-    the ``nsc`` benchmark pool (seed 3): 4x7, nullity 3, with r = 2.
+    40 Gaussian 2x4 and 3x5 matrices (nullity 2) run through every p in
+    {0, 0.1, 0.5, 1}, with k 1 or 2, some seeded restarts, and 1 to 3
+    carried coefficient vectors (d, 1) on some of them.  Then a matrix with
+    zero columns whose value is +inf: its unit starts and its circuits are
+    +inf from the outset.  Last, the third instance of the ``nsc``
+    benchmark pool (seed 3): 4x7, nullity 3.
     """
     rng = np.random.default_rng(909)
     for i in range(40):
@@ -152,11 +164,10 @@ def ascent_population():
         if i % 7 == 3:
             w = rng.standard_normal((n - m, r))
             carried = tuple(w[:, [j]] for j in range(r))
-        yield f"gaussian {i}", a, r, 1 + i % 2, p, i, int(i % 5 == 2), carried
+        yield f"gaussian {i}", a, 1 + i % 2, p, i, int(i % 5 == 2), carried
     half = (np.full((4, 1), 0.5),)      # one step from a c on 3 rows
-    yield "zero columns", np.array([[1.0, 0, 0, 0, 0]]), 1, 3, 0.5, 0, 0, half
-    pool = gen_problem(GenSpec("gaussian", 4, 7, 2, 2, 3064721759105622167)).a
-    yield "nsc pool", pool, 2, 2, 0.1, 0, 64, ()
+    yield "zero columns", np.array([[1.0, 0, 0, 0, 0]]), 3, 0.5, 0, 0, half
+    yield "nsc pool", nsc_pool(3)[2], 2, 0.1, 0, 64, ()
 
 
 def first_wins_at_ends(wins, sweep_len: int) -> set[str]:
@@ -187,7 +198,7 @@ def first_wins_at_ends(wins, sweep_len: int) -> set[str]:
 
 # (m, n, r, k, GenSpec seed) of Gaussian matrices whose ascent at p = 0.5,
 # with the seed's one restart, takes a first win at the named place; the
-# estimate runs at r, the serial oracle at r = 1.
+# certificate is also reported at r columns, and theta of that is the value.
 WINDOW_CASES = {
     "window end": ((2, 6, 3, 1, 0), {"window end"}),
     "sweep end": ((2, 4, 3, 1, 1), {"sweep end"}),
@@ -198,7 +209,7 @@ WINDOW_CASES = {
 class TestExactPath:
     def test_frozen_values(self, example2):
         for p, want in EX2_H.items():
-            est = nsc_estimate(example2.a, 2, 2, p, NscOptions(seed=0))
+            est = nsc_estimate(example2.a, 2, p, NscOptions(seed=0))
             assert est.exact is True
             assert est.certificate_support.indices == (1, 3)
             if p == 0.0:
@@ -207,28 +218,27 @@ class TestExactPath:
                 assert est.value == pytest.approx(want, abs=1e-9)
 
     def test_r_independence(self, example2):
+        # the certificate reported on n x r matrices is the kernel vector in
+        # column 0, zeros elsewhere, and theta of it is the value bit for bit
         for p in (0.0, 0.3, 0.7, 1.0):
-            vals = [
-                nsc_estimate(example2.a, r, 2, p, NscOptions(seed=0)).value
-                for r in (1, 2, 3)
-            ]
-            assert max(vals) - min(vals) <= 1e-12
-            assert all(
-                nsc_estimate(example2.a, r, 2, p, NscOptions(seed=0)).certificate_x.shape
-                == (5, r)
-                for r in (1, 2, 3)
-            )
+            est = nsc_estimate(example2.a, 2, p, NscOptions(seed=0))
+            for r in (1, 2, 3):
+                x = embedded(est, r)
+                assert x.shape == (5, r)
+                assert np.array_equal(x[:, :1], est.certificate_x) and not x[:, 1:].any()
+                assert theta(p, x, est.certificate_support) == est.value
 
     def test_certificate_reproduces_value(self, example2):
         for p in (0.0, 0.25, 0.5, 0.8, 1.0):
-            est = nsc_estimate(example2.a, 2, 2, p, NscOptions(seed=0))
+            est = nsc_estimate(example2.a, 2, p, NscOptions(seed=0))
             again = theta(p, est.certificate_x, est.certificate_support)
             assert again == est.value
 
     def test_certificate_lies_in_kernel(self, example2):
-        est = nsc_estimate(example2.a, 3, 2, 0.5, NscOptions(seed=0))
+        est = nsc_estimate(example2.a, 2, 0.5, NscOptions(seed=0))
         assert np.linalg.norm(example2.a @ est.certificate_x) <= 1e-10
-        assert est.certificate_x.shape == (5, 3)
+        assert est.certificate_x.shape == (5, 1)
+        assert not est.certificate_x.flags.writeable
         assert np.linalg.norm(est.certificate_x) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -239,7 +249,7 @@ class TestAscentPath:
         for seed in (7, 11, 23):
             rng = np.random.default_rng(seed)
             a = rng.standard_normal((4, 6))
-            est = nsc_estimate(a, 1, 2, 0.5, NscOptions(seed=3))
+            est = nsc_estimate(a, 2, 0.5, NscOptions(seed=3))
             assert est.exact is False
             grid_best = nsc_sphere_oracle(a, 1, 2, 0.5, per_axis=600)
             assert est.value >= grid_best - 1e-3
@@ -251,11 +261,11 @@ class TestAscentPath:
         # and one probe at a time (5050 while the ascent searched r = 2
         # coefficient matrices)
         a = gaussian_4x7(11)
-        est = nsc_estimate(a, 2, 2, 0.5, NscOptions(seed=0, restarts=8))
-        assert_embeds(est, *serial(a, 2, 0.5, 0, 8))
+        est = nsc_estimate(a, 2, 0.5, NscOptions(seed=0, restarts=8))
+        assert_matches(est, *serial(a, 2, 0.5, 0, 8))
         assert est.probes == PROBES
         assert est.certificate_support.indices == PROBES_SUPPORT
-        assert digest(est.certificate_x) == PROBES_DIGEST
+        assert digest(embedded(est, 2)) == PROBES_DIGEST
 
     def test_every_batch_holds_every_live_start(self, scored):
         # A batch holds the next _WINDOW probes of every live start's sweep.
@@ -263,7 +273,7 @@ class TestAscentPath:
         # past its sweep's end and at c = 0 are scored but are not probes.
         # Before the ascent, one call scores A's 21 circuits; the best
         # circuit's score from that call is reused after it.
-        est = nsc_estimate(gaussian_4x7(11), 2, 2, 0.5, NscOptions(seed=0, restarts=8))
+        est = nsc_estimate(gaussian_4x7(11), 2, 0.5, NscOptions(seed=0, restarts=8))
         assert est.probes == PROBES and est.vertices == 21
         assert scored[0] == 21 and scored[1] == 3 + 1 + 8
         assert (len(scored), sum(scored[2:])) == BATCHES
@@ -275,18 +285,20 @@ class TestAscentPath:
         wins: list[tuple[int, int, int]] = []
         got = serial(a, k, 0.5, seed, 1, wins=wins)
         assert first_wins_at_ends(wins, (n - m) * 4) >= ends
-        assert_embeds(nsc_estimate(a, r, k, 0.5, NscOptions(seed=seed, restarts=1)), *got)
+        est = nsc_estimate(a, k, 0.5, NscOptions(seed=seed, restarts=1))
+        assert_matches(est, *got)
+        assert theta(0.5, embedded(est, r), est.certificate_support) == est.value
 
     def test_population_matches_the_serial_ascent(self):
         values, seen = {}, set()
-        for name, a, r, k, p, seed, restarts, carried in ascent_population():
+        for name, a, k, p, seed, restarts, carried in ascent_population():
             got = serial(a, k, p, seed, restarts, carried)
-            est = estimate(a, r, k, p, NscOptions(seed=seed, restarts=restarts), carried)
-            assert_embeds(est, *got, name=name)
+            est = estimate(a, k, p, NscOptions(seed=seed, restarts=restarts), carried)
+            assert_matches(est, *got, name=name)
             assert est.exact is (p in (0.0, 1.0)), name
             values[name] = est.value
-            seen.add((r, p))
-        assert len(values) == 42 and len(seen) == 12
+            seen.add(p)
+        assert len(values) == 42 and len(seen) == 4
         assert math.isinf(values["zero columns"])
 
     def test_winning_start_ascends_alone_to_the_same_certificate(self):
@@ -298,12 +310,12 @@ class TestAscentPath:
         a, d = np.vstack([g, g[0] + g[1]]), 3
         opts = NscOptions(seed=4, restarts=8)
         for p, start in ((0.2, 5), (0.4, 7), (0.9, 0)):
-            est = nsc_estimate(a, 2, 2, p, opts)
+            est = nsc_estimate(a, 2, p, opts)
             assert (est.start, est.vertices) == (start, 0)
             rng = PortableRng(opts.seed)
             draws = [rng.normal((d,)) for _ in range(start - d + 1)]
             carried = (draws[-1][:, None],) if start >= d else ()
-            alone = estimate(a, 2, 2, p, NscOptions(seed=4, restarts=0), carried)
+            alone = estimate(a, 2, p, NscOptions(seed=4, restarts=0), carried)
             assert alone.start == min(start, d)
             assert alone.value == est.value
             assert np.array_equal(alone.certificate_x, est.certificate_x)
@@ -311,8 +323,8 @@ class TestAscentPath:
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((3, 6))
-        one = nsc_estimate(a, 2, 2, 0.6, NscOptions(seed=9))
-        two = nsc_estimate(a, 2, 2, 0.6, NscOptions(seed=9))
+        one = nsc_estimate(a, 2, 0.6, NscOptions(seed=9))
+        two = nsc_estimate(a, 2, 0.6, NscOptions(seed=9))
         assert one.value == two.value
         assert np.array_equal(one.certificate_x, two.certificate_x)
 
@@ -320,23 +332,22 @@ class TestAscentPath:
         # a zero column puts a coordinate vector in the kernel, so S can
         # swallow the entire support of the certificate
         a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        est = nsc_estimate(a, 1, 1, 0.5, NscOptions(seed=0))
+        est = nsc_estimate(a, 1, 0.5, NscOptions(seed=0))
         assert math.isinf(est.value)
         assert est.certificate_support.indices == (3,)
 
     def test_trivial_nullspace(self):
         with pytest.raises(TrivialNullspace):
-            nsc_estimate(np.eye(4), 1, 2, 0.5, NscOptions(seed=0))
+            nsc_estimate(np.eye(4), 2, 0.5, NscOptions(seed=0))
 
     def test_argument_validation(self, example2):
+        # r is not the library's: the CLI checks --r (test_cli)
         with pytest.raises(DomainError):
-            nsc_estimate(example2.a, 0, 2, 0.5, NscOptions(seed=0))
+            nsc_estimate(example2.a, 0, 0.5, NscOptions(seed=0))
         with pytest.raises(DomainError):
-            nsc_estimate(example2.a, 1, 0, 0.5, NscOptions(seed=0))
+            nsc_estimate(example2.a, 5, 0.5, NscOptions(seed=0))
         with pytest.raises(DomainError):
-            nsc_estimate(example2.a, 1, 5, 0.5, NscOptions(seed=0))
-        with pytest.raises(DomainError):
-            nsc_estimate(example2.a, 1, 2, 1.5, NscOptions(seed=0))
+            nsc_estimate(example2.a, 2, 1.5, NscOptions(seed=0))
         with pytest.raises(DomainError):
             NscOptions(seed=-1)
 
@@ -383,10 +394,10 @@ class TestVertices:
         # its unit and seeded starts alone, comes within rounding of it
         for name, a in generic_gaussians():
             for k in (1, 2):
-                est = nsc_estimate(a, 1, k, 1.0, NscOptions(seed=5))
+                est = nsc_estimate(a, k, 1.0, NscOptions(seed=5))
                 assert est.exact and (est.probes, est.start) == (0, -1), name
                 assert est.vertices == math.comb(a.shape[1], a.shape[0] + 1), name
-                assert_embeds(est, *serial(a, k, 1.0, 5, 0), name=name)
+                assert_matches(est, *serial(a, k, 1.0, 5, 0), name=name)
                 value = nsc_serial_ascent(a, k, 1.0, 5, 2)[0]
                 assert value <= est.value * (1 + 1e-12), (name, k, value, est.value)
 
@@ -398,19 +409,50 @@ class TestVertices:
             for k in (1, 2):
                 want = k / (spark(a) - k)
                 assert best_vertex(a, k, 0.0)[1] == want, name
-                est = nsc_estimate(a, 2, k, 0.0, NscOptions(seed=0, restarts=4))
+                est = nsc_estimate(a, k, 0.0, NscOptions(seed=0, restarts=4))
                 assert (est.value, est.exact, est.probes) == (want, True, 0), name
+
+    @staticmethod
+    def closed_form(k: int, rows: int) -> float:
+        """theta at p = 0 of a kernel vector with *rows* nonzero rows, k of
+        them in S."""
+        return k / (rows - k) if rows > k else math.inf
+
+    # eps: in how many of the 12 cases (three Gaussian 3x7 and three 4x8
+    # matrices, column 1 set to column 0 + eps * noise, k 1 and 2) the value
+    # at p = 0 differs from k / (spark - k)
+    P0_DISAGREEMENTS = {1e-2: 0, 1e-4: 10, 1e-6: 12, 1e-7: 12, 1e-8: 11, 1e-10: 0, 0.0: 0}
+
+    @pytest.mark.parametrize("eps", sorted(P0_DISAGREEMENTS))
+    def test_p0_counts_rows_by_zero_tol_not_by_the_rank_cut(self, eps):
+        # spark classes columns as dependent by A's rank cut, theta counts
+        # the rows of a circuit above zero_tol: on nearly dependent columns
+        # the rules disagree, and the estimate follows theta's, from below
+        differ = 0
+        for m, n in ((3, 7), (4, 8)):
+            for i in range(3):
+                rng = np.random.default_rng(1000 * m + i)
+                a = rng.standard_normal((m, n))
+                a[:, 1] = a[:, 0] + eps * rng.standard_normal(m)
+                s = spark(a)
+                for k in (1, 2):
+                    est = nsc_estimate(a, k, 0.0, NscOptions(seed=0))
+                    rows = len(row_support(est.certificate_x))
+                    assert est.exact and est.value == self.closed_form(k, rows), (m, i, k)
+                    assert est.value <= self.closed_form(k, s), (m, i, k)
+                    differ += est.value != self.closed_form(k, s)
+        assert differ == self.P0_DISAGREEMENTS[eps]
 
     def test_no_circuit_scored_beyond_the_guard(self, scored):
         a = np.random.default_rng(3).standard_normal((18, 21))
-        est = nsc_estimate(a, 1, 1, 1.0, NscOptions(seed=0, restarts=0))
+        est = nsc_estimate(a, 1, 1.0, NscOptions(seed=0, restarts=0))
         assert (est.vertices, est.exact) == (0, False)
         assert scored[0] == 3                   # the unit starts, no circuit
 
 
 class TestRFree:
-    """h(p, A, r, k) = h(p, A, 1, k): the estimate is made at r = 1 and its
-    certificate embedded in column 0 of an n x r matrix."""
+    """h(p, A, r, k) = h(p, A, 1, k): the estimate is made on kernel vectors,
+    and a report on n x r matrices embeds its certificate in column 0."""
 
     MATRICES = {
         "4x7 pool": gen_problem(GenSpec("gaussian", 4, 7, 2, 2, 3064721759105622167)).a,
@@ -420,20 +462,22 @@ class TestRFree:
 
     @pytest.mark.parametrize("name", sorted(MATRICES))
     def test_every_r_gives_the_r1_estimate_embedded(self, name):
+        # estimate_to_json at r differs from r = 1 only in "r" and in the
+        # certificate's zero columns, whose theta is still the value
         a, opts = self.MATRICES[name], NscOptions(seed=2, restarts=8)
-        grid = [0.0, 0.1, 0.5, 1.0]
-        curves = {r: nsc_curve(a, r, 2, grid, opts) for r in (1, 2, 3)}
-        singles = {r: nsc_estimate(a, r, 2, 0.3, opts) for r in (1, 2, 3)}
-        for r in (2, 3):
-            for est, one in [*zip(curves[r], curves[1]), (singles[r], singles[1])]:
-                assert est.certificate_x.shape == (a.shape[1], r)
-                assert est.value == one.value
-                assert est.certificate_support == one.certificate_support
-                assert np.array_equal(est.certificate_x[:, :1], one.certificate_x)
-                assert not est.certificate_x[:, 1:].any()
-                assert theta(est.p, est.certificate_x, est.certificate_support) == est.value
-                assert (est.probes, est.start, est.vertices) == (
-                    one.probes, one.start, one.vertices)
+        ests = [*nsc_curve(a, 2, [0.0, 0.1, 0.5, 1.0], opts), nsc_estimate(a, 2, 0.3, opts)]
+        for est in ests:
+            one = estimate_to_json(est, 1)
+            assert one["certificate_X"] == est.certificate_x.tolist()
+            for r in (2, 3):
+                got = estimate_to_json(est, r)
+                assert list(got) == list(one) and got["r"] == r
+                assert {**got, "r": 1, "certificate_X": None} == {
+                    **one, "certificate_X": None}
+                x = np.array(got["certificate_X"])
+                assert x.shape == (a.shape[1], r)
+                assert np.array_equal(x[:, :1], est.certificate_x) and not x[:, 1:].any()
+                assert theta(est.p, x, est.certificate_support) == est.value
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_some_gaussian_combination_of_the_columns_does_as_well(self, r):
@@ -454,10 +498,38 @@ class TestRFree:
                 assert theta(p, y, s) >= theta(p, x, s), (m, n, p)
 
 
+class TestKernelResidual:
+    """Every certificate lies in Ker(A): ||A x|| / ||A||_2 <= 1e-12 for the
+    unit certificate x.  theta of the certificate being the value does not
+    show this; an ascent that moved x = N c itself would pass that check
+    with residuals near 0.1."""
+
+    @staticmethod
+    def assert_in_kernel(a, ests):
+        scale = np.linalg.norm(a, 2)
+        for est in ests:
+            assert np.linalg.norm(a @ est.certificate_x) <= 1e-12 * scale, est.p
+
+    @pytest.mark.parametrize("seed", [3, 5, 11])
+    def test_nsc_pool(self, seed):
+        # the benchmark's argv: k 2 at p = 0.1, seed 0, 64 restarts
+        for a in nsc_pool(seed):
+            self.assert_in_kernel(a, nsc_curve(a, 2, [0.1], NscOptions(seed=0)))
+
+    def test_nsc_pool_on_the_default_grid(self):
+        for a in nsc_pool(3):
+            self.assert_in_kernel(a, nsc_curve(a, 2, DEFAULT_GRID, NscOptions(seed=0)))
+
+    def test_example2(self, example2):
+        for k in (1, 2, 3, 4):
+            self.assert_in_kernel(example2.a, nsc_curve(
+                example2.a, k, DEFAULT_GRID, NscOptions(seed=0)))
+
+
 class TestCurve:
     def test_nondecreasing_on_example(self, example2):
         grid = [0.0, 0.1, 0.25, 0.5, 0.8, 1.0]
-        ests = nsc_curve(example2.a, 2, 2, grid, NscOptions(seed=0))
+        ests = nsc_curve(example2.a, 2, grid, NscOptions(seed=0))
         vals = [e.value for e in ests]
         assert vals == sorted(vals)
         assert [e.p for e in ests] == grid
@@ -465,7 +537,7 @@ class TestCurve:
     def test_nondecreasing_on_random_nullity2(self):
         rng = np.random.default_rng(31)
         a = rng.standard_normal((4, 6))
-        ests = nsc_curve(a, 1, 2, [0.2, 0.4, 0.6, 0.8, 1.0], NscOptions(seed=1, restarts=16))
+        ests = nsc_curve(a, 2, [0.2, 0.4, 0.6, 0.8, 1.0], NscOptions(seed=1, restarts=16))
         vals = [e.value for e in ests]
         for lo, hi in zip(vals, vals[1:]):
             assert hi >= lo - 1e-12
@@ -473,23 +545,26 @@ class TestCurve:
     def test_grid_validation(self, example2):
         opts = NscOptions(seed=0)
         with pytest.raises(DomainError):
-            nsc_curve(example2.a, 1, 2, [], opts)
+            nsc_curve(example2.a, 2, [], opts)
         with pytest.raises(DomainError):
-            nsc_curve(example2.a, 1, 2, [0.5, 0.5], opts)
+            nsc_curve(example2.a, 2, [0.5, 0.5], opts)
         with pytest.raises(DomainError):
-            nsc_curve(example2.a, 1, 2, [0.5, 1.2], opts)
+            nsc_curve(example2.a, 2, [0.5, 1.2], opts)
 
     @pytest.mark.parametrize("grid", [[0.2, math.nan], [math.nan], [0.2, 0.5, 1.2]])
     def test_every_p_checked_before_any_estimate(self, example2, grid, scored):
         # [0.2, nan] used to run the whole p = 0.2 estimate and only then
         # fail inside theta
         with pytest.raises(DomainError, match=r"\[0, 1\]"):
-            nsc_curve(example2.a, 1, 2, grid, NscOptions(seed=0))
+            nsc_curve(example2.a, 2, grid, NscOptions(seed=0))
         assert scored == []
 
     def test_estimate_serializes(self, example2):
-        est = nsc_estimate(example2.a, 2, 2, 0.5, NscOptions(seed=0))
-        obj = json.loads(json.dumps(estimate_to_json(est)))
+        est = nsc_estimate(example2.a, 2, 0.5, NscOptions(seed=0))
+        obj = json.loads(json.dumps(estimate_to_json(est, 2)))
+        assert list(obj) == ["p", "k", "r", "value", "certificate_X", "certificate_support",
+                             "restarts", "exact", "probes", "start", "vertices"]
+        assert obj["r"] == 2 and [row[1] for row in obj["certificate_X"]] == [0.0] * 5
         assert obj["value"] == pytest.approx(EX2_H[0.5], abs=1e-9)
         assert obj["certificate_support"] == [1, 3]
         assert obj["exact"] is True
@@ -497,13 +572,13 @@ class TestCurve:
 
     @pytest.mark.parametrize("seed", sorted(FROZEN_CURVES))
     def test_frozen_curves(self, seed):
-        ests = nsc_curve(gaussian_4x7(seed), 2, 2, DEFAULT_GRID,
+        ests = nsc_curve(gaussian_4x7(seed), 2, DEFAULT_GRID,
                          NscOptions(seed=seed, restarts=8))
         assert len(ests) == len(FROZEN_CURVES[seed])
         for est, (p, value, support, cert, probes) in zip(ests, FROZEN_CURVES[seed]):
             assert est.p == p and est.exact is (p in (0.0, 1.0))
             assert est.certificate_support.indices == support
-            assert digest(est.certificate_x) == cert
+            assert digest(embedded(est, 2)) == cert
             assert est.value == pytest.approx(value, rel=1e-12)
             assert est.value == theta(p, est.certificate_x, est.certificate_support)
             assert est.probes == probes

@@ -891,7 +891,7 @@ class TestValidatedOnce:
         "nullspace_solve": (
             lambda prob: nullspace_solve(prob, 0.5, DescentOptions(seed=1, restarts=2)), 1),
         "nsc_estimate": (lambda prob: nsc_estimate(
-            np.array(prob.a), 1, 2, 0.5, NscOptions(seed=1, restarts=2)), 2),
+            np.array(prob.a), 2, 0.5, NscOptions(seed=1, restarts=2)), 2),
     }
 
     @pytest.mark.parametrize("name", CALLS)
