@@ -270,16 +270,10 @@ class GramSpectrum:
             zero_threshold=self.cut,
         )
 
-    def min_norm(self, b: np.ndarray) -> np.ndarray:
-        """Minimum-Frobenius-norm solution X0 = A^T (A A^T)^{-1} B of A X = B.
-
-        Raises RankDeficient unless A has full row rank (rank m).
-        """
-        return self._min_norm(as_matrix(b, name="B"))
-
     def _min_norm(self, b: np.ndarray) -> np.ndarray:
-        """:meth:`min_norm` of a B that ``as_matrix`` has already checked
-        (``MmvProblem.b``, say); its shape and A's rank are still checked."""
+        """:func:`min_norm_solution` of a B that ``as_matrix`` has already
+        checked (``MmvProblem.b``, say); its shape and A's rank are still
+        checked."""
         a = self.a
         if a.shape[0] != b.shape[0]:
             raise DomainError(f"row mismatch: A is {a.shape}, B is {b.shape}")
@@ -363,9 +357,11 @@ def circuits(a: np.ndarray, cut: float) -> np.ndarray:
     rank cut from :func:`gram_spectrum`; each m-subset is decomposed, and
     its determinant taken, once for all the C that hold it.  Rows come in
     lexicographic order of C; there are none when m + 1 > n, or when A's
-    rank is below m.  For A of full row rank these are the vertices of the
-    arrangement {x_i = 0} in Ker(A), up to scale: every kernel vector with
-    d - 1 independent zero coordinates (d the nullity) is one of them.  A
+    rank is below m, and at m = 0 they are the n coordinate vectors (an
+    empty minor's determinant is 1).  For A of full row rank these are the
+    vertices of the arrangement {x_i = 0} in Ker(A), up to scale: every
+    kernel vector with d - 1 independent zero coordinates (d the nullity)
+    is one of them.  A
     and *cut* are first scaled by the power of two that brings A's largest
     entry into [0.5, 1), so that no determinant of a large or small A
     overflows or underflows, and A and every power-of-two multiple of it
@@ -376,6 +372,8 @@ def circuits(a: np.ndarray, cut: float) -> np.ndarray:
     m, n = a.shape
     if m + 1 > n:
         return np.empty((0, n))
+    if m == 0:
+        return np.eye(n)
     shift = int(np.frexp(np.abs(a).max())[1])
     a, cut = np.ldexp(a, -shift), math.ldexp(cut, -2 * shift)
     # each m-subset's determinant and rank class, indexed by its column bit
@@ -611,4 +609,4 @@ def min_norm_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Requires A to have full row rank: raises RankDeficient when A^T A has
     fewer than m eigenvalues above ``REL_EIG_TOL * lambda_max``.
     """
-    return gram_spectrum(a).min_norm(b)
+    return gram_spectrum(a)._min_norm(as_matrix(b, name="B"))

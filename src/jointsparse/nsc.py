@@ -18,44 +18,51 @@ Every exact case is the best of a set of vertices, scored in batches of
 ``linalg._CHUNK`` rows.  At nullity 1 the kernel is one line, and its
 generator is the only vertex: the best vertex is exact at every p.  For
 larger nullity, and at most ``linalg.ENUMERATION_GUARD`` columns, the
-vertices are the circuits of A (``linalg.circuits``), which for A of full
-row rank are the vertices of the arrangement {x_i = 0} in Ker(A).  At
-p = 1 theta on each sign cell is linear-fractional, so its maximum sits at
-a vertex (Charnes & Cooper, *Naval Res. Logist. Q.* 1962).  At p = 0 theta
-counts rows, and the sparsest kernel vectors are circuits.  In these
-cases the best vertex is reported as exact and no ascent runs.  Otherwise
-(0 < p < 1 at nullity 2 or more, or no circuit scored) the best circuit is
-a certified lower bound, both a start of the ascent and a candidate after
+vertices are the circuits (``linalg.circuits``) of a row basis of A: A
+itself at full row rank, else the orthonormal eigenvectors of A^T A
+above A's rank cut.  A row basis has A's kernel, so its circuits are A's,
+the elementary vectors of Ker(A) (Rockafellar 1969) and the vertices of
+the arrangement {x_i = 0} in Ker(A), at every rank.  Each vertex is
+scored as a unit row, the scale of its certificate.  At p = 1 theta on
+each sign cell is linear-fractional, so its maximum sits at a vertex
+(Charnes & Cooper, *Naval Res. Logist. Q.* 1962).  At p = 0 theta counts
+rows, and the sparsest kernel vectors are circuits.  In these cases the
+best vertex is reported as exact and no ascent runs.  Otherwise (0 < p < 1
+at nullity 2 or more, or no circuit scored) the best circuit is a
+certified lower bound, both a start of the ascent and a candidate after
 it.
 
 At p = 0 two rules count zeros, and the estimate follows theta's.  theta
 counts a row when its norm exceeds ``zero_tol``: a circuit is exactly
-zero off its m + 1 columns, and each of its minors, normalized, that
-exceeds ``zero_tol`` is a row however small it is.  :func:`spark` counts
-columns as dependent by A's rank cut (a Gram eigenvalue at or below
-1e-10 lambda_max).  The value at p = 0 is theta of the best circuit by
-``zero_tol``, and it equals k / (spark - k) when the two rules agree, as
-on generic matrices and on exactly dependent columns.  On nearly
-dependent columns they can disagree: with column 1 set to column 0 plus
-eps times Gaussian noise in Gaussian 3 x 7 and 4 x 8 matrices, the cut
-finds a dependent set of 2 or 3 columns while the circuits through it
-keep minors above ``zero_tol``, at eps from about 1e-8 to 1e-4, and the
-reported value is below k / (spark - k).
+zero off the r + 1 columns of its minors (r the rank), and each entry of
+its unit row that exceeds ``zero_tol`` is a row however small it is.
+:func:`spark` counts columns as dependent by A's rank cut (a Gram
+eigenvalue at or below 1e-10 lambda_max).  The value at p = 0 is theta of
+the best circuit by ``zero_tol``, and it equals k / (spark - k) when the
+two rules agree, as on generic matrices and on exactly dependent columns.
+On nearly dependent columns they can disagree: with column 1 set to
+column 0 plus eps times Gaussian noise in Gaussian 3 x 7 and 4 x 8
+matrices, the cut finds a dependent set of 2 or 3 columns while the
+circuits through it keep unit-row entries above ``zero_tol``, at eps from
+about 1e-8 to 1e-4, and the reported value is below k / (spark - k).
 
 The ascent is a multi-start coordinate ascent over the coefficients c of
-x = N c, N an orthonormal kernel basis, and produces a certified lower
-bound: the certificate always reproduces the reported value.  Each start
-walks its own sweeps and step scales, and one scoring batch holds the
-next few probes of every live start's sweep; each batch is scored whole.
-``probes`` counts the c the one-start-at-a-time ascent scores, however
-many rows the batches hold: the rows a batch holds after a start's first
-win in it, past the end of its sweep or at c = 0 are scored too, but are
-not probes.  The ascent's winner, the best circuit and the certificates
-``nsc_curve`` carries over are then one batch, whose best row, by one
-order (larger value, then smaller support, then the earlier row), is the
-estimate.  Candidates are scored on row norms taken by ``norms``'
-unchecked core, and a certificate's value is ``norms.theta`` of it, taken
-by theta's unchecked core.
+x = N c, N an orthonormal kernel basis, from the unit starts, the best
+circuit, the certificates ``nsc_curve`` carries, and ``opts.restarts``
+seeded Gaussian draws taken in one ``PortableRng.normal`` call.  It
+produces a certified lower bound: the certificate always reproduces the
+reported value.  Each start walks its own sweeps and step scales, and one
+scoring batch holds the next few probes of every live start's sweep;
+each batch is scored whole.  ``probes`` counts the c the
+one-start-at-a-time ascent scores, however many rows the batches hold:
+the rows a batch holds after a start's first win in it, past the end of
+its sweep or at c = 0 are scored too, but are not probes.  The ascent's
+winner, the best circuit and the certificates ``nsc_curve`` carries over
+are then one batch, whose best row, by one order (larger value, then
+smaller support, then the earlier row), is the estimate.  Candidates are
+scored on row norms taken by ``norms``' unchecked core, and a
+certificate's value is ``norms.theta`` of it, taken by theta's unchecked
+core.
 
 Recovery interpretation: h < 1 certifies that every k-row-sparse solution is
 the unique l_{2,p} minimizer for its own measurements.
@@ -73,8 +80,9 @@ import numpy as np
 
 from .errors import DomainError, TrivialNullspace
 from .generators import PortableRng
-from .linalg import _CHUNK, ENUMERATION_GUARD, GramSpectrum, as_matrix, check_enumerable, circuits
-from .linalg import column_stacks, gram_spectrum, json_float, matrix_to_json, rank_covers
+from .linalg import _CHUNK, ENUMERATION_GUARD, REL_EIG_TOL, GramSpectrum, as_matrix
+from .linalg import check_enumerable, circuits, column_stacks, gram_spectrum, json_float
+from .linalg import matrix_to_json, rank_covers
 from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_seed, check_zero_tol
 from .norms import _row_norms, _theta, check_grid, check_real, theta_top_k
 
@@ -111,12 +119,12 @@ class NscEstimate:
     ``value`` is exactly ``theta(p, certificate_x, certificate_support)``.
     The constant does not depend on r (module docstring), so the estimate
     is made on kernel vectors and ``certificate_x`` is the best one,
-    normalized: an (n, 1) read-only matrix.  ``exact`` is True
-    when the best vertex is reported with no ascent: at nullity 1, and at
-    p = 0 and p = 1 when circuits were scored.  ``vertices`` counts the
-    vertices scored: 1 at nullity 1, else A's circuits (0 beyond
-    ``linalg.ENUMERATION_GUARD`` columns and when A's rank is below its
-    row count).  ``probes`` counts the coefficient vectors c the serial
+    normalized: an (n, 1) read-only matrix.  ``exact`` is True when the
+    best vertex is reported with no ascent: at nullity 1, and at p = 0 and
+    p = 1 when circuits were scored, each as a unit row.  ``vertices``
+    counts the vertices scored: 1 at nullity 1, else the circuits of a row
+    basis of A, which are A's (0 beyond ``linalg.ENUMERATION_GUARD``
+    columns).  ``probes`` counts the coefficient vectors c the serial
     ascent scores (each start once, then every nonzero probe; 0 on every
     exact path).  The ascent scores each batch whole, so the rows a batch
     holds after a start's first win in it, past the end of its sweep or at
@@ -158,11 +166,6 @@ def estimate_to_json(est: NscEstimate, r: int) -> dict:
     }
 
 
-def _normalize(x: np.ndarray) -> np.ndarray:
-    nrm = float(np.linalg.norm(x))
-    return x / nrm if nrm > 0 else x
-
-
 def _flat_norms(x: np.ndarray) -> np.ndarray:
     """The 2-norm of each row of x (P, d), bit-identical to
     ``np.linalg.norm`` of that row: both are the root of one dot product."""
@@ -170,8 +173,8 @@ def _flat_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    """:func:`_normalize` applied to each row of x (P, D); a zero row is
-    divided by 1.0, which leaves it as it is."""
+    """Each row of x (P, D) divided by its 2-norm; a zero row is divided by
+    1.0, which leaves it as it is."""
     nrm = _flat_norms(x)
     return x / np.where(nrm > 0, nrm, 1.0)[:, None]
 
@@ -192,13 +195,16 @@ def _top_theta(xs: np.ndarray, k: int, p: float, zero_tol: float):
 
 def _best_vertex(verts: np.ndarray, k: int, p: float, zero_tol: float):
     """The best of the vertices *verts* (count, n) by :func:`_best_row`'s
-    order: its value, 0-based support (unsorted) and row of *verts*.  They
-    are scored ``_CHUNK`` rows at a time, so memory stays bounded however
-    many there are; a chunk's best goes on, and the first chunk's wins a
-    tie with a later one's."""
+    order: its value, 0-based support (unsorted) and row of *verts*.  Each
+    is scored as a unit row, the scale of its certificate, so at p = 0
+    ``zero_tol`` weighs the entries the certificate reports.  They are
+    scored ``_CHUNK`` rows at a time, so memory stays bounded however many
+    there are; a chunk's best goes on, and the first chunk's wins a tie
+    with a later one's."""
     best = []
     for lo in range(0, len(verts), _CHUNK):
-        vals, tops = _top_theta(verts[lo:lo + _CHUNK, :, None], k, p, zero_tol)
+        unit = _normalize_rows(verts[lo:lo + _CHUNK])
+        vals, tops = _top_theta(unit[:, :, None], k, p, zero_tol)
         i = _best_row(vals, tops)
         best.append((vals[i], tops[i], lo + i))
     vals, tops, _ = zip(*best)
@@ -211,44 +217,32 @@ def nsc_estimate(
     p: float,
     opts: NscOptions,
 ) -> NscEstimate:
-    """Estimate h(p, A, k), the null-space constant, which is the joint
-    constant h(p, A, r, k) for every r (module docstring).
-
-    The exact cases report the best vertex with ``exact`` True and no
-    probes: nullity 1 (the kernel generator is the only vertex), and p = 0
-    and p = 1 when A's circuits were scored (within the enumeration
-    guard, A of full row rank).  At p = 0 rows count by ``opts.zero_tol``,
-    not by :func:`spark`'s rank cut, so on nearly dependent columns the
-    value can be below k / (spark - k) (module docstring).  Otherwise a
-    coordinate ascent over kernel coefficient vectors c (the candidate is
-    x = N c for an orthonormal kernel basis N) runs from the deterministic unit starts, the best
-    circuit's coefficients and ``opts.restarts`` seeded Gaussian draws;
-    theta's scale invariance lets every iterate live on the unit sphere.
-    A start stops early if its value reaches +inf.  The best circuit
-    itself replaces the ascent's winner if it is better.  There are no
-    other starts: only ``nsc_curve`` carries certificates from one p to
-    the next.  *a* is A or its :func:`linalg.gram_spectrum`, which is then
-    not decomposed again.
-    """
-    spec = gram_spectrum(a)
-    p = check_real("p", p, 0, 1)
-    basis, verts = _kernel(spec, k)
-    return _estimate(basis, verts, k, p, opts)
+    """Estimate h(p, A, k) at one p: :func:`nsc_curve` on the grid [p],
+    which carries no certificate.  *p* is checked first, under its own
+    name."""
+    return nsc_curve(a, k, [check_real("p", p, 0, 1)], opts)[0]
 
 
 def _kernel(spec: GramSpectrum, k) -> tuple[np.ndarray, np.ndarray]:
-    """Ker(A)'s basis, read off A's spectrum after the checks nsc_estimate
-    and nsc_curve share, and the vertices to score, (count, n): at nullity
-    1 the kernel generator, else A's circuits (none beyond the enumeration
-    guard)."""
-    n = spec.a.shape[1]
+    """Ker(A)'s basis, read off A's spectrum after k is checked, and the
+    vertices to score, (count, n): at nullity 1 the kernel generator, else
+    the circuits of a row basis of A (none beyond the enumeration guard).
+    The row basis is A itself at full row rank, else the orthonormal
+    eigenvectors of A^T A above the cut, whose Gram eigenvalues are 1 and
+    0: the cut is then ``REL_EIG_TOL``.  Either has A's kernel, so it has
+    A's circuits."""
+    m, n = spec.a.shape
     check_count("k", k, 1, n - 1)
     basis = spec.kernel
     if basis.shape[1] == 0:
         raise TrivialNullspace("Ker(A) = {0}: the null-space constant is vacuous")
     if basis.shape[1] == 1:
         return basis, basis.T
-    return basis, circuits(spec.a, spec.cut) if n <= ENUMERATION_GUARD else np.empty((0, n))
+    if n > ENUMERATION_GUARD:
+        return basis, np.empty((0, n))
+    if spec.rank == m:
+        return basis, circuits(spec.a, spec.cut)
+    return basis, circuits(spec.evecs[:, spec.evals > spec.cut].T, REL_EIG_TOL)
 
 
 def _certified(p: float, k: int, x: np.ndarray, top, zero_tol: float,
@@ -257,7 +251,7 @@ def _certified(p: float, k: int, x: np.ndarray, top, zero_tol: float,
     normalized, on the 0-based rows ``top`` (in any order); its value is
     ``norms.theta`` of exactly that certificate, taken by theta's unchecked
     core on the certificate's row norms."""
-    cert = as_matrix(_normalize(x))
+    cert = as_matrix(_normalize_rows(x.T).T)
     support = RowSupport(indices=tuple(int(i) + 1 for i in sorted(top)), n=cert.shape[0])
     return NscEstimate(p=p, k=k,
                        value=_theta(_row_norms(cert), support.mask(), p, zero_tol),
@@ -265,9 +259,9 @@ def _certified(p: float, k: int, x: np.ndarray, top, zero_tol: float,
 
 
 def _estimate(basis: np.ndarray, verts: np.ndarray, k: int, p: float, opts: NscOptions,
-              carried: tuple[np.ndarray, ...] = ()) -> NscEstimate:
-    """:func:`nsc_estimate` on validated arguments, a nontrivial kernel
-    basis and the vertices *verts* to score.
+              carried: tuple[np.ndarray, ...]) -> NscEstimate:
+    """The estimate at one p of :func:`nsc_curve`'s grid, on a nontrivial
+    kernel basis and the vertices *verts* to score.
 
     Each ``carried`` coefficient vector (d, 1) is a start of the ascent,
     after the best circuit's, and a candidate after it: the ascent's
@@ -285,8 +279,9 @@ def _estimate(basis: np.ndarray, verts: np.ndarray, k: int, p: float, opts: NscO
         starts.append(basis.T @ verts[i])
         cands.append((verts[i][:, None], val, top))
     starts.extend(w[:, 0] for w in carried)
-    rng = PortableRng(opts.seed)
-    starts.extend(rng.normal((d,)) for _ in range(opts.restarts))
+    # one draw for every restart: a start of odd d drops the second normal
+    # of its last Box-Muller pair, as a draw of its own would
+    starts.extend(PortableRng(opts.seed).normal((opts.restarts, d + d % 2))[:, :d])
     val, top, c, start, probes = _ascend(basis, k, p, opts, starts)
     if carried:
         held = np.stack([basis @ w for w in carried])
@@ -415,7 +410,7 @@ def nsc_curve(
     """Estimates along an ascending grid of p values, sharing certificates.
 
     A point where the estimate is exact (nullity 1, or p = 0 or p = 1 with
-    A's circuits scored) reports the best vertex, with no probes.  Every
+    circuits scored) reports the best vertex, with no probes.  Every
     other point considers every earlier certificate re-evaluated at its own
     p in addition to a fresh estimate, so the reported curve is
     nondecreasing whenever those certificates have no rows in the open
@@ -425,7 +420,8 @@ def nsc_curve(
     only way a start other than the unit, best-circuit and seeded ones
     reaches the ascent.  One kernel basis of A, and one set of vertices,
     serve the whole grid.  *a* is A or its :func:`linalg.gram_spectrum`,
-    which is then not decomposed again.
+    which is then not decomposed again.  This is the one path from A to
+    an estimate: :func:`nsc_estimate` runs it on a grid of one point.
     """
     grid = check_grid("p_grid", p_grid, 0, 1)
     if any(b <= a_ for a_, b in zip(grid, grid[1:])):

@@ -241,6 +241,13 @@ class TestExitCodes:
         assert json.loads(err)["error"]["type"] == "UsageError"
 
 
+def nsc_first_point(outputs: dict) -> tuple:
+    """The value, support and certificate digest of an nsc report's first
+    point, and its probes."""
+    c, cert = outputs["curve"][0], outputs["certificates"][0]
+    return c["value"], c["support"], c["certificate_digest"], cert["probes"]
+
+
 class TestOutputs:
     @pytest.mark.parametrize("argv, tabular", [
         (["solve", "EX2", "--method", "l20"], True),
@@ -337,6 +344,39 @@ class TestOutputs:
                 assert all(row[1:] == [0.0] * (r - 1) for row in cert["certificate_X"])
                 assert {**cert, "r": 1, "certificate_X": None} == {
                     **one, "certificate_X": None}
+
+    # The nsc pins of the CI workflow: (gen spec, nsc arguments, what the
+    # pin reads off the outputs, its value)
+    WORKFLOW_NSC_PINS = {
+        "4x7 grid 0.1": (
+            '{"kind":"gaussian","m":4,"n":7,"r":2,"k":2,"seed":3}',
+            ("--k", "2", "--r", "2", "--grid", "0.1"), nsc_first_point,
+            (0.7962854757979625, [3, 5], "307e2098aba0982d", 13758)),
+        "5x12 grid 0.1": (
+            '{"kind":"gaussian","m":5,"n":12,"r":2,"k":2,"seed":3}',
+            ("--k", "2", "--r", "2", "--grid", "0.1"), nsc_first_point,
+            (0.7019241651158655, [2, 9], "492485742e1ae5b3", 36135)),
+        "3x7 curve at r 1": (
+            '{"kind":"gaussian","m":3,"n":7,"r":3,"k":1,"seed":1}',
+            ("--k", "1", "--r", "1", "--grid", "0,0.1,0.5,1", "--restarts", "8"),
+            lambda o: (o["curve"][-1]["p"], o["curve"][-1]["value"],
+                       o["curve"][-1]["certificate_digest"],
+                       [e["probes"] for e in o["certificates"]]),
+            (1.0, 2.0456539002196816, "69ab1a9462a1a693", [0, 3645, 4318, 0])),
+        "4x7 at p 0": (
+            '{"kind":"gaussian","m":4,"n":7,"r":2,"k":2,"seed":3}',
+            ("--k", "2", "--grid", "0"),
+            lambda o: (o["curve"][0]["value"], o["certificates"][0]["exact"],
+                       o["certificates"][0]["probes"]),
+            (0.6666666666666666, True, 0)),
+    }
+
+    @pytest.mark.parametrize("name", list(WORKFLOW_NSC_PINS))
+    def test_nsc_workflow_pins(self, capsys, tmp_path, name):
+        spec, argv, read, want = self.WORKFLOW_NSC_PINS[name]
+        dest = tmp_path / "gen.json"
+        run_json(capsys, "gen", spec, "--out", str(dest))
+        assert read(run_json(capsys, "nsc", str(dest), *argv)["outputs"]) == want
 
     def test_nsc_infinite_constant_is_encoded_in_curve_and_certificates(self, capsys,
                                                                          tmp_path):

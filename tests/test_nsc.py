@@ -304,18 +304,20 @@ class TestAscentPath:
     def test_winning_start_ascends_alone_to_the_same_certificate(self):
         # starts do not interact: the winner, rerun as the only carried
         # start next to the unit starts, wins again with the same
-        # certificate.  A is rank deficient, so it has no circuit to start
-        # from or to win.
+        # certificate.  The vertex pool is empty, so no circuit starts or
+        # wins: the starts are the unit ones and the seeded draws, each
+        # drawn here on its own.
         g = gaussian_4x7(11)
         a, d = np.vstack([g, g[0] + g[1]]), 3
+        basis, none = gram_spectrum(a).kernel, np.empty((0, 7))
         opts = NscOptions(seed=4, restarts=8)
         for p, start in ((0.2, 5), (0.4, 7), (0.9, 0)):
-            est = nsc_estimate(a, 2, p, opts)
+            est = _estimate(basis, none, 2, p, opts, ())
             assert (est.start, est.vertices) == (start, 0)
             rng = PortableRng(opts.seed)
             draws = [rng.normal((d,)) for _ in range(start - d + 1)]
             carried = (draws[-1][:, None],) if start >= d else ()
-            alone = estimate(a, 2, p, NscOptions(seed=4, restarts=0), carried)
+            alone = _estimate(basis, none, 2, p, NscOptions(seed=4, restarts=0), carried)
             assert alone.start == min(start, d)
             assert alone.value == est.value
             assert np.array_equal(alone.certificate_x, est.certificate_x)
@@ -387,6 +389,15 @@ def generic_gaussians():
             yield f"{m}x{n} {i}", rng.standard_normal((m, n))
 
 
+def rank_deficient():
+    """Seeded (name, A) of rank below the row count: A = G H, Gaussian G
+    (m x rank) and H (rank x n), each of spark rank + 1."""
+    rng = np.random.default_rng(11)
+    for m, n, rank in ((5, 7, 4), (8, 7, 5), (6, 9, 4)):
+        g = rng.standard_normal((m, rank))
+        yield f"{m}x{n} rank {rank}", g @ rng.standard_normal((rank, n))
+
+
 class TestVertices:
     def test_p1_ascent_never_beats_the_best_circuit(self):
         # at p = 1 theta is linear-fractional on each sign cell, so no
@@ -420,8 +431,9 @@ class TestVertices:
 
     # eps: in how many of the 12 cases (three Gaussian 3x7 and three 4x8
     # matrices, column 1 set to column 0 + eps * noise, k 1 and 2) the value
-    # at p = 0 differs from k / (spark - k)
-    P0_DISAGREEMENTS = {1e-2: 0, 1e-4: 10, 1e-6: 12, 1e-7: 12, 1e-8: 11, 1e-10: 0, 0.0: 0}
+    # at p = 0 differs from k / (spark - k).  Circuits are scored as unit
+    # rows; at 1e-8 this was 11 while zero_tol weighed their raw minors.
+    P0_DISAGREEMENTS = {1e-2: 0, 1e-4: 10, 1e-6: 12, 1e-7: 12, 1e-8: 4, 1e-10: 0, 0.0: 0}
 
     @pytest.mark.parametrize("eps", sorted(P0_DISAGREEMENTS))
     def test_p0_counts_rows_by_zero_tol_not_by_the_rank_cut(self, eps):
@@ -448,6 +460,55 @@ class TestVertices:
         est = nsc_estimate(a, 1, 1.0, NscOptions(seed=0, restarts=0))
         assert (est.vertices, est.exact) == (0, False)
         assert scored[0] == 3                   # the unit starts, no circuit
+
+    @staticmethod
+    def nearly_dependent(eps: float):
+        for m, n in ((3, 7), (4, 8)):
+            for i in range(3):
+                rng = np.random.default_rng(1000 * m + i)
+                a = rng.standard_normal((m, n))
+                a[:, 1] = a[:, 0] + eps * rng.standard_normal(m)
+                yield f"{m}x{n} {i} eps {eps}", a
+
+    def test_exact_value_is_the_best_unit_vertex_score(self):
+        # each vertex is scored as its certificate reports it, a unit row.
+        # On nearly dependent columns a circuit's raw minors can hold
+        # entries below zero_tol that are rows once it is unit: scored raw,
+        # 13 of these 24 cases at p = 0 reported less than the best vertex
+        cases = [*generic_gaussians(), *rank_deficient(),
+                 *self.nearly_dependent(1e-6), *self.nearly_dependent(1e-8)]
+        for name, a in cases:
+            for k in (1, 2):
+                _, verts = _kernel(gram_spectrum(a), k)
+                units = [x[:, None] / np.linalg.norm(x) for x in verts]
+                for p in (0.0, 1.0):
+                    best = max(theta_max_over_S(p, x, k)[0] for x in units)
+                    est = nsc_estimate(a, k, p, NscOptions(seed=0, restarts=0))
+                    assert est.exact and est.value == best, (name, k, p)
+
+    @pytest.mark.parametrize("name", ["5x7 rank 4", "8x7 rank 5", "6x9 rank 4"])
+    def test_rank_deficient_a_scores_the_circuits_of_a_row_basis(self, name):
+        # a row basis of A has A's kernel, and so A's circuits: the vertex
+        # rule holds at every rank, exact at p = 0 and p = 1
+        a = dict(rank_deficient())[name]
+        kernel = gram_spectrum(a).kernel
+        for k in (1, 2):
+            want = k / (spark(a) - k)
+            for p in (0.0, 1.0):
+                est = nsc_estimate(a, k, p, NscOptions(seed=0))
+                assert est.exact and est.vertices > 0 and est.probes == 0, (k, p)
+                x = est.certificate_x
+                assert np.linalg.norm(x - kernel @ (kernel.T @ x)) <= 1e-12, (k, p)
+                if p == 0.0:
+                    assert est.value == want, k
+
+    def test_zero_matrix_scores_the_coordinate_vectors(self):
+        # rank 0: the row basis has no rows, and its circuits are the
+        # coordinate vectors, each +inf with its one row in S
+        for p in (0.0, 1.0):
+            est = nsc_estimate(np.zeros((2, 4)), 1, p, NscOptions(seed=0))
+            assert (est.value, est.exact, est.vertices) == (math.inf, True, 4), p
+            assert est.certificate_support.indices == (1,), p
 
 
 class TestRFree:
