@@ -41,12 +41,11 @@ from .linalg import gram_spectrum, json_float, matrix_from_csv, matrix_from_json
 from .norms import DEFAULT_ZERO_TOL, check_count, check_grid, check_real, check_seed
 from .norms import check_zero_tol
 from .nsc import NscOptions, estimate_to_json, nsc_curve
-from .solvers import (  # noqa: F401 (check_equivalence stays importable from cli)
+from .solvers import (
     DescentOptions,
     EquivalenceOptions,
     IrlsOptions,
     MmvProblem,
-    _compare,
     check_equivalence,
     irls_solve,
     l20_solve,
@@ -250,31 +249,22 @@ def cmd_sweep(args: argparse.Namespace) -> CommandResult:
     zero_tol = _zero_tol(args)
     opts = EquivalenceOptions(seed=args.seed, zero_tol=zero_tol)
     try:
-        exact, failure = l20_solve(prob, zero_tol=zero_tol), None    # the same at every p
-    except JointSparseError as exc:
-        exact, failure = None, exc
-    rows = []
-    for q in p_grid:
-        try:
-            if failure is not None:
-                raise failure
-            report = _compare(prob, q, exact, opts)
-            best = report.best_method
-            rows.append({
-                "p": q,
-                "equivalent": report.equivalent,
-                "l2p_objective": json_float(getattr(report, best).objective if best else None),
-                "l20_objective": report.l20.objective,
-                "distance": json_float(report.distance),
-                "best_method": best,
-                "error": "",
-            })
-        except JointSparseError as exc:
-            rows.append({
-                "p": q, "equivalent": None, "l2p_objective": None,
-                "l20_objective": None, "distance": None, "best_method": None,
-                "error": f"{type(exc).__name__}: {exc}",
-            })
+        rows = [{
+            "p": rep.p,
+            "equivalent": rep.equivalent,
+            "l2p_objective": json_float(
+                getattr(rep, rep.best_method).objective if rep.best_method else None),
+            "l20_objective": rep.l20.objective,
+            "distance": json_float(rep.distance),
+            "best_method": rep.best_method,
+            "error": "",
+        } for rep in check_equivalence(prob, p_grid, opts)]
+    except JointSparseError as exc:         # only the exact solve raises: every row has it
+        rows = [{
+            "p": q, "equivalent": None, "l2p_objective": None,
+            "l20_objective": None, "distance": None, "best_method": None,
+            "error": f"{type(exc).__name__}: {exc}",
+        } for q in p_grid]
     csv_text = _csv("p,equivalent,l2p_objective,l20_objective,distance,best_method,error",
                     (row.values() for row in rows))
     digest = _digest(raw, json.dumps(p_grid).encode(), f"tol={zero_tol}".encode())

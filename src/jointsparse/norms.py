@@ -28,14 +28,11 @@ DEFAULT_ZERO_TOL = 1e-8
 class RowSupport:
     """A validated, ascending set of 1-based row indices.
 
-    ``n`` is the row count of the matrix the indices refer to; ``zero_tol``
-    records the threshold used when the support was computed from a matrix
-    (0.0 for supports built directly from an index set).
+    ``n`` is the row count of the matrix the indices refer to.
     """
 
     indices: tuple[int, ...]
     n: int
-    zero_tol: float = 0.0
 
     def __post_init__(self):
         check_count("RowSupport: n", self.n, 1)
@@ -165,7 +162,7 @@ def row_support(x: np.ndarray, zero_tol: float = DEFAULT_ZERO_TOL) -> RowSupport
     check_zero_tol(zero_tol)
     norms = row_norms(x)
     idx = tuple(int(i) + 1 for i in np.nonzero(norms > zero_tol)[0])
-    return RowSupport(indices=idx, n=int(norms.size), zero_tol=float(zero_tol))
+    return RowSupport(indices=idx, n=int(norms.size))
 
 
 def mixed_norm_2p(x: np.ndarray, p: float) -> float:

@@ -26,11 +26,19 @@ the arrangement {x_i = 0} in Ker(A), at every rank.  Each vertex is
 scored as a unit row, the scale of its certificate.  At p = 1 theta on
 each sign cell is linear-fractional, so its maximum sits at a vertex
 (Charnes & Cooper, *Naval Res. Logist. Q.* 1962).  At p = 0 theta counts
-rows, and the sparsest kernel vectors are circuits.  In these cases the
-best vertex is reported as exact and no ascent runs.  Otherwise (0 < p < 1
-at nullity 2 or more, or no circuit scored) the best circuit is a
-certified lower bound, both a start of the ascent and a candidate after
-it.
+rows, and the sparsest kernel vectors are circuits.  At k = 1 and any p,
+fix a sign cell K of Ker(A), the cone on which each x_i keeps its sign.
+On K, |x_j| is linear and (sum_{i != j} |x_i|^p)^{1/p} is concave for
+p <= 1 (Boyd & Vandenberghe, *Convex Optimization*, 2004, ch. 3), so
+{|x_j| <= c^{1/p} (sum_{i != j} |x_i|^p)^{1/p}} is convex: theta on
+S = {j} is quasi-convex on K, and so is its maximum over j.  Its maximum
+on K then lies on an extreme ray of K, and those are circuits
+(Rockafellar 1969).  And h is a supremum, so a vertex scored +inf is h
+at every k and p.  In these cases the best vertex is reported as exact
+and no ascent runs.  Otherwise (0 < p < 1 at k >= 2 and nullity 2 or
+more with a finite best vertex, or no circuit scored) the best circuit is
+a certified lower bound, both a start of the ascent and a candidate after
+it.  Whether the best circuit is h there too is open.
 
 At p = 0 two rules count zeros, and the estimate follows theta's.  theta
 counts a row when its norm exceeds ``zero_tol``: a circuit is exactly
@@ -120,8 +128,9 @@ class NscEstimate:
     The constant does not depend on r (module docstring), so the estimate
     is made on kernel vectors and ``certificate_x`` is the best one,
     normalized: an (n, 1) read-only matrix.  ``exact`` is True when the
-    best vertex is reported with no ascent: at nullity 1, and at p = 0 and
-    p = 1 when circuits were scored, each as a unit row.  ``vertices``
+    best vertex is reported with no ascent: at nullity 1, and, when
+    circuits were scored, at k = 1, at p = 0 and p = 1, and wherever the
+    best vertex is +inf, each as a unit row.  ``vertices``
     counts the vertices scored: 1 at nullity 1, else the circuits of a row
     basis of A, which are A's (0 beyond ``linalg.ENUMERATION_GUARD``
     columns).  ``probes`` counts the coefficient vectors c the serial
@@ -273,7 +282,7 @@ def _estimate(basis: np.ndarray, verts: np.ndarray, k: int, p: float, opts: NscO
     cands = []                              # (x, value, support) beside the ascent's winner
     if len(verts):
         val, top, i = _best_vertex(verts, k, p, opts.zero_tol)
-        if d == 1 or p in (0.0, 1.0):       # the best vertex is exact
+        if d == 1 or k == 1 or p in (0.0, 1.0) or val == math.inf:  # h itself (module docstring)
             return _certified(p, k, verts[i][:, None], top, opts.zero_tol, restarts=0,
                               exact=True, probes=0, start=-1, vertices=len(verts))
         starts.append(basis.T @ verts[i])
@@ -409,8 +418,9 @@ def nsc_curve(
 ) -> list[NscEstimate]:
     """Estimates along an ascending grid of p values, sharing certificates.
 
-    A point where the estimate is exact (nullity 1, or p = 0 or p = 1 with
-    circuits scored) reports the best vertex, with no probes.  Every
+    A point where the estimate is exact (nullity 1, or k = 1, p = 0, p = 1
+    or a +inf best vertex with circuits scored) reports the best vertex,
+    with no probes.  Every
     other point considers every earlier certificate re-evaluated at its own
     p in addition to a fresh estimate, so the reported curve is
     nondecreasing whenever those certificates have no rows in the open

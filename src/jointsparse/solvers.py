@@ -10,9 +10,10 @@ Three routes to min ||X||_{2,p} subject to A X = B:
   Ker(A), by multi-start coordinate descent (plus a grid pass in tiny
   dimensions).
 
-:func:`check_equivalence` runs the exact and relaxed routes and reports
-whether they land on the same solution.  All three read A's decomposition
-from :attr:`MmvProblem.spectrum`, which makes it once per problem.
+:func:`check_equivalence` runs the exact route once and the relaxed routes
+at each p of a grid, and reports whether they land on the same solution.
+All three read A's decomposition from :attr:`MmvProblem.spectrum`, which
+makes it once per problem.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .linalg import GramSpectrum, as_matrix, check_enumerable, column_stacks, gr
 from .linalg import min_support_size, residual_covers
 from .linalg import matrix_from_json, matrix_to_json
 from .norms import DEFAULT_ZERO_TOL, RowSupport, check_count, check_zero_tol
-from .norms import _power_sum, _row_norms, check_real, check_seed
+from .norms import _power_sum, _row_norms, check_grid, check_real, check_seed
 
 FEASIBILITY_TOL = 1e-8      # l20_solve's residual bound, times max(1, ||B||_F)
 MATCH_TOL = 1e-4            # check_equivalence's Frobenius match distance
@@ -168,8 +169,7 @@ class SparseSolution:
         """``norms.row_support`` of ``x`` at ``zero_tol``, without its
         checks: :func:`_finish` has refused a non-finite x."""
         idx = np.flatnonzero(_row_norms(self.x) > self.zero_tol)
-        return RowSupport(indices=tuple(int(i) + 1 for i in idx), n=self.x.shape[0],
-                          zero_tol=float(self.zero_tol))
+        return RowSupport(indices=tuple(int(i) + 1 for i in idx), n=self.x.shape[0])
 
 
 def solution_to_json(sol: SparseSolution) -> dict:
@@ -624,9 +624,10 @@ def nullspace_solve(prob: MmvProblem, p: float, opts: DescentOptions) -> SparseS
     X0 is the minimum-norm solution and N an orthonormal kernel basis, so
     every candidate is exactly feasible.  Starts: C = 0, the planted
     solution's coefficients when the problem carries one, ``opts.restarts``
-    seeded Gaussian draws scaled by ||X0||_F, and — when nullity * r <= 2 —
-    the best point of a ``grid_points``-per-axis sweep of [-10||X0||_F,
-    10||X0||_F], refined like every other start by coordinate descent.
+    seeded Gaussian draws scaled by ||X0||_F (one ``PortableRng.normal``
+    call), and — when nullity * r <= 2 — the best point of a
+    ``grid_points``-per-axis sweep of [-10||X0||_F, 10||X0||_F], refined
+    like every other start by coordinate descent.
     Runs sequentially in start order, then polishes the winner along the
     subspace that keeps its zero rows zero (coordinate moves alone can stall
     on the objective's kinks); the result can never be worse than the
@@ -645,10 +646,11 @@ def nullspace_solve(prob: MmvProblem, p: float, opts: DescentOptions) -> SparseS
     starts: list[np.ndarray] = [np.zeros((d, r))]
     if prob.planted is not None:
         starts.append(basis.T @ (prob.planted - x0))
-    rng = PortableRng(opts.seed)
+    # one draw for every restart: a start of odd d * r drops the second
+    # normal of its last Box-Muller pair, as a draw of its own would
     scale = float(np.linalg.norm(x0))
-    for _ in range(opts.restarts):
-        starts.append(scale * rng.normal((d, r)))
+    draws = PortableRng(opts.seed).normal((opts.restarts, d * r + d * r % 2))[:, :d * r]
+    starts.extend(scale * draws.reshape(opts.restarts, d, r))
     if d * r <= 2:
         starts.append(_grid_best(x0, basis, p, d, r, opts.grid_points))
 
@@ -685,7 +687,6 @@ class EquivalenceReport:
     """Outcome of the exact-vs-relaxed comparison at a single p."""
 
     p: float
-    match_tol: float
     l20: SparseSolution
     irls: SparseSolution | None
     nullspace: SparseSolution | None
@@ -695,59 +696,51 @@ class EquivalenceReport:
     equivalent: bool
 
 
-def check_equivalence(prob: MmvProblem, p: float, opts: EquivalenceOptions) -> EquivalenceReport:
-    """Compare the exact row-sparsest solution against the l_{2,p} relaxations.
+def check_equivalence(prob: MmvProblem, p_grid, opts: EquivalenceOptions
+                      ) -> list[EquivalenceReport]:
+    """Compare the exact row-sparsest solution against the l_{2,p}
+    relaxations at each p of *p_grid*, one report per p, in grid order.
 
-    Runs l20_solve at its default cap (``prob.k``, min(m, n) when the
-    problem claims no k), then irls_solve and nullspace_solve where their
-    guards allow (a relaxed solver that raises is recorded in ``skipped``
-    with the reason), all three at ``opts.zero_tol`` and on the one
-    decomposition ``prob.spectrum``.  The relaxed solution with the smaller
-    objective is compared to the exact one; ``equivalent`` means Frobenius
-    distance <= ``MATCH_TOL``.  The exact solution does not depend on p, so
-    a caller sweeping p can solve it once and pass it to the comparison
-    step, ``_compare``, for each p, as ``cli.cmd_sweep`` does.
+    Every p must lie in (0, 1]; the grid is checked before anything runs.
+    The exact solution does not depend on p, so l20_solve runs once, at its
+    default cap (``prob.k``, min(m, n) when the problem claims no k), and
+    its error, if any, is the call's.  Then, at each p, irls_solve and
+    nullspace_solve run; a relaxed solver that raises is recorded in
+    ``skipped`` with the reason (IRLS's last iterate is still used when its
+    budget runs out).  All three read their supports at ``opts.zero_tol``
+    and A's one decomposition ``prob.spectrum``.  The relaxed solution with
+    the smaller objective is compared to the exact one; ``equivalent``
+    means Frobenius distance <= ``MATCH_TOL``.
     """
-    p = check_real("p", p, 0, 1, strict=True)
-    return _compare(prob, p, l20_solve(prob, zero_tol=opts.zero_tol), opts)
-
-
-def _compare(prob: MmvProblem, p: float, exact: SparseSolution,
-             opts: EquivalenceOptions) -> EquivalenceReport:
-    """:func:`check_equivalence` after its exact solve: the relaxed solves
-    at p, compared with *exact*."""
-    skipped: list[tuple[str, str]] = []
-    ran: list[tuple[str, SparseSolution]] = []
-    irls_sol = None
-    try:
-        irls_sol = irls_solve(prob, p, IrlsOptions(zero_tol=opts.zero_tol))
-        ran.append(("irls", irls_sol))
-    except MaxIterationsExceeded as exc:
-        irls_sol = exc.last
-        ran.append(("irls", irls_sol))
-        skipped.append(("irls", "budget exhausted; last iterate used"))
-    except (RankDeficient, DomainError) as exc:
-        skipped.append(("irls", str(exc)))
+    grid = check_grid("p_grid", p_grid, 0, 1, strict=True)
+    exact = l20_solve(prob, zero_tol=opts.zero_tol)
+    irls_opts = IrlsOptions(zero_tol=opts.zero_tol)
     descent = DescentOptions(seed=opts.seed, zero_tol=opts.zero_tol)
-    null_sol = None
-    try:
-        null_sol = nullspace_solve(prob, p, descent)
-        ran.append(("nullspace", null_sol))
-    except (DimGuardExceeded, RankDeficient, DomainError) as exc:
-        skipped.append(("nullspace", str(exc)))
-    if ran:
-        best_method, best = min(ran, key=lambda t: t[1].objective)
-        distance = float(np.linalg.norm(best.x - exact.x))
-    else:
-        best_method, distance = None, math.inf
-    return EquivalenceReport(
-        p=p,
-        match_tol=MATCH_TOL,
-        l20=exact,
-        irls=irls_sol,
-        nullspace=null_sol,
-        skipped=tuple(skipped),
-        best_method=best_method,
-        distance=distance,
-        equivalent=distance <= MATCH_TOL,
-    )
+    reports = []
+    for p in grid:
+        skipped: list[tuple[str, str]] = []
+        ran: list[tuple[str, SparseSolution]] = []
+        irls_sol = null_sol = None
+        try:
+            irls_sol = irls_solve(prob, p, irls_opts)
+            ran.append(("irls", irls_sol))
+        except MaxIterationsExceeded as exc:
+            irls_sol = exc.last
+            ran.append(("irls", irls_sol))
+            skipped.append(("irls", "budget exhausted; last iterate used"))
+        except (RankDeficient, DomainError) as exc:
+            skipped.append(("irls", str(exc)))
+        try:
+            null_sol = nullspace_solve(prob, p, descent)
+            ran.append(("nullspace", null_sol))
+        except (DimGuardExceeded, RankDeficient, DomainError) as exc:
+            skipped.append(("nullspace", str(exc)))
+        if ran:
+            best_method, best = min(ran, key=lambda t: t[1].objective)
+            distance = float(np.linalg.norm(best.x - exact.x))
+        else:
+            best_method, distance = None, math.inf
+        reports.append(EquivalenceReport(
+            p=p, l20=exact, irls=irls_sol, nullspace=null_sol, skipped=tuple(skipped),
+            best_method=best_method, distance=distance, equivalent=distance <= MATCH_TOL))
+    return reports

@@ -362,7 +362,14 @@ class TestOutputs:
             lambda o: (o["curve"][-1]["p"], o["curve"][-1]["value"],
                        o["curve"][-1]["certificate_digest"],
                        [e["probes"] for e in o["certificates"]]),
-            (1.0, 2.0456539002196816, "69ab1a9462a1a693", [0, 3645, 4318, 0])),
+            (1.0, 2.0456539002196816, "69ab1a9462a1a693", [0, 0, 0, 0])),
+        "4x7 at k 1": (
+            '{"kind":"gaussian","m":4,"n":7,"r":2,"k":2,"seed":3}',
+            ("--k", "1", "--grid", "0.5"),
+            lambda o: (o["curve"][0]["value"], o["curve"][0]["support"],
+                       o["curve"][0]["certificate_digest"], o["certificates"][0]["exact"],
+                       o["certificates"][0]["probes"]),
+            (0.5545434586607605, [2], "ce39d4aa4952c3c8", True, 0)),
         "4x7 at p 0": (
             '{"kind":"gaussian","m":4,"n":7,"r":2,"k":2,"seed":3}',
             ("--k", "2", "--grid", "0"),

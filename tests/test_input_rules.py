@@ -211,7 +211,8 @@ def test_an_exponent_runs_and_is_recorded_as_its_float(example2):
         got, want = solve(example2, p32), solve(example2, p)
         assert type(got.p) is float and got.p == p
         assert np.array_equal(got.x, want.x) and got.objective == want.objective
-    got, want = (check_equivalence(example2, q, EquivalenceOptions(seed=0)) for q in (p32, p))
+    got, want = (check_equivalence(example2, [q], EquivalenceOptions(seed=0))[0]
+                 for q in (p32, p))
     assert type(got.p) is float and type(got.irls.p) is float
     assert np.array_equal(got.irls.x, want.irls.x) and got.distance == want.distance
     a = gen_problem(GenSpec(**spec(m=4, n=7, k=2, seed=3))).a

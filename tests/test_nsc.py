@@ -11,6 +11,7 @@ from jointsparse.errors import DomainError, EnumerationTooLarge, TrivialNullspac
 from jointsparse.generators import GenSpec, PortableRng, gen_problem
 from jointsparse.linalg import circuits, gram_spectrum
 from jointsparse.norms import RowSupport, _row_norms, row_support, theta, theta_max_over_S
+from jointsparse.norms import theta_top_k
 from jointsparse.nsc import (
     _WINDOW,
     NscOptions,
@@ -118,17 +119,18 @@ def estimate(a: np.ndarray, k: int, p: float, opts: NscOptions, carried=()):
 def serial(a: np.ndarray, k: int, p: float, seed: int, restarts: int, carried=(),
            wins: list | None = None):
     """What :func:`estimate` reports for A of nullity 2 or more, by the
-    serial oracle: the best circuit normalized at p = 0 and p = 1,
-    else the ascent with that circuit's kernel coefficients, then the
-    *carried* coefficient vectors, as warm starts, and the circuit, then
-    the carried vectors' kernel vectors, as candidates after the ascent."""
+    serial oracle: the best circuit normalized at k = 1, at p = 0 and
+    p = 1, and where it is +inf, else the ascent with that circuit's kernel
+    coefficients, then the *carried* coefficient vectors, as warm starts,
+    and the circuit, then the carried vectors' kernel vectors, as
+    candidates after the ascent."""
     basis = gram_spectrum(a).kernel
     cands = tuple(basis @ w for w in carried)
     vertex = best_vertex(a, k, p)
     if vertex is None:
         return nsc_serial_ascent(a, k, p, seed, restarts, carried, cands, wins=wins)
-    x, _, support = vertex
-    if p in (0.0, 1.0):
+    x, value, support = vertex
+    if k == 1 or p in (0.0, 1.0) or math.isinf(value):
         x = x[:, None] / np.linalg.norm(x)
         return theta(p, x, RowSupport(support, n=x.shape[0])), support, x, 0, -1
     return nsc_serial_ascent(a, k, p, seed, restarts, (basis.T @ x,) + tuple(carried),
@@ -152,8 +154,8 @@ def ascent_population():
     {0, 0.1, 0.5, 1}, with k 1 or 2, some seeded restarts, and 1 to 3
     carried coefficient vectors (d, 1) on some of them.  Then a matrix with
     zero columns whose value is +inf: its unit starts and its circuits are
-    +inf from the outset.  Last, the third instance of the ``nsc``
-    benchmark pool (seed 3): 4x7, nullity 3.
+    +inf from the outset, and its best circuit is exact.  Last, the third
+    instance of the ``nsc`` benchmark pool (seed 3): 4x7, nullity 3.
     """
     rng = np.random.default_rng(909)
     for i in range(40):
@@ -280,12 +282,15 @@ class TestAscentPath:
 
     @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
     def test_windows_match_the_serial_ascent(self, case):
+        # k = 1 is exact wherever circuits are scored, so the ascent runs
+        # here on an empty vertex pool, as it does beyond the guard
         (m, n, r, k, seed), ends = WINDOW_CASES[case]
         a = gen_problem(GenSpec("gaussian", m, n, 1, 1, seed)).a
         wins: list[tuple[int, int, int]] = []
-        got = serial(a, k, 0.5, seed, 1, wins=wins)
+        got = nsc_serial_ascent(a, k, 0.5, seed, 1, wins=wins)
         assert first_wins_at_ends(wins, (n - m) * 4) >= ends
-        est = nsc_estimate(a, k, 0.5, NscOptions(seed=seed, restarts=1))
+        basis = gram_spectrum(a).kernel
+        est = _estimate(basis, np.empty((0, n)), k, 0.5, NscOptions(seed=seed, restarts=1), ())
         assert_matches(est, *got)
         assert theta(0.5, embedded(est, r), est.certificate_support) == est.value
 
@@ -295,7 +300,7 @@ class TestAscentPath:
             got = serial(a, k, p, seed, restarts, carried)
             est = estimate(a, k, p, NscOptions(seed=seed, restarts=restarts), carried)
             assert_matches(est, *got, name=name)
-            assert est.exact is (p in (0.0, 1.0)), name
+            assert est.exact is (k == 1 or p in (0.0, 1.0) or math.isinf(est.value)), name
             values[name] = est.value
             seen.add(p)
         assert len(values) == 42 and len(seen) == 4
@@ -504,11 +509,58 @@ class TestVertices:
 
     def test_zero_matrix_scores_the_coordinate_vectors(self):
         # rank 0: the row basis has no rows, and its circuits are the
-        # coordinate vectors, each +inf with its one row in S
-        for p in (0.0, 1.0):
-            est = nsc_estimate(np.zeros((2, 4)), 1, p, NscOptions(seed=0))
-            assert (est.value, est.exact, est.vertices) == (math.inf, True, 4), p
-            assert est.certificate_support.indices == (1,), p
+        # coordinate vectors, each +inf with its one row in S.  h is a
+        # supremum, so a +inf vertex is exact at every p and k: no ascent
+        for k in (1, 2):
+            for p in (0.0, 0.5, 1.0):
+                est = nsc_estimate(np.zeros((2, 4)), k, p, NscOptions(seed=0))
+                assert (est.value, est.exact, est.vertices) == (math.inf, True, 4), (k, p)
+                assert (est.probes, est.restarts) == (0, 0), (k, p)
+                assert est.certificate_support.indices == tuple(range(1, k + 1)), (k, p)
+
+    def test_two_dimensional_sections_peak_at_a_vertex(self):
+        # whether the best circuit is h at k >= 2 reduces to 2-D sections of
+        # the kernel, on which theta is a function on a circle: on V = F R^2
+        # (F n x 2), theta of x = F u over the circle |u| = 1 should peak
+        # where a row of x vanishes.  Those vertices take that entry as an
+        # exact 0; about 400 interior points of each arc between
+        # consecutive vertices are scored densely.  A failure here is a
+        # counterexample to the conjecture, not a tolerance to widen.
+        rng = np.random.default_rng(2017)
+        cases = 0
+        for _ in range(40):
+            n = int(rng.integers(5, 9))
+            f = rng.standard_normal((n, 2))
+            angle = np.arctan2(f[:, 0], -f[:, 1]) % np.pi   # row i of F u(t) is 0 there
+            order = np.argsort(angle)
+            ends = angle[order]
+            verts = np.abs(f @ np.stack([np.cos(ends), np.sin(ends)]))  # (n, vertex)
+            verts[order, np.arange(n)] = 0.0            # vertex j zeroes row order[j]
+            arcs = np.append(ends, ends[0] + np.pi)
+            t = (arcs[:-1, None] + np.diff(arcs)[:, None] * np.linspace(0, 1, 402)[1:-1]).ravel()
+            dense = np.abs(f @ np.stack([np.cos(t), np.sin(t)]))
+            for k in range(1, min(3, n - 2) + 1):
+                for p in (0.2, 0.5, 0.8):
+                    top = theta_top_k(verts.T, k, p, 0.0)[0].max()
+                    inner = theta_top_k(dense.T, k, p, 0.0)[0].max()
+                    assert inner <= top, (n, k, p, inner / top)
+                    cases += 1
+        assert cases == 360
+
+    def test_k1_best_circuit_is_exact(self):
+        # at k = 1, theta is quasi-convex on each sign cell of Ker(A), so
+        # its maximum lies on an extreme ray, a circuit (module docstring):
+        # the best circuit is reported with no ascent, and the serial
+        # oracle's ascent, from its unit starts and a seeded one, never
+        # beats it
+        cases = [*generic_gaussians(), *rank_deficient(), *self.nearly_dependent(1e-6)]
+        for name, a in cases:
+            for p in (0.1, 0.5, 0.9):
+                est = nsc_estimate(a, 1, p, NscOptions(seed=2))
+                assert est.exact and (est.probes, est.restarts, est.start) == (0, 0, -1), name
+                assert est.vertices > 0, name
+                value = nsc_serial_ascent(a, 1, p, 2, 1)[0]
+                assert value <= est.value * (1 + 1e-12), (name, p, value, est.value)
 
 
 class TestRFree:

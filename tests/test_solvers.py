@@ -24,6 +24,7 @@ from jointsparse.linalg import residual_covers
 from jointsparse.solvers import (
     IRLS_EPS0,
     IRLS_EPS_MIN,
+    MATCH_TOL,
     DescentOptions,
     EquivalenceOptions,
     IrlsOptions,
@@ -799,9 +800,9 @@ class TestRelaxedFrozen:
 
 class TestCheckEquivalence:
     def test_example2_equivalent_at_moderate_p(self, example2):
-        rep = check_equivalence(example2, 0.5, EquivalenceOptions(seed=0))
+        [rep] = check_equivalence(example2, [0.5], EquivalenceOptions(seed=0))
         assert rep.equivalent is True
-        assert rep.distance <= rep.match_tol
+        assert rep.distance <= MATCH_TOL
         assert rep.l20.support.indices == (2, 5)
         assert rep.best_method in ("irls", "nullspace")
         assert rep.irls is not None and rep.nullspace is not None
@@ -812,20 +813,20 @@ class TestCheckEquivalence:
         x = np.zeros((13, 1))
         x[2, 0] = 1.0
         prob = MmvProblem(a=a, b=a @ x)
-        rep = check_equivalence(prob, 0.5, EquivalenceOptions(seed=0))
+        [rep] = check_equivalence(prob, [0.5], EquivalenceOptions(seed=0))
         assert rep.nullspace is None
         assert any(name == "nullspace" for name, _ in rep.skipped)
         assert rep.irls is not None
         assert rep.best_method == "irls"
 
     def test_every_solver_reads_its_support_at_zero_tol(self, example2):
-        rep = check_equivalence(example2, 0.5, EquivalenceOptions(seed=0, zero_tol=1e-6))
+        [rep] = check_equivalence(example2, [0.5], EquivalenceOptions(seed=0, zero_tol=1e-6))
         for sol in (rep.l20, rep.irls, rep.nullspace):
             assert sol.zero_tol == 1e-6
 
     def test_bad_p(self, example2):
         with pytest.raises(DomainError):
-            check_equivalence(example2, 0.0, EquivalenceOptions(seed=0))
+            check_equivalence(example2, [0.0], EquivalenceOptions(seed=0))
 
     @pytest.mark.parametrize("zero_tol", [math.nan, -1e-8])
     def test_nan_or_negative_zero_tol_rejected(self, zero_tol):
@@ -863,10 +864,17 @@ class TestOneDecompositionPerProblem:
 
     def test_check_equivalence_decomposes_once(self, spectra, exact_solves):
         prob = gen_problem(GenSpec("gaussian", 4, 7, 2, 2, 3))
-        rep = check_equivalence(prob, 0.5, EquivalenceOptions(seed=1))
+        [rep] = check_equivalence(prob, [0.5], EquivalenceOptions(seed=1))
         assert [a is prob.a for a in spectra] == [True]     # three before
         assert exact_solves == [None]
         assert rep.l20.support.indices == rep.nullspace.support.indices
+
+    def test_one_report_per_p_from_one_exact_solve(self, spectra, exact_solves):
+        prob = gen_problem(GenSpec("gaussian", 4, 7, 2, 2, 3))
+        reps = check_equivalence(prob, (0.3, 0.5, 1), EquivalenceOptions(seed=1))
+        assert [rep.p for rep in reps] == [0.3, 0.5, 1.0]
+        assert all(rep.l20 is reps[0].l20 for rep in reps)
+        assert len(spectra) == 1 and exact_solves == [None]
 
     def test_default_cap_is_the_claimed_k_else_min_m_n(self, example2, rng):
         with pytest.raises(Infeasible, match="<= 1"):
